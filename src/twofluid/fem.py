@@ -35,103 +35,6 @@ from .errors import OutOfDomainError, SingularSystemError
 from .linalg import SparseMatrix
 from .mesh import BoundaryTag
 
-try:
-    from numba import njit as _njit
-    _HAVE_NUMBA = True
-except ImportError:                                        # pragma: no cover
-    _HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# compiled element kernels (sequential; bitwise deterministic)
-
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _nb_qp_eval(n6, dn6, nl, ng, v_l, v_g, dv_l, dv_g, vr, vr_norm):
-        nc, nq = dn6.shape[0], dn6.shape[1]
-        for c in range(nc):
-            for q in range(nq):
-                for a in range(2):
-                    accl = 0.0
-                    accg = 0.0
-                    for i in range(6):
-                        accl += n6[q, i] * nl[c, i, a]
-                        accg += n6[q, i] * ng[c, i, a]
-                    v_l[c, q, a] = accl
-                    v_g[c, q, a] = accg
-                    vr[c, q, a] = accg - accl
-                    for k in range(2):
-                        dl = 0.0
-                        dg = 0.0
-                        for i in range(6):
-                            dl += dn6[c, q, i, k] * nl[c, i, a]
-                            dg += dn6[c, q, i, k] * ng[c, i, a]
-                        dv_l[c, q, a, k] = dl
-                        dv_g[c, q, a, k] = dg
-                vr_norm[c, q] = np.sqrt(vr[c, q, 0] ** 2 + vr[c, q, 1] ** 2)
-
-    @_njit(cache=True)
-    def _nb_g_scatter(g, b0, b1, slots, out):
-        nc = g.shape[0]
-        for c in range(nc):
-            gx = g[c, 0]
-            gy = g[c, 1]
-            base = c * 144
-            for e in range(144):
-                out[slots[base + e]] += gx * b0[c, e] + gy * b1[c, e]
-
-    @_njit(cache=True)
-    def _nb_phase_load(v_qp, dv, vr, vr_norm, kdrag, ratio_signed, gl, dvr,
-                       cp_liquid, cp_gas, wn6, det, out_be):
-        nc, nq = v_qp.shape[0], v_qp.shape[1]
-        f = np.empty((nq, 2))
-        for c in range(nc):
-            for q in range(nq):
-                for a in range(2):
-                    conv = (dv[c, q, a, 0] * v_qp[c, q, 0]
-                            + dv[c, q, a, 1] * v_qp[c, q, 1])
-                    val = ratio_signed[c, q] * kdrag[c, q] * vr[c, q, a] - conv
-                    if cp_liquid != 0.0:
-                        val -= cp_liquid * vr_norm[c, q] ** 2 * gl[c, a]
-                    if cp_gas != 0.0:
-                        val += cp_gas * (vr[c, q, 0] * dvr[c, q, 0, a]
-                                         + vr[c, q, 1] * dvr[c, q, 1, a])
-                    f[q, a] = val
-            for i in range(6):
-                bx = 0.0
-                by = 0.0
-                for q in range(nq):
-                    bx += wn6[q, i] * f[q, 0]
-                    by += wn6[q, i] * f[q, 1]
-                out_be[c, 2 * i] = bx * det[c]
-                out_be[c, 2 * i + 1] = by * det[c]
-
-    @_njit(cache=True)
-    def _nb_alpha_elem(n3, w, det, gp1, v_qp, divv, tau, aold, dt,
-                       out_elem, out_be):
-        nc, nq = v_qp.shape[0], v_qp.shape[1]
-        stream = np.empty(3)
-        for c in range(nc):
-            for i in range(9):
-                out_elem[c, i] = 0.0
-            for i in range(3):
-                out_be[c, i] = 0.0
-            for q in range(nq):
-                for j in range(3):
-                    stream[j] = (v_qp[c, q, 0] * gp1[c, j, 0]
-                                 + v_qp[c, q, 1] * gp1[c, j, 1])
-                wq = w[q] * det[c]
-                for i in range(3):
-                    phi = n3[q, i] + tau[c] * stream[i]
-                    wphi = wq * phi
-                    for j in range(3):
-                        trial = (n3[q, j] / dt + stream[j]
-                                 + n3[q, j] * divv[c, q])
-                        out_elem[c, 3 * i + j] += wphi * trial
-                    out_be[c, i] += wphi * aold[c, q] / dt
-
-
 # ---------------------------------------------------------------------------
 # quadrature and reference bases
 
@@ -515,24 +418,12 @@ class _VelocityQP:
     def __init__(self, space, v_l, v_g):
         nl = _vec_nodes(space, v_l.coefficients)
         ng = _vec_nodes(space, v_g.coefficients)
-        t = space._tables()
-        if _HAVE_NUMBA:
-            nc, nq = nl.shape[0], t["n6"].shape[0]
-            self.v_l = np.empty((nc, nq, 2))
-            self.v_g = np.empty((nc, nq, 2))
-            self.dv_l = np.empty((nc, nq, 2, 2))
-            self.dv_g = np.empty((nc, nq, 2, 2))
-            self.vr = np.empty((nc, nq, 2))
-            self.vr_norm = np.empty((nc, nq))
-            _nb_qp_eval(t["n6"], t["dn6"], nl, ng, self.v_l, self.v_g,
-                        self.dv_l, self.dv_g, self.vr, self.vr_norm)
-        else:
-            self.v_l = _vec_at_qp(space, None, nodes=nl)
-            self.v_g = _vec_at_qp(space, None, nodes=ng)
-            self.dv_l = _vec_grad_at_qp(space, None, nodes=nl)
-            self.dv_g = _vec_grad_at_qp(space, None, nodes=ng)
-            self.vr = self.v_g - self.v_l
-            self.vr_norm = np.linalg.norm(self.vr, axis=2)
+        self.v_l = _vec_at_qp(space, None, nodes=nl)
+        self.v_g = _vec_at_qp(space, None, nodes=ng)
+        self.dv_l = _vec_grad_at_qp(space, None, nodes=nl)
+        self.dv_g = _vec_grad_at_qp(space, None, nodes=ng)
+        self.vr = self.v_g - self.v_l
+        self.vr_norm = np.linalg.norm(self.vr, axis=2)
         self._kdrag = None
 
     def value(self, phase):
@@ -621,8 +512,10 @@ class ClosureInputs:
     """Per-phase inputs for the tentative-velocity assembly.
 
     ln_alpha_* are the thresholded log phase-fraction fields whose
-    gradients stand in for grad(alpha)/alpha; dirichlet is the
-    (dofs, values) pair for this phase's velocity space at t + dt.
+    gradients stand in for grad(alpha)/alpha, and alpha_ln_floor is
+    their threshold, which also floors the liquid fraction in the drag
+    ratio alpha_g / alpha_l; dirichlet is the (dofs, values) pair for
+    this phase's velocity space at t + dt.
     The cache memoizes state-level intermediates across one step (share
     one dict between the two phases' instances).
     """
@@ -631,11 +524,9 @@ class ClosureInputs:
     scales: physics.Scales
     ln_alpha_l: FeField
     ln_alpha_g: FeField
+    alpha_ln_floor: float
     dirichlet: tuple = ((), ())
     cache: dict = field(default_factory=dict)
-
-
-ALPHA_FLOOR = 1e-5  # threshold for phase fractions appearing in denominators
 
 
 def _log_gradient_matrix_data(space, p1, ln_alpha):
@@ -644,13 +535,8 @@ def _log_gradient_matrix_data(space, p1, ln_alpha):
     s = space._static_vec()
     g_cell = p1.p1_cell_gradient(ln_alpha.coefficients)
     gb = s["g_basis"]
-    pat = space.pattern()
-    if _HAVE_NUMBA:
-        out = np.zeros(pat.nnz)
-        _nb_g_scatter(g_cell, gb[0], gb[1], pat.slots, out)
-        return out
     elem = g_cell[:, 0, None] * gb[0] + g_cell[:, 1, None] * gb[1]
-    return pat.assemble_data(elem)
+    return space.pattern().assemble_data(elem)
 
 
 def _explicit_phase_load(phase, state, qp, groups, closures):
@@ -667,7 +553,8 @@ def _explicit_phase_load(phase, state, qp, groups, closures):
     if liquid:
         alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
         alpha_l_qp = p1.p1_at_qp(state.alpha_l.coefficients)
-        ratio_signed = alpha_g_qp / np.maximum(alpha_l_qp, ALPHA_FLOOR)
+        ratio_signed = alpha_g_qp / np.maximum(alpha_l_qp,
+                                               closures.alpha_ln_floor)
         gl = closures.cache.get("grad_ln_alpha_l")
         if gl is None:
             gl = p1.p1_cell_gradient(closures.ln_alpha_l.coefficients)
@@ -675,30 +562,17 @@ def _explicit_phase_load(phase, state, qp, groups, closures):
         cp_liquid, cp_gas = groups.c_p, 0.0
     else:
         ratio_signed = np.broadcast_to(-groups.rho_ratio, kdrag.shape)
-        gl = np.empty((0, 2))
         cp_liquid, cp_gas = 0.0, 2.0 * groups.c_p * groups.rho_ratio
 
-    if _HAVE_NUMBA:
-        t = space._tables()
-        wn6 = t["w"][:, None] * t["n6"]
-        dvr = qp.dv_g - qp.dv_l if cp_gas != 0.0 else qp.grad(phase)
-        gl_k = gl if gl.size else np.zeros((v_qp.shape[0], 2))
-        be = np.empty((v_qp.shape[0], 12))
-        _nb_phase_load(v_qp, qp.grad(phase), qp.vr, qp.vr_norm, kdrag,
-                       np.ascontiguousarray(ratio_signed), gl_k, dvr,
-                       cp_liquid, cp_gas, wn6, t["det"], be)
-        b = np.bincount(space.cell_dofs.ravel(), weights=be.ravel(),
-                        minlength=space.dof_count)
-    else:
-        conv = np.matmul(qp.grad(phase), v_qp[:, :, :, None])[:, :, :, 0]
-        f_qp = (ratio_signed * kdrag)[:, :, None] * qp.vr - conv
-        if cp_liquid != 0.0:
-            f_qp = f_qp - cp_liquid * (qp.vr_norm ** 2)[:, :, None] * gl[:, None, :]
-        if cp_gas != 0.0:
-            dvr = qp.dv_g - qp.dv_l
-            f_qp = f_qp + cp_gas * np.matmul(
-                qp.vr[:, :, None, :], dvr)[:, :, 0, :]
-        b = _load_vector(space, f_qp)
+    conv = np.matmul(qp.grad(phase), v_qp[:, :, :, None])[:, :, :, 0]
+    f_qp = (ratio_signed * kdrag)[:, :, None] * qp.vr - conv
+    if cp_liquid != 0.0:
+        f_qp = f_qp - (cp_liquid * (qp.vr_norm ** 2)[:, :, None]
+                       * gl[:, None, :])
+    if cp_gas != 0.0:
+        dvr = qp.dv_g - qp.dv_l
+        f_qp = f_qp + cp_gas * np.matmul(qp.vr[:, :, None, :], dvr)[:, :, 0, :]
+    b = _load_vector(space, f_qp)
     dp_load = closures.cache.get("pressure_gravity_load")
     if dp_load is None:
         dp_cell = p1.p1_cell_gradient(state.p_l.coefficients)
@@ -868,22 +742,16 @@ def assemble_alpha_system(alpha_old, v_g_new, dt, dirichlet=None, supg=True,
     aold_qp = p1.p1_at_qp(alpha_old.coefficients)
     pat = p1.pattern()
 
-    if _HAVE_NUMBA:
-        elem = np.empty((det.size, 9))
-        be = np.empty((det.size, 3))
-        _nb_alpha_elem(n3, w, det, gp1, np.ascontiguousarray(v_qp), divv,
-                       tau, aold_qp, dt, elem, be)
-    else:
-        # streamline derivatives v . grad psi_i: (c,q,a) @ (c,a,i) -> (c,q,i)
-        stream = np.matmul(v_qp, gp1.transpose(0, 2, 1))
-        phi = np.broadcast_to(n3[None, :, :], (det.size, w.size, 3))
-        phi = phi + tau[:, None, None] * stream
-        trial = (n3[None, :, :] / dt + stream
-                 + n3[None, :, :] * divv[:, :, None])
-        wphi = w[None, :, None] * phi
-        elem = np.matmul(wphi.transpose(0, 2, 1), trial) * det[:, None, None]
-        be = np.matmul(wphi.transpose(0, 2, 1),
-                       aold_qp[:, :, None])[:, :, 0] * det[:, None] / dt
+    # streamline derivatives v . grad psi_i: (c,q,a) @ (c,a,i) -> (c,q,i)
+    stream = np.matmul(v_qp, gp1.transpose(0, 2, 1))
+    phi = np.broadcast_to(n3[None, :, :], (det.size, w.size, 3))
+    phi = phi + tau[:, None, None] * stream
+    trial = (n3[None, :, :] / dt + stream
+             + n3[None, :, :] * divv[:, :, None])
+    wphi = w[None, :, None] * phi
+    elem = np.matmul(wphi.transpose(0, 2, 1), trial) * det[:, None, None]
+    be = np.matmul(wphi.transpose(0, 2, 1),
+                   aold_qp[:, :, None])[:, :, 0] * det[:, None] / dt
     raw_data = pat.assemble_data(elem)
     A = pat.matrix(raw_data.copy())
     b = np.bincount(p1.cell_dofs.ravel(), weights=be.ravel(),

@@ -65,7 +65,7 @@ class StepReport:
     mass_balance_residual: float = 0.0
 
 
-def log_gradient_field(alpha, epsilon=1e-5):
+def log_gradient_field(alpha, epsilon):
     """P1 field ln(max(alpha_i, epsilon)); its gradient replaces
     grad(alpha)/alpha in the momentum equations."""
     if epsilon <= 0:
@@ -228,21 +228,11 @@ def _build_closures(state, cfg, t_next_seconds):
     shared = {}
     return {
         phase: fem.ClosureInputs(
-            props, scales, ln_l, ln_g,
+            props, scales, ln_l, ln_g, cfg.alpha_ln_floor,
             velocity_dirichlet(vec, cfg, t_next_seconds, phase),
             cache=shared)
         for phase in ("liquid", "gas")
     }
-
-
-def estimate_local_error(state, dt, cfg):
-    """Standalone Heun-vs-tentative local error estimate (O(dt^2))."""
-    groups = make_groups(cfg.props(), cfg.scales(), cfg.c_p)
-    t_next = (state.t_tilde + dt) * cfg.scales().t_s
-    closures = _build_closures(state, cfg, t_next)
-    _, _, error, _ = _tentative_with_error(state, dt, cfg, groups,
-                                           closures, {})
-    return error
 
 
 # ---------------------------------------------------------------------------

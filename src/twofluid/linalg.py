@@ -12,18 +12,6 @@ import scipy.sparse as _sp
 
 from .errors import NonconvergenceError, SingularMatrixError
 
-try:
-    from numba import njit as _njit, prange as _prange
-    _HAVE_NUMBA = True
-except ImportError:                                        # pragma: no cover
-    _HAVE_NUMBA = False
-    _prange = range
-
-    def _njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-        return deco if not (args and callable(args[0])) else args[0]
-
 
 class SparseMatrix:
     """Square or rectangular CSR matrix with duplicate-summing construction."""
@@ -141,108 +129,21 @@ class SparseMatrix:
                                    shape=self.shape)
 
 
+# ---------------------------------------------------------------------------
+# Krylov solvers
+
 def _jacobi(A):
     d = A.diagonal().copy()
     d[d == 0.0] = 1.0
     return 1.0 / d
 
 
-# ---------------------------------------------------------------------------
-# compiled solver kernels (sequential loops; bitwise deterministic)
-
-@_njit(cache=True, fastmath=True)
-def _nb_matvec(indptr, indices, data, x, out):
-    for i in range(indptr.size - 1):
-        acc = 0.0
-        for k in range(indptr[i], indptr[i + 1]):
-            acc += data[k] * x[indices[k]]
-        out[i] = acc
-
-
-@_njit(cache=True)
-def _nb_norm(v):
-    acc = 0.0
-    for i in range(v.size):
-        acc += v[i] * v[i]
-    return np.sqrt(acc)
-
-
-@_njit(cache=True)
-def _nb_dot(a, b):
-    acc = 0.0
-    for i in range(a.size):
-        acc += a[i] * b[i]
-    return acc
-
-
-
-@_njit(cache=True)
-def _nb_fused_p(p, r, v, ph, minv, beta, omega):
-    for i in range(p.size):
-        p[i] = r[i] + beta * (p[i] - omega * v[i])
-        ph[i] = minv[i] * p[i]
-
-
-@_njit(cache=True)
-def _nb_fused_s(r, v, sh, minv, alpha):
-    acc = 0.0
-    for i in range(r.size):
-        r[i] -= alpha * v[i]
-        sh[i] = minv[i] * r[i]
-        acc += r[i] * r[i]
-    return np.sqrt(acc)
-
-
-@_njit(cache=True)
-def _nb_fused_xr(x, r, ph, sh, t, alpha, omega):
-    acc = 0.0
-    for i in range(x.size):
-        x[i] += alpha * ph[i] + omega * sh[i]
-        r[i] -= omega * t[i]
-        acc += r[i] * r[i]
-    return np.sqrt(acc)
-
-
-@_njit(cache=True)
-def _nb_cg(indptr, indices, data, b, x, minv, target, max_iter):
-    n = b.size
-    r = np.empty(n)
-    _nb_matvec(indptr, indices, data, x, r)
-    for i in range(n):
-        r[i] = b[i] - r[i]
-    z = minv * r
-    p = z.copy()
-    ap = np.empty(n)
-    rz = _nb_dot(r, z)
-    it = 0
-    while it < max_iter:
-        if _nb_norm(r) <= target:
-            return it, _nb_norm(r)
-        _nb_matvec(indptr, indices, data, p, ap)
-        alpha = rz / _nb_dot(p, ap)
-        for i in range(n):
-            x[i] += alpha * p[i]
-            r[i] -= alpha * ap[i]
-        rz_new = 0.0
-        for i in range(n):
-            z[i] = minv[i] * r[i]
-            rz_new += r[i] * z[i]
-        beta = rz_new / rz
-        for i in range(n):
-            p[i] = z[i] + beta * p[i]
-        rz = rz_new
-        it += 1
-    _nb_matvec(indptr, indices, data, x, ap)
-    for i in range(n):
-        ap[i] = b[i] - ap[i]
-    return it, _nb_norm(ap)
-
-
 def solve_cg(A, b, tol=1e-10, max_iter=2000, x0=None, stats=None):
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     Returns x with ||A x - b||_2 <= tol * ||b||_2, else raises
-    NonconvergenceError carrying the final residual.
+    NonconvergenceError carrying the final residual.  stats["iterations"]
+    and the error's iteration count are the iterations performed.
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
@@ -254,16 +155,6 @@ def solve_cg(A, b, tol=1e-10, max_iter=2000, x0=None, stats=None):
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     minv = _jacobi(A)
     target = tol * nb
-    if _HAVE_NUMBA:
-        it, res = _nb_cg(A.indptr, A.indices, A.data, b, x, minv,
-                         target, max_iter)
-        stats["iterations"] = it
-        if res <= target:
-            return x
-        raise NonconvergenceError(
-            f"CG did not reach tol={tol:g} in {max_iter} iterations "
-            f"(relative residual {res / nb:.3e})", residual=res,
-            iterations=max_iter)
     r = b - A.matvec(x)
     z = minv * r
     p = z.copy()
@@ -280,6 +171,7 @@ def solve_cg(A, b, tol=1e-10, max_iter=2000, x0=None, stats=None):
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
+    stats["iterations"] = max_iter
     res = np.linalg.norm(b - A.matvec(x))
     if res <= target:
         return x
@@ -290,11 +182,12 @@ def solve_cg(A, b, tol=1e-10, max_iter=2000, x0=None, stats=None):
 
 def solve_bicgstab(A, b, tol=1e-10, max_iter=2000, x0=None, stats=None):
     """Jacobi-preconditioned BiCGStab for nonsingular (possibly
-    nonsymmetric) systems.  Same residual contract as solve_cg.
+    nonsymmetric) systems.  Same residual and iteration-count contract as
+    solve_cg.
 
-    The loop combines the scipy-backed matrix product with fused
-    single-pass vector updates; all reductions are sequential, so results
-    are deterministic.
+    Convergence of the recurrence residual is confirmed against the true
+    residual b - A x before returning.  A breakdown (rho or omega zero)
+    restarts the recurrence from the current iterate.
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
@@ -306,52 +199,11 @@ def solve_bicgstab(A, b, tol=1e-10, max_iter=2000, x0=None, stats=None):
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     minv = _jacobi(A)
     target = tol * nb
-    csr = A._csr
-    r = b - csr @ x
+    r = b - A.matvec(x)
     r0 = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
-    ph = np.empty_like(b)
-    sh = np.empty_like(b)
-    norm_r = np.linalg.norm(r)
-    if _HAVE_NUMBA:
-        for it in range(max_iter):
-            stats["iterations"] = it
-            if norm_r <= target:
-                true_r = np.linalg.norm(b - csr @ x)
-                if true_r <= target:
-                    return x
-            rho_new = float(r0 @ r)
-            if rho_new == 0.0 or omega == 0.0:
-                r = b - csr @ x
-                r0 = r.copy()
-                rho = alpha = omega = 1.0
-                v[:] = 0.0
-                p[:] = 0.0
-                rho_new = float(r0 @ r)
-                if rho_new == 0.0:
-                    break
-            beta = (rho_new / rho) * (alpha / omega)
-            rho = rho_new
-            _nb_fused_p(p, r, v, ph, minv, beta, omega)
-            v = csr @ ph
-            alpha = rho / float(r0 @ v)
-            norm_r = _nb_fused_s(r, v, sh, minv, alpha)   # r becomes s
-            if norm_r <= target:
-                x += alpha * ph
-                continue
-            t = csr @ sh
-            tt = float(t @ t)
-            omega = float(t @ r) / tt if tt > 0.0 else 0.0
-            norm_r = _nb_fused_xr(x, r, ph, sh, t, alpha, omega)
-        res = np.linalg.norm(b - csr @ x)
-        if res <= target:
-            return x
-        raise NonconvergenceError(
-            f"BiCGStab did not reach tol={tol:g} in {max_iter} iterations "
-            f"(relative residual {res / nb:.3e})", residual=res,
-            iterations=max_iter)
     for it in range(max_iter):
         stats["iterations"] = it
         if np.linalg.norm(r) <= target:
@@ -385,12 +237,15 @@ def solve_bicgstab(A, b, tol=1e-10, max_iter=2000, x0=None, stats=None):
         omega = (t @ s) / tt if tt > 0.0 else 0.0
         x += alpha * ph + omega * sh
         r = s - omega * t
+    else:
+        it = max_iter
+    stats["iterations"] = it
     res = np.linalg.norm(b - A.matvec(x))
     if res <= target:
         return x
     raise NonconvergenceError(
-        f"BiCGStab did not reach tol={tol:g} in {max_iter} iterations "
-        f"(relative residual {res / nb:.3e})", residual=res, iterations=max_iter)
+        f"BiCGStab did not reach tol={tol:g} in {it} iterations "
+        f"(relative residual {res / nb:.3e})", residual=res, iterations=it)
 
 
 def lu_solve_dense(A, b):

@@ -39,9 +39,10 @@ def make_closures(state, props=None, scales=None):
     props = props or FluidProperties()
     scales = scales or Scales()
     p1 = state.alpha_g.space
-    ln_l = p1.field(np.log(np.maximum(state.alpha_l.coefficients, 1e-5)))
-    ln_g = p1.field(np.log(np.maximum(state.alpha_g.coefficients, 1e-5)))
-    return ClosureInputs(props, scales, ln_l, ln_g)
+    floor = 1e-5
+    ln_l = p1.field(np.log(np.maximum(state.alpha_l.coefficients, floor)))
+    ln_g = p1.field(np.log(np.maximum(state.alpha_g.coefficients, floor)))
+    return ClosureInputs(props, scales, ln_l, ln_g, floor)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,22 @@ def test_cg_nonconvergence_carries_residual():
     assert exc.value.residual is not None
 
 
+@pytest.mark.parametrize("solver", [solve_cg, solve_bicgstab])
+def test_iteration_limit_reports_iterations_performed(solver):
+    # 1-D Laplacian: Jacobi-preconditioned Krylov needs far more than 3
+    # iterations on 50 unknowns, so the limit is hit
+    n = 50
+    i = np.arange(n)
+    rows = np.concatenate([i, i[:-1], i[1:]])
+    cols = np.concatenate([i, i[1:], i[:-1]])
+    vals = np.concatenate([np.full(n, 2.0), np.full(2 * n - 2, -1.0)])
+    A = SparseMatrix.from_coo(rows, cols, vals, (n, n))
+    stats = {}
+    with pytest.raises(NonconvergenceError) as exc:
+        solver(A, np.ones(n), tol=1e-12, max_iter=3, stats=stats)
+    assert stats["iterations"] == exc.value.iterations == 3
+
+
 def test_bicgstab_identity_and_hand_case():
     b = np.array([1.0, 2.0])
     assert solve_bicgstab(_identity(2), b) == pytest.approx(b)
