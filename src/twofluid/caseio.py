@@ -159,7 +159,11 @@ def load_config(path):
 
 
 def dump_config(cfg):
-    """Serialize a CaseConfig; parse_config(dump_config(c)) == c."""
+    """Serialize a CaseConfig; parse_config(dump_config(c)) == c.
+
+    A string the format cannot carry (one holding '#' or a line break, or
+    with leading or trailing whitespace) raises ConfigError naming its key.
+    """
     lines = []
     for f in fields(CaseConfig):
         value = getattr(cfg, f.name)
@@ -167,6 +171,11 @@ def dump_config(cfg):
             value = "true" if value else "false"
         elif isinstance(value, float):
             value = repr(value)
+        elif isinstance(value, str) and (
+                "#" in value or value != value.strip()
+                or len(value.splitlines()) > 1):
+            raise ConfigError(f"cannot write {value!r} as a config value",
+                              key=f.name)
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
 

@@ -26,7 +26,7 @@ Sub-step systems assembled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,7 +172,7 @@ class _Pattern:
 # function spaces and fields
 
 class FunctionSpace:
-    """Dof map over a mesh for one of ScalarP1 / ScalarP2 / VectorP2.
+    """Dof map over a mesh for ScalarP1 or VectorP2.
 
     Vector dofs interleave components node-major: dof(node, comp) =
     2*node + comp, so coefficients order as (x0, y0, x1, y1, ...).
@@ -186,7 +186,7 @@ class FunctionSpace:
         if kind == "ScalarP1":
             self.node_cell_dofs = mesh.cells.astype(np.int64)
             self.node_coords = mesh.vertices
-        elif kind in ("ScalarP2", "VectorP2"):
+        elif kind == "VectorP2":
             edges, cell_edges, _ = _edge_table(mesh)
             self.node_cell_dofs = np.concatenate(
                 [mesh.cells.astype(np.int64), nverts + cell_edges], axis=1)
@@ -212,10 +212,6 @@ class FunctionSpace:
     @classmethod
     def scalar_p1(cls, mesh):
         return cls("ScalarP1", mesh)
-
-    @classmethod
-    def scalar_p2(cls, mesh):
-        return cls("ScalarP2", mesh)
 
     @classmethod
     def vector_p2(cls, mesh):
@@ -253,11 +249,6 @@ class FunctionSpace:
         out = np.array(sorted(nodes), dtype=np.int64)
         self._cache[key] = out
         return out
-
-    def component_dofs(self, nodes, comp):
-        if self.kind != "VectorP2":
-            raise ValueError("component_dofs applies to vector spaces")
-        return 2 * np.asarray(nodes, dtype=np.int64) + comp
 
     # -- cached tables ------------------------------------------------------
 
@@ -371,9 +362,6 @@ class FeField:
                 f"coefficient length {self.coefficients.shape} does not match "
                 f"space dof count {self.space.dof_count}")
 
-    def copy(self):
-        return FeField(self.space, self.coefficients.copy())
-
     def vertex_values(self):
         """Values at mesh vertices; (n_vertices,) or (n_vertices, 2)."""
         nv = self.space.mesh.n_vertices
@@ -394,49 +382,50 @@ def _vec_nodes(space, coeffs):
     return out
 
 
-def _vec_at_qp(space, coeffs, nodes=None):
+def _vec_at_qp(space, nodes):
+    """v[c,q,a] at quadrature points from (nc, 6, 2) nodal values."""
     t = space._tables()
-    if nodes is None:
-        nodes = _vec_nodes(space, coeffs)
     # (1, q, i) @ (c, i, a) -> (c, q, a)
     return np.matmul(t["n6"][None, :, :], nodes)
 
 
-def _vec_grad_at_qp(space, coeffs, nodes=None):
+def _vec_grad_at_qp(space, nodes):
     """dv[c,q,a,k] = d v_a / d x_k at quadrature points."""
     t = space._tables()
-    if nodes is None:
-        nodes = _vec_nodes(space, coeffs)
     # (c, 1, a, i) @ (c, q, i, k) -> (c, q, a, k)
     return np.matmul(nodes.transpose(0, 2, 1)[:, None, :, :], t["dn6"])
 
 
-class _VelocityQP:
-    """Both phases' velocities and gradients sampled once per step at the
-    quadrature points; shared by the load, pressure and error assemblies."""
+class VelocityQP:
+    """One time level's velocities sampled once at the quadrature points:
+    both phases' values and gradients, the slip v_g - v_l and the drag
+    factor K(|slip|).  `coefficients` keeps each phase's dof vector for
+    the viscous matrix-vector products.  Shared by the tentative loads,
+    the Heun load and the pressure assembly."""
 
-    def __init__(self, space, v_l, v_g):
+    def __init__(self, v_l, v_g, props, scales, groups):
+        space = v_l.space
+        if v_g.space is not space:
+            raise ValueError("phase velocity fields must share one space")
+        self.space = space
+        self.coefficients = {"liquid": v_l.coefficients,
+                             "gas": v_g.coefficients}
         nl = _vec_nodes(space, v_l.coefficients)
         ng = _vec_nodes(space, v_g.coefficients)
-        self.v_l = _vec_at_qp(space, None, nodes=nl)
-        self.v_g = _vec_at_qp(space, None, nodes=ng)
-        self.dv_l = _vec_grad_at_qp(space, None, nodes=nl)
-        self.dv_g = _vec_grad_at_qp(space, None, nodes=ng)
+        self.v_l = _vec_at_qp(space, nl)
+        self.v_g = _vec_at_qp(space, ng)
+        self.dv_l = _vec_grad_at_qp(space, nl)
+        self.dv_g = _vec_grad_at_qp(space, ng)
         self.vr = self.v_g - self.v_l
         self.vr_norm = np.linalg.norm(self.vr, axis=2)
-        self._kdrag = None
+        self.kdrag = physics.drag_exchange_coefficient(
+            self.vr_norm, props, scales, groups)
 
     def value(self, phase):
         return self.v_l if phase == "liquid" else self.v_g
 
     def grad(self, phase):
         return self.dv_l if phase == "liquid" else self.dv_g
-
-    def kdrag(self, props, scales, groups):
-        if self._kdrag is None:
-            self._kdrag = physics.drag_exchange_coefficient(
-                self.vr_norm, props, scales, groups)
-        return self._kdrag
 
 
 def _load_vector(space, f_qp):
@@ -505,161 +494,127 @@ def supg_tau(space, v_field, guard=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# closures bundle
+# tentative velocity and pressure Poisson
 
 @dataclass
 class ClosureInputs:
-    """Per-phase inputs for the tentative-velocity assembly.
+    """Level-n inputs of both phases' tentative-velocity assembly, built
+    once per step by `closure_inputs` and shared by the tentative solves
+    and the Heun re-solve.
 
-    ln_alpha_* are the thresholded log phase-fraction fields whose
-    gradients stand in for grad(alpha)/alpha, and alpha_ln_floor is
-    their threshold, which also floors the liquid fraction in the drag
-    ratio alpha_g / alpha_l; dirichlet is the (dofs, values) pair for
-    this phase's velocity space at t + dt.
-    The cache memoizes state-level intermediates across one step (share
-    one dict between the two phases' instances).
+    qp holds the level-n velocities at the quadrature points; g_data maps
+    each phase to the CSR data of its G(grad ln alpha_q) matrix;
+    grad_ln_alpha_l is the per-cell gradient of the thresholded
+    ln alpha_l, standing in for grad(alpha_l)/alpha_l; drag_ratio_l is the
+    liquid drag ratio alpha_g / max(alpha_l, floor) at the quadrature
+    points; pressure_load and gravity_load are the loads of grad P and of
+    gravity; dirichlet maps each phase to its velocity (dofs, values) at
+    t + dt.
     """
 
-    props: physics.FluidProperties
-    scales: physics.Scales
-    ln_alpha_l: FeField
-    ln_alpha_g: FeField
-    alpha_ln_floor: float
-    dirichlet: tuple = ((), ())
-    cache: dict = field(default_factory=dict)
+    qp: VelocityQP
+    g_data: dict
+    grad_ln_alpha_l: np.ndarray
+    drag_ratio_l: np.ndarray
+    pressure_load: np.ndarray
+    gravity_load: np.ndarray
+    dirichlet: dict
 
 
-def _log_gradient_matrix_data(space, p1, ln_alpha):
-    """CSR data of G[(i,a),(j,b)] = int phi_i [(g.grad phi_j) dab
-    + g_b d_a phi_j] dx with g = grad(ln alpha') per cell."""
-    s = space._static_vec()
-    g_cell = p1.p1_cell_gradient(ln_alpha.coefficients)
-    gb = s["g_basis"]
-    elem = g_cell[:, 0, None] * gb[0] + g_cell[:, 1, None] * gb[1]
-    return space.pattern().assemble_data(elem)
-
-
-def _explicit_phase_load(phase, state, qp, groups, closures):
-    """Explicit weak loads of one phase's momentum right-hand side:
-    convection, drag, interfacial pressure, pressure gradient and gravity,
-    with velocities sampled in `qp` and alpha/pressure from `state`."""
-    liquid = phase == "liquid"
+def closure_inputs(state, props, scales, groups, alpha_ln_floor, dirichlet):
+    """ClosureInputs of `state`.  The phase fractions enter through
+    ln(max(alpha, alpha_ln_floor)), whose per-cell gradient g gives
+    G[(i,a),(j,b)] = int phi_i [(g.grad phi_j) dab + g_b d_a phi_j] dx;
+    the same floor bounds the liquid fraction in the drag ratio."""
     space = state.v_l.space
     p1 = state.alpha_g.space
-    eu = groups.eu_l if liquid else groups.eu_g
+    gb = space._static_vec()["g_basis"]
+    grad_ln = {}
+    g_data = {}
+    for phase, alpha in (("liquid", state.alpha_l), ("gas", state.alpha_g)):
+        g = p1.p1_cell_gradient(
+            np.log(np.maximum(alpha.coefficients, alpha_ln_floor)))
+        grad_ln[phase] = g
+        g_data[phase] = space.pattern().assemble_data(
+            g[:, 0, None] * gb[0] + g[:, 1, None] * gb[1])
+    alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
+    alpha_l_qp = p1.p1_at_qp(state.alpha_l.coefficients)
+    grav = np.zeros((space.mesh.n_cells, 2))
+    grav[:, 1] = -1.0 / groups.fr ** 2
+    return ClosureInputs(
+        qp=VelocityQP(state.v_l, state.v_g, props, scales, groups),
+        g_data=g_data,
+        grad_ln_alpha_l=grad_ln["liquid"],
+        drag_ratio_l=alpha_g_qp / np.maximum(alpha_l_qp, alpha_ln_floor),
+        pressure_load=_const_grad_load(
+            space, p1.p1_cell_gradient(state.p_l.coefficients)),
+        gravity_load=_const_grad_load(space, grav),
+        dirichlet=dirichlet)
 
-    v_qp = qp.value(phase)
-    kdrag = qp.kdrag(closures.props, closures.scales, groups)
+
+def velocity_dependent_load(phase, qp, groups, closures):
+    """All velocity-dependent right-hand-side terms of one phase's
+    tentative system at the velocities sampled in `qp`: convection, drag
+    and interfacial pressure, the level-n pressure-gradient and gravity
+    loads, and the explicit half of the viscous terms."""
+    liquid = phase == "liquid"
+    space = qp.space
+    s = space._static_vec()
     if liquid:
-        alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
-        alpha_l_qp = p1.p1_at_qp(state.alpha_l.coefficients)
-        ratio_signed = alpha_g_qp / np.maximum(alpha_l_qp,
-                                               closures.alpha_ln_floor)
-        gl = closures.cache.get("grad_ln_alpha_l")
-        if gl is None:
-            gl = p1.p1_cell_gradient(closures.ln_alpha_l.coefficients)
-            closures.cache["grad_ln_alpha_l"] = gl
+        eu, re = groups.eu_l, groups.re_l
+        ratio_signed = closures.drag_ratio_l
         cp_liquid, cp_gas = groups.c_p, 0.0
     else:
-        ratio_signed = np.broadcast_to(-groups.rho_ratio, kdrag.shape)
+        eu, re = groups.eu_g, groups.re_g
+        ratio_signed = np.broadcast_to(-groups.rho_ratio, qp.kdrag.shape)
         cp_liquid, cp_gas = 0.0, 2.0 * groups.c_p * groups.rho_ratio
 
+    v_qp = qp.value(phase)
     conv = np.matmul(qp.grad(phase), v_qp[:, :, :, None])[:, :, :, 0]
-    f_qp = (ratio_signed * kdrag)[:, :, None] * qp.vr - conv
+    f_qp = (ratio_signed * qp.kdrag)[:, :, None] * qp.vr - conv
     if cp_liquid != 0.0:
         f_qp = f_qp - (cp_liquid * (qp.vr_norm ** 2)[:, :, None]
-                       * gl[:, None, :])
+                       * closures.grad_ln_alpha_l[:, None, :])
     if cp_gas != 0.0:
         dvr = qp.dv_g - qp.dv_l
         f_qp = f_qp + cp_gas * np.matmul(qp.vr[:, :, None, :], dvr)[:, :, 0, :]
     b = _load_vector(space, f_qp)
-    dp_load = closures.cache.get("pressure_gravity_load")
-    if dp_load is None:
-        dp_cell = p1.p1_cell_gradient(state.p_l.coefficients)
-        dp_load = _const_grad_load(space, dp_cell)
-        grav = np.zeros((space.mesh.n_cells, 2))
-        grav[:, 1] = -1.0 / groups.fr ** 2
-        closures.cache["pressure_gravity_load"] = dp_load
-        closures.cache["gravity_load"] = _const_grad_load(space, grav)
-    b -= eu * dp_load
-    b += closures.cache["gravity_load"]
-    return b
-
-
-def velocity_dependent_load(phase, state, v_l, v_g, groups, closures,
-                            g_data=None, qp=None):
-    """All velocity-dependent right-hand-side terms of one phase's
-    tentative system evaluated at velocities (v_l, v_g): the explicit
-    loads plus the explicit half of the viscous terms."""
-    liquid = phase == "liquid"
-    space = v_l.space
-    s = space._static_vec()
-    pat = space.pattern()
-    re = groups.re_l if liquid else groups.re_g
-    if g_data is None:
-        g_data = closures.cache.get(("g_data", phase))
-    if g_data is None:
-        ln_alpha = closures.ln_alpha_l if liquid else closures.ln_alpha_g
-        g_data = _log_gradient_matrix_data(space, state.alpha_g.space,
-                                           ln_alpha)
-        closures.cache[("g_data", phase)] = g_data
-    if qp is None:
-        qp = _VelocityQP(space, v_l, v_g)
-    vn = (v_l if liquid else v_g).coefficients
-    b = _explicit_phase_load(phase, state, qp, groups, closures)
-    b += 0.5 / re * (pat.matrix(g_data).matvec(vn)
+    b -= eu * closures.pressure_load
+    b += closures.gravity_load
+    vn = qp.coefficients[phase]
+    b += 0.5 / re * (space.pattern().matrix(closures.g_data[phase]).matvec(vn)
                      - s["keps_matrix"].matvec(vn))
     return b
 
 
-def tentative_velocity_system(phase, state, dt, groups, closures, qp=None):
-    """Pieces of one phase's tentative solve: the Dirichlet-constrained
-    matrix A, the mass history term M v(n)/dt, the level-n
-    velocity-dependent load, and the G-matrix data.  b = history + load
-    with constrained rows overwritten; the error estimator re-solves A
-    against an averaged load, so the pieces are exposed separately."""
+def tentative_velocity_system(phase, dt, groups, closures):
+    """Pieces of one phase's tentative solve, with the half-implicit
+    viscous terms (the grad(ln alpha) . tau coupling included) in
+
+        A = M/dt + (1/2Re)(Keps - G),
+
+    Dirichlet rows made identity, the mass history term M v(n)/dt and the
+    level-n velocity-dependent load.  b = history + load with constrained
+    rows overwritten; the Heun re-solve reuses A against an averaged load,
+    so the pieces are returned separately."""
     if phase not in ("liquid", "gas"):
         raise ValueError(f"unknown phase '{phase}'")
-    liquid = phase == "liquid"
-    space = state.v_l.space
-    if state.v_g.space is not space:
-        raise ValueError("phase velocity fields must share one space")
-    p1 = state.alpha_g.space
+    qp = closures.qp
+    space = qp.space
     s = space._static_vec()
-    pat = space.pattern()
-    re = groups.re_l if liquid else groups.re_g
-    ln_alpha = closures.ln_alpha_l if liquid else closures.ln_alpha_g
-    vn = (state.v_l if liquid else state.v_g).coefficients
-
-    g_data = closures.cache.get(("g_data", phase))
-    if g_data is None:
-        g_data = _log_gradient_matrix_data(space, p1, ln_alpha)
-        closures.cache[("g_data", phase)] = g_data
-    A = pat.matrix(s["mass_data"] / dt + 0.5 / re * (s["keps_data"] - g_data))
-    A.zero_rows(closures.dirichlet[0])
-    history = s["mass_matrix"].matvec(vn) / dt
-    load = velocity_dependent_load(phase, state, state.v_l, state.v_g,
-                                   groups, closures, g_data=g_data, qp=qp)
-    return A, history, load, g_data
+    re = groups.re_l if phase == "liquid" else groups.re_g
+    A = space.pattern().matrix(
+        s["mass_data"] / dt
+        + 0.5 / re * (s["keps_data"] - closures.g_data[phase]))
+    A.zero_rows(closures.dirichlet[phase][0])
+    history = s["mass_matrix"].matvec(qp.coefficients[phase]) / dt
+    load = velocity_dependent_load(phase, qp, groups, closures)
+    return A, history, load
 
 
-def assemble_tentative_velocity(phase, state, dt, groups, closures):
-    """System A v* = b for one phase's tentative velocity.
-
-    The half-implicit viscous terms (including the grad(ln alpha) . tau
-    coupling) sit in A; everything else is an explicit load at level n.
-    """
-    A, history, load, _ = tentative_velocity_system(phase, state, dt, groups,
-                                                    closures)
-    b = history + load
-    dofs, values = closures.dirichlet
-    if len(dofs):
-        b[np.asarray(dofs, dtype=np.int64)] = values
-    return A, b
-
-
-def assemble_pressure_poisson(state, v_star_l, v_star_g, dt, groups, qp=None):
-    """SPD system for the pressure increment dP = P(n+1) - P(n):
+def assemble_pressure_poisson(state, qp, dt, groups):
+    """SPD system for the pressure increment dP = P(n+1) - P(n), with the
+    tentative velocities v* sampled in `qp`:
 
         < sum_q Eu_q alpha_q grad dP, grad phi > =
             - < div sum_q alpha_q v*_q, phi > / dt
@@ -668,12 +623,9 @@ def assemble_pressure_poisson(state, v_star_l, v_star_g, dt, groups, qp=None):
     dP = 0 and is eliminated symmetrically.
     """
     p1 = state.p_l.space
-    space = v_star_l.space
     t = p1._tables()
     st = p1._static_p1()
     w = t["w"]
-    if qp is None:
-        qp = _VelocityQP(space, v_star_l, v_star_g)
 
     alpha_l_qp = p1.p1_at_qp(state.alpha_l.coefficients)
     alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
@@ -735,8 +687,8 @@ def assemble_alpha_system(alpha_old, v_g_new, dt, dirichlet=None, supg=True,
     w, n3, det, gp1 = t["w"], t["n3"], t["det"], t["grad_p1"]
 
     nodes = _vec_nodes(space, v_g_new.coefficients)
-    v_qp = _vec_at_qp(space, None, nodes=nodes)
-    dvq = _vec_grad_at_qp(space, None, nodes=nodes)
+    v_qp = _vec_at_qp(space, nodes)
+    dvq = _vec_grad_at_qp(space, nodes)
     divv = dvq[:, :, 0, 0] + dvq[:, :, 1, 1]
     tau = supg_tau(p1, v_g_new) if supg else np.zeros(det.size)
     aold_qp = p1.p1_at_qp(alpha_old.coefficients)
@@ -839,8 +791,6 @@ def evaluate_many(field, points):
         return np.einsum("pi,pi->p", lam, vals)
     n6 = _p2_basis(lam[:, 1:])[0]
     nd = space.node_cell_dofs[cells_idx]
-    if space.kind == "ScalarP2":
-        return np.einsum("pi,pi->p", n6, field.coefficients[nd])
     out = np.empty((cells_idx.size, 2))
     out[:, 0] = np.einsum("pi,pi->p", n6, field.coefficients[2 * nd])
     out[:, 1] = np.einsum("pi,pi->p", n6, field.coefficients[2 * nd + 1])

@@ -46,11 +46,6 @@ class State:
     p_l: fem.FeField
     t_tilde: float
 
-    def copy(self):
-        return State(self.alpha_g.copy(), self.alpha_l.copy(),
-                     self.v_g.copy(), self.v_l.copy(), self.p_l.copy(),
-                     self.t_tilde)
-
 
 @dataclass
 class StepReport:
@@ -63,15 +58,6 @@ class StepReport:
     min_alpha_g: float = 0.0
     max_alpha_g: float = 0.0
     mass_balance_residual: float = 0.0
-
-
-def log_gradient_field(alpha, epsilon):
-    """P1 field ln(max(alpha_i, epsilon)); its gradient replaces
-    grad(alpha)/alpha in the momentum equations."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return alpha.space.field(
-        np.log(np.maximum(alpha.coefficients, epsilon)))
 
 
 def adapt_dt(error, tol_step, dt, dt_min=1e-9, dt_max=1e-2):
@@ -92,41 +78,20 @@ def adapt_dt(error, tol_step, dt, dt_min=1e-9, dt_max=1e-2):
 # ---------------------------------------------------------------------------
 # boundary conditions (applied at each sub-step at the new time level)
 
-def _bc_structure(space, cfg, phase):
-    """Cached constraint skeleton for one phase: (dofs, values at full ramp).
-
-    Only the common ramp factor min(t/t0, 1) is time dependent, so per-step
-    values are the cached full-ramp values scaled on the ramped entries
-    (every other entry is zero).
-    """
-    key = ("bc", phase, cfg.inlet_peak_velocity, cfg.inlet_half_width,
-           cfg.inlet_sigma, cfg.x_scale, cfg.v_scale)
+def _ramped(space, key, cfg, t_seconds, build):
+    """(dofs, values) of constraints whose only time dependence is the
+    common ramp factor min(t/t0, 1): `build()` returns the {dof: value}
+    entries at full ramp, once per space and key, and every call scales
+    the cached values by the ramp (unramped entries are zero)."""
     cached = space._cache.get(key)
-    if cached is not None:
-        return cached
-    entries = {}
-    x_m = space.node_coords[:, 0] * cfg.x_scale
-    inlet = space.boundary_nodes(BoundaryTag.Inlet)
-    if phase == "gas":
-        v_y, _ = caseio.inlet_profiles(x_m[inlet], cfg.inlet_ramp_time, cfg)
-        for node, vy in zip(inlet, v_y / cfg.v_scale):
-            entries[2 * node] = 0.0
-            entries[2 * node + 1] = vy
-    else:
-        for node in inlet:
-            entries[2 * node] = 0.0
-            entries[2 * node + 1] = 0.0
-    for node in space.boundary_nodes(BoundaryTag.Outlet):
-        entries[2 * node] = 0.0
-    for node in space.boundary_nodes(BoundaryTag.WallLeft,
-                                     BoundaryTag.WallRight):
-        entries[2 * node] = 0.0
-        if phase == "liquid":
-            entries[2 * node + 1] = 0.0
-    dofs = np.array(sorted(entries), dtype=np.int64)
-    full = np.array([entries[d] for d in dofs])
-    space._cache[key] = (dofs, full)
-    return dofs, full
+    if cached is None:
+        entries = build()
+        dofs = np.array(sorted(entries), dtype=np.int64)
+        cached = (dofs, np.array([entries[d] for d in dofs]))
+        space._cache[key] = cached
+    dofs, full = cached
+    ramp = min(t_seconds / cfg.inlet_ramp_time, 1.0)
+    return dofs, full * ramp
 
 
 def velocity_dirichlet(space, cfg, t_seconds, phase):
@@ -137,76 +102,89 @@ def velocity_dirichlet(space, cfg, t_seconds, phase):
     liquid: no-slip inlet (sparger plate) and walls, zero tangential
             velocity at the outlet
     """
-    dofs, full = _bc_structure(space, cfg, phase)
-    ramp = min(t_seconds / cfg.inlet_ramp_time, 1.0)
-    return dofs, full * ramp
+    def build():
+        entries = {}
+        inlet = space.boundary_nodes(BoundaryTag.Inlet)
+        if phase == "gas":
+            x_m = space.node_coords[inlet, 0] * cfg.x_scale
+            v_y, _ = caseio.inlet_profiles(x_m, cfg.inlet_ramp_time, cfg)
+            for node, vy in zip(inlet, v_y / cfg.v_scale):
+                entries[2 * node] = 0.0
+                entries[2 * node + 1] = vy
+        else:
+            for node in inlet:
+                entries[2 * node] = 0.0
+                entries[2 * node + 1] = 0.0
+        for node in space.boundary_nodes(BoundaryTag.Outlet):
+            entries[2 * node] = 0.0
+        for node in space.boundary_nodes(BoundaryTag.WallLeft,
+                                         BoundaryTag.WallRight):
+            entries[2 * node] = 0.0
+            if phase == "liquid":
+                entries[2 * node + 1] = 0.0
+        return entries
+
+    key = ("bc", phase, cfg.inlet_peak_velocity, cfg.inlet_half_width,
+           cfg.inlet_sigma, cfg.x_scale, cfg.v_scale)
+    return _ramped(space, key, cfg, t_seconds, build)
 
 
 def alpha_dirichlet(space, cfg, t_seconds):
     """(nodes, values) gas-fraction constraints: ramped gaussian at the
     inlet, zero at the walls (the liquid wets the walls)."""
-    key = ("bc", "alpha", cfg.inlet_peak_alpha, cfg.inlet_half_width,
-           cfg.inlet_sigma, cfg.x_scale)
-    cached = space._cache.get(key)
-    if cached is None:
-        entries = {}
-        x_m = space.node_coords[:, 0] * cfg.x_scale
+    def build():
         inlet = space.boundary_nodes(BoundaryTag.Inlet)
-        _, a_in = caseio.inlet_profiles(x_m[inlet], cfg.inlet_ramp_time, cfg)
-        for node, val in zip(inlet, a_in):
-            entries[node] = val
+        x_m = space.node_coords[inlet, 0] * cfg.x_scale
+        _, a_in = caseio.inlet_profiles(x_m, cfg.inlet_ramp_time, cfg)
+        entries = dict(zip(inlet, a_in))
         for node in space.boundary_nodes(BoundaryTag.WallLeft,
                                          BoundaryTag.WallRight):
             entries[node] = 0.0
-        dofs = np.array(sorted(entries), dtype=np.int64)
-        cached = (dofs, np.array([entries[d] for d in dofs]))
-        space._cache[key] = cached
-    dofs, full = cached
-    ramp = min(t_seconds / cfg.inlet_ramp_time, 1.0)
-    return dofs, full * ramp
+        return entries
+
+    key = ("bc", "alpha", cfg.inlet_peak_alpha, cfg.inlet_half_width,
+           cfg.inlet_sigma, cfg.x_scale)
+    return _ramped(space, key, cfg, t_seconds, build)
 
 
 # ---------------------------------------------------------------------------
 # tentative velocities and the Heun error estimate
 
-def _tentative_with_error(state, dt, cfg, groups, closures, stats):
+def _tentative_with_error(dt, cfg, groups, closures, stats):
     """Solve both tentative velocities and estimate the local error.
 
     The Heun comparison value re-solves the same constrained tentative
     system with the velocity-dependent loads averaged between level n and
     the predictor (one extra solve per phase, warm-started), so boundary
     handling is identical on both paths and the difference is O(dt^2).
-    Returns (v*_l, v*_g, error)."""
-    vec = state.v_l.space
+    Returns (v*_l, v*_g, error, v* sampled at the quadrature points)."""
+    vec = closures.qp.space
     tol = cfg.tol_linear
-    qp_n = fem._VelocityQP(vec, state.v_l, state.v_g)
 
     systems = {}
     v_star = {}
     for phase in ("liquid", "gas"):
-        A, history, load, g_data = fem.tentative_velocity_system(
-            phase, state, dt, groups, closures[phase], qp=qp_n)
-        dofs, values = closures[phase].dirichlet
+        A, history, load = fem.tentative_velocity_system(phase, dt, groups,
+                                                         closures)
+        dofs, values = closures.dirichlet[phase]
         b = history + load
         b[dofs] = values
         st = {}
-        vn = (state.v_l if phase == "liquid" else state.v_g).coefficients
         v_star[phase] = solve_bicgstab(A, b, tol=tol, max_iter=5000,
-                                       x0=vn, stats=st)
+                                       x0=closures.qp.coefficients[phase],
+                                       stats=st)
         stats[f"tentative_{phase}"] = st.get("iterations", 0)
-        systems[phase] = (A, history, load, g_data)
+        systems[phase] = (A, history, load)
 
     vsl = vec.field(v_star["liquid"])
     vsg = vec.field(v_star["gas"])
-    qp_star = fem._VelocityQP(vec, vsl, vsg)
+    qp_star = fem.VelocityQP(vsl, vsg, cfg.props(), cfg.scales(), groups)
 
     error = 0.0
     for phase in ("liquid", "gas"):
-        A, history, load_n, g_data = systems[phase]
-        load_p = fem.velocity_dependent_load(phase, state, vsl, vsg,
-                                             groups, closures[phase],
-                                             g_data=g_data, qp=qp_star)
-        dofs, values = closures[phase].dirichlet
+        A, history, load_n = systems[phase]
+        load_p = fem.velocity_dependent_load(phase, qp_star, groups, closures)
+        dofs, values = closures.dirichlet[phase]
         b = history + 0.5 * (load_n + load_p)
         b[dofs] = values
         st = {}
@@ -219,22 +197,6 @@ def _tentative_with_error(state, dt, cfg, groups, closures, stats):
     return vsl, vsg, error, qp_star
 
 
-def _build_closures(state, cfg, t_next_seconds):
-    props = cfg.props()
-    scales = cfg.scales()
-    ln_l = log_gradient_field(state.alpha_l, cfg.alpha_ln_floor)
-    ln_g = log_gradient_field(state.alpha_g, cfg.alpha_ln_floor)
-    vec = state.v_l.space
-    shared = {}
-    return {
-        phase: fem.ClosureInputs(
-            props, scales, ln_l, ln_g, cfg.alpha_ln_floor,
-            velocity_dirichlet(vec, cfg, t_next_seconds, phase),
-            cache=shared)
-        for phase in ("liquid", "gas")
-    }
-
-
 # ---------------------------------------------------------------------------
 # one adaptive step
 
@@ -245,20 +207,25 @@ def step(state, dt, cfg, warm=None):
     solver starting guesses."""
     if dt <= 0:
         raise ValueError("dt must be positive")
+    props = cfg.props()
     scales = cfg.scales()
-    groups = make_groups(cfg.props(), scales, cfg.c_p)
+    groups = make_groups(props, scales, cfg.c_p)
     p1 = state.alpha_g.space
+    vec = state.v_l.space
     t_next_seconds = (state.t_tilde + dt) * scales.t_s
     stats = {}
 
     try:
-        closures = _build_closures(state, cfg, t_next_seconds)
+        dirichlet = {phase: velocity_dirichlet(vec, cfg, t_next_seconds, phase)
+                     for phase in ("liquid", "gas")}
     except TwoFluidError as exc:
         raise StepFailureError("boundary-conditions", exc) from exc
 
     try:
+        closures = fem.closure_inputs(state, props, scales, groups,
+                                      cfg.alpha_ln_floor, dirichlet)
         vsl, vsg, error, qp_star = _tentative_with_error(
-            state, dt, cfg, groups, closures, stats)
+            dt, cfg, groups, closures, stats)
     except TwoFluidError as exc:
         raise StepFailureError("tentative-velocity", exc) from exc
 
@@ -270,8 +237,7 @@ def step(state, dt, cfg, warm=None):
 
     try:
         st = {}
-        A_p, b_p = fem.assemble_pressure_poisson(state, vsl, vsg, dt,
-                                                 groups, qp=qp_star)
+        A_p, b_p = fem.assemble_pressure_poisson(state, qp_star, dt, groups)
         # the increment scales with dt, so cache its rate across steps
         rate = None if warm is None else warm.get("delta_p_rate")
         x0 = None if rate is None or rate.size != b_p.size else rate * dt
@@ -290,14 +256,13 @@ def step(state, dt, cfg, warm=None):
             st = {}
             M, b = fem.assemble_velocity_update(
                 phase, vstar, dp_field, dt, groups,
-                dirichlet=closures[phase].dirichlet)
+                dirichlet=dirichlet[phase])
             new_v[phase] = solve_bicgstab(M, b, tol=cfg.tol_linear,
                                           max_iter=2000,
                                           x0=vstar.coefficients, stats=st)
             stats[f"update_{phase}"] = st.get("iterations", 0)
         except TwoFluidError as exc:
             raise StepFailureError(f"velocity-update-{phase}", exc) from exc
-    vec = state.v_l.space
     v_l_new = vec.field(new_v["liquid"])
     v_g_new = vec.field(new_v["gas"])
 

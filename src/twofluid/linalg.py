@@ -52,9 +52,6 @@ class SparseMatrix:
     def matvec(self, x):
         return self._csr @ x
 
-    def __matmul__(self, x):
-        return self._csr @ x
-
     def diagonal(self):
         if self.diag_slots is not None and np.all(self.diag_slots >= 0):
             return self.data[self.diag_slots].copy()
@@ -63,17 +60,9 @@ class SparseMatrix:
     def to_dense(self):
         return self._csr.toarray()
 
-    def copy(self):
-        return SparseMatrix(self.indptr, self.indices.copy(),
-                            self.data.copy(), self.shape)
-
     def with_data(self, data):
         """Same sparsity pattern, new values (shares index arrays)."""
         return SparseMatrix(self.indptr, self.indices, data, self.shape)
-
-    def row_entries(self, i):
-        sl = slice(self.indptr[i], self.indptr[i + 1])
-        return self.indices[sl], self.data[sl]
 
     def submatrix(self, keep):
         """Rows and columns restricted to the boolean mask `keep`."""

@@ -168,40 +168,3 @@ def clift_terminal_reynolds(props: FluidProperties):
     re_t = 10.0 ** log_re
     v_t = re_t * props.mu_l / (props.rho_l * props.d_b)
     return re_t, v_t
-
-
-def optional_forces(kind, *, alpha_d, rho_c, v_r, coefficient=1.0,
-                    curl_vc=None, dvd_dt=None, dvc_dt=None, wall_normal=None):
-    """Pointwise lift / virtual-mass / wall-lubrication force densities.
-
-    These closures are evaluators only; the time stepper does not couple
-    them (drag and interfacial pressure are the only coupled closures).
-
-      lift:            C_L rho_c alpha_d v_r x (curl v_c), 2D scalar curl
-      virtual_mass:    alpha_d rho_c C_VM (D_d v_d/Dt - D_c v_c/Dt)
-      wall_lubrication: -C_W alpha_d rho_c |v_r - (v_r.n)n|^2 n
-
-    v_r and the material derivatives are (n, 2) arrays; returns (n, 2).
-    """
-    alpha_d = np.atleast_1d(np.asarray(alpha_d, dtype=float))
-    v_r = np.atleast_2d(np.asarray(v_r, dtype=float))
-    pref = coefficient * rho_c * alpha_d
-    if kind == "lift":
-        curl = np.atleast_1d(np.asarray(curl_vc, dtype=float))
-        # v_r x (omega e_z) = omega (v_ry, -v_rx)
-        out = np.empty_like(v_r)
-        out[:, 0] = pref * curl * v_r[:, 1]
-        out[:, 1] = -pref * curl * v_r[:, 0]
-        return out
-    if kind == "virtual_mass":
-        dd = np.atleast_2d(np.asarray(dvd_dt, dtype=float))
-        dc = np.atleast_2d(np.asarray(dvc_dt, dtype=float))
-        return pref[:, None] * (dd - dc)
-    if kind == "wall_lubrication":
-        n = np.asarray(wall_normal, dtype=float)
-        if n.ndim == 1:
-            n = np.broadcast_to(n, v_r.shape)
-        vt = v_r - (np.sum(v_r * n, axis=1, keepdims=True)) * n
-        speed2 = np.sum(vt * vt, axis=1)
-        return -(pref * speed2)[:, None] * n
-    raise ValueError(f"unknown force kind '{kind}'")

@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twofluid import caseio
 from twofluid.caseio import (CaseConfig, SeriesWriter, apply_overrides,
@@ -58,6 +62,51 @@ def test_dump_round_trips():
     cfg = CaseConfig(nx=13, bounded=False, tol_vi=3e-11, diagonal="left",
                      output_dir="elsewhere")
     assert parse_config(dump_config(cfg)) == cfg
+
+
+def _carriable(text):
+    return ("#" not in text and text == text.strip()
+            and len(text.splitlines()) <= 1)
+
+
+def _heavier_liquid(cfg):
+    cfg.rho_g, cfg.rho_l = sorted((cfg.rho_g, cfg.rho_l))
+    return cfg
+
+
+def _valid_configs():
+    """Every field drawn from its valid range; floats of any magnitude."""
+    positive = st.floats(min_value=0.0, exclude_min=True,
+                         allow_infinity=False)
+    special = {
+        "c_p": st.floats(allow_nan=False, allow_infinity=False),
+        "t_end": st.floats(min_value=0.0, allow_infinity=False),
+        "inlet_peak_alpha": st.floats(min_value=0.0, max_value=1.0),
+        "slip_alpha_floor": st.floats(min_value=0.0, max_value=1.0,
+                                      exclude_min=True, exclude_max=True),
+        "nx": st.integers(1, 10 ** 6),
+        "ny": st.integers(1, 10 ** 6),
+        "diagonal": st.sampled_from(("right", "left", "alternating")),
+        "output_dir": st.text().filter(_carriable),
+    }
+    by_type = {"float": positive, "bool": st.booleans()}
+    return st.builds(CaseConfig, **{
+        f.name: special.get(f.name, by_type.get(f.type))
+        for f in fields(CaseConfig)}).map(_heavier_liquid)
+
+
+@given(_valid_configs())
+def test_dump_round_trips_every_valid_config(cfg):
+    cfg.validate()
+    assert parse_config(dump_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("output_dir", ["runs#1", " out ", "out\n", "a\nb",
+                                        "a\rb"])
+def test_dump_rejects_text_the_format_cannot_carry(output_dir):
+    with pytest.raises(ConfigError) as exc:
+        dump_config(CaseConfig(output_dir=output_dir))
+    assert exc.value.key == "output_dir"
 
 
 def test_overrides():

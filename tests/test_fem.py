@@ -5,12 +5,12 @@ import pytest
 
 from twofluid import fem
 from twofluid.errors import OutOfDomainError
-from twofluid.fem import (ClosureInputs, FunctionSpace, assemble_alpha_system,
-                          assemble_pressure_poisson,
-                          assemble_tentative_velocity,
-                          assemble_velocity_update, boundary_alpha_flux,
-                          evaluate, mass_matrix, p1_stiffness_matrix,
-                          strain_stiffness_matrix, supg_tau)
+from twofluid.fem import (FunctionSpace, VelocityQP, assemble_alpha_system,
+                          assemble_pressure_poisson, assemble_velocity_update,
+                          boundary_alpha_flux, closure_inputs, evaluate,
+                          mass_matrix, p1_stiffness_matrix,
+                          strain_stiffness_matrix, supg_tau,
+                          tentative_velocity_system)
 from twofluid.linalg import solve_bicgstab, solve_cg
 from twofluid.mesh import BoundaryTag, from_cell_arrays, generate_rect_mesh
 from twofluid.physics import FluidProperties, Scales, make_groups
@@ -35,14 +35,24 @@ def make_state(mesh, alpha_g=0.0, v_l=(0.0, 0.0), v_g=(0.0, 0.0), p=0.0):
     return state, p1, vec
 
 
-def make_closures(state, props=None, scales=None):
-    props = props or FluidProperties()
-    scales = scales or Scales()
-    p1 = state.alpha_g.space
-    floor = 1e-5
-    ln_l = p1.field(np.log(np.maximum(state.alpha_l.coefficients, floor)))
-    ln_g = p1.field(np.log(np.maximum(state.alpha_g.coefficients, floor)))
-    return ClosureInputs(props, scales, ln_l, ln_g, floor)
+def tentative_system(phase, state, dt, groups, scales=None, dirichlet=None):
+    """A and b of one phase's tentative system, built by the two calls the
+    stepper makes; `dirichlet` is that phase's (dofs, values) pair."""
+    none = (np.zeros(0, dtype=np.int64), np.zeros(0))
+    pairs = {"liquid": none, "gas": none}
+    if dirichlet is not None:
+        pairs[phase] = dirichlet
+    closures = closure_inputs(state, FluidProperties(), scales or Scales(),
+                              groups, 1e-5, pairs)
+    A, history, load = tentative_velocity_system(phase, dt, groups, closures)
+    b = history + load
+    dofs, values = pairs[phase]
+    b[dofs] = values
+    return A, b
+
+
+def sampled(v_l, v_g, groups):
+    return VelocityQP(v_l, v_g, FluidProperties(), Scales(), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +121,7 @@ def test_tentative_velocity_matrix_is_mass_plus_viscous(symbolic_ops):
     mesh, _, _ = reference_triangle_spaces()
     state, _, vec = make_state(mesh, alpha_g=0.3)
     groups = make_groups(FluidProperties(), Scales())
-    A, _ = assemble_tentative_velocity("liquid", state, 1.0, groups,
-                                       make_closures(state))
+    A, _ = tentative_system("liquid", state, 1.0, groups)
     eye = np.eye(2)
     m12 = np.einsum("ij,ab->iajb", m6, eye).reshape(12, 12)
     keps12 = (np.einsum("ij,ab->iajb", k6, eye)
@@ -149,8 +158,7 @@ def test_gravity_only_rhs():
     mesh = generate_rect_mesh(1.0, 2.0, 3, 4, "alternating")
     state, p1, vec = make_state(mesh, alpha_g=0.3)
     groups = make_groups(FluidProperties(), Scales())
-    _, b = assemble_tentative_velocity("liquid", state, 0.1, groups,
-                                       make_closures(state))
+    _, b = tentative_system("liquid", state, 0.1, groups)
     M = mass_matrix(vec)
     grav = vec.interpolate(lambda x, y: (0.0, -1.0 / groups.fr ** 2))
     assert b == pytest.approx(M.matvec(grav.coefficients), abs=1e-12)
@@ -165,8 +173,7 @@ def test_hydrostatic_pressure_cancels_gravity():
     pcoef = 1.0 - state.p_l.space.node_coords[:, 1] * scales.x_s / scales.h_ref
     state.p_l.coefficients[:] = pcoef
     groups = make_groups(FluidProperties(), scales)
-    _, b = assemble_tentative_velocity("liquid", state, 0.1, groups,
-                                       make_closures(state, scales=scales))
+    _, b = tentative_system("liquid", state, 0.1, groups, scales=scales)
     assert np.max(np.abs(b)) < 1e-10
 
 
@@ -177,8 +184,7 @@ def test_drag_load_matches_closed_form():
     props, scales = FluidProperties(), Scales()
     groups = make_groups(props, scales)
     state, p1, vec = make_state(mesh, alpha_g=0.02, v_g=(0.0, 0.1))
-    _, b = assemble_tentative_velocity("liquid", state, 0.5, groups,
-                                       make_closures(state))
+    _, b = tentative_system("liquid", state, 0.5, groups)
     M = mass_matrix(vec)
     grav = vec.interpolate(lambda x, y: (0.0, -1.0 / groups.fr ** 2))
     b_drag = b - M.matvec(grav.coefficients)
@@ -197,8 +203,7 @@ def test_gas_drag_sign_and_density_ratio():
     groups = make_groups(props, scales)
     state, p1, vec = make_state(mesh, alpha_g=0.02, v_g=(0.0, 0.1))
     groups.c_p = 0.0  # isolate drag
-    _, b = assemble_tentative_velocity("gas", state, 0.5, groups,
-                                       make_closures(state))
+    _, b = tentative_system("gas", state, 0.5, groups)
     M = mass_matrix(vec)
     grav = vec.interpolate(lambda x, y: (0.0, -1.0 / groups.fr ** 2))
     k = drag_exchange_coefficient(0.1, props, scales, groups)
@@ -213,12 +218,10 @@ def test_dirichlet_rows_enforced():
     mesh = generate_rect_mesh(1.0, 2.0, 3, 4, "alternating")
     state, p1, vec = make_state(mesh)
     groups = make_groups(FluidProperties(), Scales())
-    closures = make_closures(state)
-    nodes = vec.boundary_nodes(BoundaryTag.Inlet)
-    dofs = vec.component_dofs(nodes, 1)
+    dofs = 2 * vec.boundary_nodes(BoundaryTag.Inlet) + 1   # y components
     values = np.full(dofs.size, 0.25)
-    closures.dirichlet = (dofs, values)
-    A, b = assemble_tentative_velocity("gas", state, 0.1, groups, closures)
+    A, b = tentative_system("gas", state, 0.1, groups,
+                            dirichlet=(dofs, values))
     x = solve_bicgstab(A, b, tol=1e-12)
     assert x[dofs] == pytest.approx(values, abs=1e-10)
 
@@ -230,8 +233,7 @@ def test_space_mismatch_rejected():
     state.v_g = FunctionSpace.vector_p2(other).field()
     groups = make_groups(FluidProperties(), Scales())
     with pytest.raises(ValueError):
-        assemble_tentative_velocity("liquid", state, 0.1, groups,
-                                    make_closures(state))
+        tentative_system("liquid", state, 0.1, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +243,8 @@ def test_pressure_zero_tentative_gives_zero_increment():
     mesh = generate_rect_mesh(1.0, 2.0, 4, 6, "alternating")
     state, p1, vec = make_state(mesh, alpha_g=0.2)
     groups = make_groups(FluidProperties(), Scales())
-    A, b = assemble_pressure_poisson(state, vec.field(), vec.field(),
-                                     0.01, groups)
+    A, b = assemble_pressure_poisson(
+        state, sampled(vec.field(), vec.field(), groups), 0.01, groups)
     assert np.max(np.abs(b)) == 0.0
     dp = solve_cg(A, b, tol=1e-12)
     assert np.max(np.abs(dp)) == 0.0
@@ -253,7 +255,8 @@ def test_pressure_rhs_zero_for_divergence_free_liquid():
     state, p1, vec = make_state(mesh, alpha_g=0.0)
     groups = make_groups(FluidProperties(), Scales())
     v_star = vec.interpolate(lambda x, y: (y, 0.0))
-    _, b = assemble_pressure_poisson(state, v_star, vec.field(), 0.01, groups)
+    _, b = assemble_pressure_poisson(
+        state, sampled(v_star, vec.field(), groups), 0.01, groups)
     assert np.max(np.abs(b)) < 1e-12
 
 
@@ -264,7 +267,8 @@ def test_pressure_rhs_linear_field_oracle():
     c = 0.3
     v_star = vec.interpolate(lambda x, y: (0.0, c * y))
     dt = 0.01
-    A, b = assemble_pressure_poisson(state, v_star, v_star, dt, groups)
+    A, b = assemble_pressure_poisson(
+        state, sampled(v_star, v_star, groups), dt, groups)
     # div(sum alpha_q v) = c everywhere; rows are -c/dt * int psi_i
     M = mass_matrix(p1)
     expect = -c / dt * M.matvec(np.ones(p1.dof_count))
@@ -277,8 +281,8 @@ def test_pressure_matrix_symmetric_and_spd():
     mesh = generate_rect_mesh(1.0, 2.0, 5, 8, "alternating")
     state, p1, vec = make_state(mesh, alpha_g=0.3)
     groups = make_groups(FluidProperties(), Scales())
-    A, b = assemble_pressure_poisson(state, vec.field(), vec.field(),
-                                     0.01, groups)
+    A, b = assemble_pressure_poisson(
+        state, sampled(vec.field(), vec.field(), groups), 0.01, groups)
     dense = A.to_dense()
     assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense))
     eigs = np.linalg.eigvalsh(dense)
@@ -376,16 +380,17 @@ def test_evaluate_p1_linear():
 
 def test_evaluate_p2_quadratic_exact():
     mesh = generate_rect_mesh(2.0, 2.0, 3, 3, "alternating")
-    p2 = FunctionSpace.scalar_p2(mesh)
-    f = p2.interpolate(lambda x, y: x * x)
+    vec = FunctionSpace.vector_p2(mesh)
+    f = vec.interpolate(lambda x, y: (x * x, x * y))
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = rng.uniform(-1.0, 1.0)
         y = rng.uniform(0.0, 2.0)
-        assert evaluate(f, (x, y)) == pytest.approx(x * x, abs=1e-13)
+        assert evaluate(f, (x, y)) == pytest.approx([x * x, x * y],
+                                                    abs=1e-13)
     # edge midpoints reproduce exactly too
-    assert evaluate(f, (-1.0 + 2.0 / 6.0, 0.0)) == pytest.approx(
-        (-1.0 + 2.0 / 6.0) ** 2, abs=1e-14)
+    xm = -1.0 + 2.0 / 6.0
+    assert evaluate(f, (xm, 0.0)) == pytest.approx([xm * xm, 0.0], abs=1e-14)
 
 
 def test_evaluate_outside_domain():

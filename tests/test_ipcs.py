@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from twofluid import caseio, ipcs
-from twofluid.errors import StagnationError
+from twofluid.errors import (NonconvergenceError, StagnationError,
+                             StepFailureError)
 
 
 def _config(**overrides):
@@ -86,3 +89,60 @@ def test_local_error_estimate_is_second_order(started):
     _, fine = ipcs.step(state, 0.5e-6, cfg)
     ratio = coarse.local_error_estimate / fine.local_error_estimate
     assert 3.0 <= ratio <= 5.0
+
+
+def test_step_failure_names_the_sub_step(started, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise NonconvergenceError("no convergence", residual=1.0,
+                                  iterations=10000)
+
+    cfg, states, _ = started
+    _, report = ipcs.step(states[-1], 1e-7, cfg)
+    assert report.accepted            # so the step reaches the pressure solve
+    monkeypatch.setattr(ipcs, "solve_cg", no_convergence)
+    with pytest.raises(StepFailureError) as exc:
+        ipcs.step(states[-1], 1e-7, cfg)
+    assert exc.value.substep == "pressure-poisson"
+    assert isinstance(exc.value.cause, NonconvergenceError)
+
+
+def _snapshot_index(path):
+    return int(os.path.basename(path)[len("snap_"):-len(".vtk")])
+
+
+def test_run_writes_series_and_snapshots_on_cadence(tmp_path):
+    cfg = caseio.CaseConfig(nx=2, ny=4, t_end=0.002, output_every=0.001,
+                            output_dir=str(tmp_path))
+    result = ipcs.run(cfg)
+    accepted = sum(r.accepted for r in result.reports)
+    with open(result.series_path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == ",".join(caseio.SERIES_COLUMNS)
+    assert len(lines) - 1 == accepted + 1          # plus the initial row
+    assert result.t_seconds[-1] == pytest.approx(cfg.t_end, rel=1e-12)
+
+    assert sorted(result.snapshots) == sorted(
+        str(p) for p in tmp_path.glob("snap_*.vtk"))
+    indices = [_snapshot_index(p) for p in result.snapshots]
+    assert indices[0] == 0
+    assert indices[-1] == accepted
+    # each snapshot lands on the first accepted step at or past its time
+    for k, i in enumerate(indices[1:], start=1):
+        due = k * cfg.output_every - 1e-12
+        assert result.t_seconds[i - 1] < due <= result.t_seconds[i]
+    assert len(indices) == 3
+
+
+def test_run_flushes_a_snapshot_when_the_controller_stagnates(tmp_path):
+    cfg = caseio.CaseConfig(nx=2, ny=4, t_end=0.002, tol_step=1e-14,
+                            dt_min=1e-5, output_dir=str(tmp_path))
+    with pytest.raises(StagnationError):
+        ipcs.run(cfg)
+    assert sorted(p.name for p in tmp_path.glob("snap_*.vtk")) == [
+        "snap_000000.vtk", "snap_000001.vtk"]
+    # no step was accepted, so the flushed snapshot holds the start state
+    _, _, start, _ = caseio.read_snapshot(str(tmp_path / "snap_000000.vtk"))
+    _, _, flushed, _ = caseio.read_snapshot(str(tmp_path / "snap_000001.vtk"))
+    assert "alpha_g" in start
+    for name in start:
+        assert np.array_equal(start[name], flushed[name])

@@ -5,7 +5,7 @@ from twofluid.errors import BracketError
 from twofluid.physics import (FluidProperties, Scales, bubble_reynolds,
                               clift_terminal_reynolds, drag_coefficient,
                               drag_exchange_coefficient, make_groups,
-                              optional_forces, terminal_velocity_balance)
+                              terminal_velocity_balance)
 
 
 @pytest.fixture
@@ -152,46 +152,3 @@ def test_drag_antisymmetry(props, scales):
     liquid = alpha_l * props.rho_l * (alpha_g / alpha_l) * k * v_r
     gas = alpha_g * props.rho_g * (-groups.rho_ratio * k * v_r)
     assert liquid + gas == pytest.approx(0.0, abs=1e-12 * abs(liquid))
-
-
-def test_optional_forces_zero_slip():
-    z = np.zeros((4, 2))
-    lift = optional_forces("lift", alpha_d=0.1, rho_c=1000.0, v_r=z,
-                           curl_vc=np.ones(4), coefficient=0.5)
-    assert np.all(lift == 0.0)
-    vm = optional_forces("virtual_mass", alpha_d=0.1, rho_c=1000.0, v_r=z,
-                         dvd_dt=z, dvc_dt=z, coefficient=0.5)
-    assert np.all(vm == 0.0)
-    wall = optional_forces("wall_lubrication", alpha_d=0.1, rho_c=1000.0,
-                           v_r=z, wall_normal=(1.0, 0.0), coefficient=0.5)
-    assert np.all(wall == 0.0)
-
-
-def test_lift_zero_for_uniform_carrier():
-    v_r = np.tile([0.0, 0.3], (5, 1))
-    lift = optional_forces("lift", alpha_d=0.05, rho_c=1000.0, v_r=v_r,
-                           curl_vc=np.zeros(5), coefficient=0.5)
-    assert np.all(lift == 0.0)
-
-
-def test_lift_direction():
-    v_r = np.array([[0.0, 1.0]])
-    lift = optional_forces("lift", alpha_d=1.0, rho_c=1.0, v_r=v_r,
-                           curl_vc=np.array([2.0]), coefficient=1.0)
-    # v_r x (omega e_z) = omega (v_ry, -v_rx)
-    assert lift[0] == pytest.approx([2.0, 0.0])
-
-
-def test_wall_force_zero_for_normal_slip():
-    v_r = np.array([[0.4, 0.0]])
-    wall = optional_forces("wall_lubrication", alpha_d=0.1, rho_c=1000.0,
-                           v_r=v_r, wall_normal=(1.0, 0.0), coefficient=2.0)
-    assert np.all(wall == 0.0)
-
-
-def test_wall_force_pushes_off_wall():
-    v_r = np.array([[0.0, 0.5]])
-    wall = optional_forces("wall_lubrication", alpha_d=0.1, rho_c=1000.0,
-                           v_r=v_r, wall_normal=(1.0, 0.0), coefficient=2.0)
-    assert wall[0, 0] == pytest.approx(-2.0 * 0.1 * 1000.0 * 0.25)
-    assert wall[0, 1] == 0.0
