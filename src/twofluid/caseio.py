@@ -43,7 +43,6 @@ class CaseConfig:
     diagonal: str = "alternating"
     # solver switches and tolerances
     bounded: bool = True
-    supg: bool = True
     tol_step: float = 1e-4
     tol_linear: float = 1e-10
     tol_vi: float = 1e-10
@@ -63,7 +62,6 @@ class CaseConfig:
     # diagnostics and output
     slip_alpha_floor: float = 0.005
     output_every: float = 0.05
-    log_rejected_steps: bool = False
     output_dir: str = "out"
 
     def props(self):

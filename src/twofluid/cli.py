@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import caseio, fem, ipcs, mesh as meshmod, physics, post
-from .errors import ConfigError, StagnationError, StepFailureError, TwoFluidError
+from .errors import ConfigError, SolverFailureError, TwoFluidError
 
 
 def _build_parser():
@@ -79,8 +79,9 @@ def _load(args):
 def _cmd_run(args):
     cfg = _load(args)
     result = ipcs.run(cfg, quiet=args.quiet)
+    accepted = sum(report.accepted for report in result.reports)
     print(f"finished t = {result.t_seconds[-1]:.4f} s after "
-          f"{int(result.accepted.sum())} accepted steps")
+          f"{accepted} accepted steps")
     print(f"final holdup = {result.holdup[-1]:.6f}")
     print(f"min(alpha_g) over run = {result.min_alpha_g.min():.3e}")
     print(f"series: {result.series_path}")
@@ -132,8 +133,6 @@ def _cmd_terminal_velocity(args):
 
 def _cmd_convergence(args):
     cfg = _load(args)
-    if args.t_end is not None:
-        cfg.t_end = args.t_end
     try:
         nxs = [int(v) for v in args.meshes.split(",") if v]
     except ValueError:
@@ -144,7 +143,6 @@ def _cmd_convergence(args):
     curves = []
     for nx in nxs:
         run_cfg = _load(args)
-        run_cfg.t_end = cfg.t_end
         run_cfg.nx = nx
         run_cfg.ny = max(1, round(nx * aspect))
         cells = 2 * run_cfg.nx * run_cfg.ny
@@ -191,8 +189,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (StepFailureError, StagnationError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+    except SolverFailureError as exc:
+        print(f"solver failure in step attempt {exc.attempt} from "
+              f"t = {exc.t_seconds:.6g} s: {exc}", file=sys.stderr)
         return 3
     except TwoFluidError as exc:
         print(f"error: {exc}", file=sys.stderr)

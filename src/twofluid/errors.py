@@ -34,7 +34,16 @@ class BracketError(TwoFluidError):
     """A root bracket does not contain a sign change."""
 
 
-class StepFailureError(TwoFluidError):
+class SolverFailureError(TwoFluidError):
+    """A failure that aborts a run; `ipcs.run` sets `attempt`, the index
+    of the failed step attempt (from 0), and `t_seconds`, the simulated
+    time that attempt started from."""
+
+    attempt = None
+    t_seconds = None
+
+
+class StepFailureError(SolverFailureError):
     """A time-step sub-solve failed; names the sub-step that broke."""
 
     def __init__(self, substep, cause):
@@ -43,7 +52,7 @@ class StepFailureError(TwoFluidError):
         self.cause = cause
 
 
-class StagnationError(TwoFluidError):
+class StagnationError(SolverFailureError):
     """The adaptive controller pushed dt below dt_min on a rejected step."""
 
 

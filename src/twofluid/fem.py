@@ -7,13 +7,14 @@ degree-4 triangle rule integrates every bilinear form exactly; the
 nonlinear closure terms (drag, interfacial pressure, convection) are
 quadrature approximations on the same points.
 
-Assembly is vectorized over cells: every matrix family has a static
-sparsity pattern built once per space, and per-step assembly only
-recomputes values and scatters them with bincount, which keeps the
-accumulation order (and therefore the floating-point result)
-deterministic.
+Assembly is vectorized over cells: each space builds its static
+`linalg.Pattern` once, and per-step assembly only recomputes values and
+scatters them with bincount, which keeps the accumulation order (and
+therefore the floating-point result) deterministic.
 
-Sub-step systems assembled here:
+Sub-step systems assembled here.  Only the pressure outlet (dP = 0) is
+eliminated here; the other systems come back unconstrained, and
+`ipcs.step` imposes their Dirichlet rows.
 
   tentative velocity   [M/dt + (1/2Re)(Keps - G(ln alpha))] v* = explicit
                        convection / drag / pressure / gravity loads
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import physics
 from .errors import OutOfDomainError, SingularSystemError
-from .linalg import SparseMatrix
+from .linalg import Pattern
 from .mesh import BoundaryTag
 
 # ---------------------------------------------------------------------------
@@ -130,42 +131,6 @@ def _edge_table(mesh):
         edges[e] = (u, v)
     mesh._fem_edges = (edges, cell_edges, index)
     return mesh._fem_edges
-
-
-class _Pattern:
-    """Static CSR pattern plus the COO-position -> CSR-slot map."""
-
-    def __init__(self, rows, cols, n):
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        key = rows * n + cols
-        uniq, slots = np.unique(key, return_inverse=True)
-        urows = uniq // n
-        ucols = (uniq - urows * n).astype(np.int32)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, urows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        self.n = n
-        self.nnz = uniq.size
-        self.indptr = indptr
-        self.indices = ucols
-        self.slots = slots
-        diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
-        hit = np.searchsorted(uniq, diag_keys)
-        hit[hit >= uniq.size] = uniq.size - 1
-        self.diag_slots = np.where(uniq[hit] == diag_keys, hit, -1)
-
-    def assemble_data(self, values):
-        return np.bincount(self.slots, weights=np.asarray(values).ravel(),
-                           minlength=self.nnz)
-
-    def assemble(self, values):
-        return self.matrix(self.assemble_data(values))
-
-    def matrix(self, data):
-        m = SparseMatrix(self.indptr, self.indices, data, (self.n, self.n))
-        m.diag_slots = self.diag_slots
-        return m
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +243,7 @@ class FunctionSpace:
             nl = cd.shape[1]
             rows = np.broadcast_to(cd[:, :, None], (cd.shape[0], nl, nl))
             cols = np.broadcast_to(cd[:, None, :], (cd.shape[0], nl, nl))
-            p = _Pattern(rows, cols, self.dof_count)
+            p = Pattern(rows, cols, self.dof_count)
             self._cache["pattern"] = p
         return p
 
@@ -470,15 +435,6 @@ def p1_stiffness_matrix(space, coefficient=None):
     return space.pattern().assemble(st["gg"] * scale[:, None, None])
 
 
-def apply_dirichlet_rows(A, b, dofs, values):
-    """Row replacement: identity rows at `dofs`, b[dofs] = values."""
-    dofs = np.asarray(dofs, dtype=np.int64)
-    if dofs.size == 0:
-        return
-    A.zero_rows(dofs)
-    b[dofs] = values
-
-
 def supg_tau(space, v_field, guard=1e-10):
     """Per-cell streamline weight tau = h / (2 |v|) (pure-advection factor
     z = 1); zero where the centroid speed falls below `guard`."""
@@ -508,8 +464,7 @@ class ClosureInputs:
     ln alpha_l, standing in for grad(alpha_l)/alpha_l; drag_ratio_l is the
     liquid drag ratio alpha_g / max(alpha_l, floor) at the quadrature
     points; pressure_load and gravity_load are the loads of grad P and of
-    gravity; dirichlet maps each phase to its velocity (dofs, values) at
-    t + dt.
+    gravity.
     """
 
     qp: VelocityQP
@@ -518,10 +473,9 @@ class ClosureInputs:
     drag_ratio_l: np.ndarray
     pressure_load: np.ndarray
     gravity_load: np.ndarray
-    dirichlet: dict
 
 
-def closure_inputs(state, props, scales, groups, alpha_ln_floor, dirichlet):
+def closure_inputs(state, props, scales, groups, alpha_ln_floor):
     """ClosureInputs of `state`.  The phase fractions enter through
     ln(max(alpha, alpha_ln_floor)), whose per-cell gradient g gives
     G[(i,a),(j,b)] = int phi_i [(g.grad phi_j) dab + g_b d_a phi_j] dx;
@@ -548,8 +502,7 @@ def closure_inputs(state, props, scales, groups, alpha_ln_floor, dirichlet):
         drag_ratio_l=alpha_g_qp / np.maximum(alpha_l_qp, alpha_ln_floor),
         pressure_load=_const_grad_load(
             space, p1.p1_cell_gradient(state.p_l.coefficients)),
-        gravity_load=_const_grad_load(space, grav),
-        dirichlet=dirichlet)
+        gravity_load=_const_grad_load(space, grav))
 
 
 def velocity_dependent_load(phase, qp, groups, closures):
@@ -593,10 +546,10 @@ def tentative_velocity_system(phase, dt, groups, closures):
 
         A = M/dt + (1/2Re)(Keps - G),
 
-    Dirichlet rows made identity, the mass history term M v(n)/dt and the
-    level-n velocity-dependent load.  b = history + load with constrained
-    rows overwritten; the Heun re-solve reuses A against an averaged load,
-    so the pieces are returned separately."""
+    the mass history term M v(n)/dt and the level-n velocity-dependent
+    load, all without boundary constraints.  b = history + load; the Heun
+    re-solve reuses A against an averaged load, so the pieces are returned
+    separately."""
     if phase not in ("liquid", "gas"):
         raise ValueError(f"unknown phase '{phase}'")
     qp = closures.qp
@@ -606,7 +559,6 @@ def tentative_velocity_system(phase, dt, groups, closures):
     A = space.pattern().matrix(
         s["mass_data"] / dt
         + 0.5 / re * (s["keps_data"] - closures.g_data[phase]))
-    A.zero_rows(closures.dirichlet[phase][0])
     history = s["mass_matrix"].matvec(qp.coefficients[phase]) / dt
     load = velocity_dependent_load(phase, qp, groups, closures)
     return A, history, load
@@ -650,14 +602,14 @@ def assemble_pressure_poisson(state, qp, dt, groups):
     if outlet.size == 0:
         raise SingularSystemError(
             "pressure system has no Dirichlet boundary (all-Neumann)")
-    A.zero_columns(outlet, b, np.zeros(outlet.size))
-    A.zero_rows(outlet)
+    A.eliminate(outlet)
     b[outlet] = 0.0
     return A, b
 
 
-def assemble_velocity_update(phase, v_star, delta_p, dt, groups, dirichlet=((), ())):
-    """Mass system M v(n+1) = M v* - dt Eu_q < grad dP, phi >."""
+def assemble_velocity_update(phase, v_star, delta_p, dt, groups):
+    """Mass system M v(n+1) = M v* - dt Eu_q < grad dP, phi >, without
+    boundary constraints."""
     if phase not in ("liquid", "gas"):
         raise ValueError(f"unknown phase '{phase}'")
     space = v_star.space
@@ -666,20 +618,16 @@ def assemble_velocity_update(phase, v_star, delta_p, dt, groups, dirichlet=((), 
     dp_cell = delta_p.space.p1_cell_gradient(delta_p.coefficients)
     b = s["mass_matrix"].matvec(v_star.coefficients)
     b -= dt * eu * _const_grad_load(space, dp_cell)
-    M = space.pattern().matrix(s["mass_data"].copy())
-    apply_dirichlet_rows(M, b, dirichlet[0], dirichlet[1])
-    return M, b
+    return space.pattern().matrix(s["mass_data"].copy()), b
 
 
-def assemble_alpha_system(alpha_old, v_g_new, dt, dirichlet=None, supg=True,
-                          with_raw=False):
+def assemble_alpha_system(alpha_old, v_g_new, dt):
     """Implicit advection of the gas fraction with SUPG test functions:
 
         < (a(n+1) - a(n))/dt, phi' > + < div(a(n+1) v), phi' > = 0,
         phi' = phi + tau v . grad phi.
 
-    Returns (A, b); with_raw additionally returns the pre-Dirichlet CSR
-    data and right-hand side used for conservation accounting.
+    Returns (A, b) without boundary constraints.
     """
     p1 = alpha_old.space
     space = v_g_new.space
@@ -690,9 +638,8 @@ def assemble_alpha_system(alpha_old, v_g_new, dt, dirichlet=None, supg=True,
     v_qp = _vec_at_qp(space, nodes)
     dvq = _vec_grad_at_qp(space, nodes)
     divv = dvq[:, :, 0, 0] + dvq[:, :, 1, 1]
-    tau = supg_tau(p1, v_g_new) if supg else np.zeros(det.size)
+    tau = supg_tau(p1, v_g_new)
     aold_qp = p1.p1_at_qp(alpha_old.coefficients)
-    pat = p1.pattern()
 
     # streamline derivatives v . grad psi_i: (c,q,a) @ (c,a,i) -> (c,q,i)
     stream = np.matmul(v_qp, gp1.transpose(0, 2, 1))
@@ -704,17 +651,9 @@ def assemble_alpha_system(alpha_old, v_g_new, dt, dirichlet=None, supg=True,
     elem = np.matmul(wphi.transpose(0, 2, 1), trial) * det[:, None, None]
     be = np.matmul(wphi.transpose(0, 2, 1),
                    aold_qp[:, :, None])[:, :, 0] * det[:, None] / dt
-    raw_data = pat.assemble_data(elem)
-    A = pat.matrix(raw_data.copy())
     b = np.bincount(p1.cell_dofs.ravel(), weights=be.ravel(),
                     minlength=p1.dof_count)
-    raw_b = b.copy()
-
-    if dirichlet is not None:
-        apply_dirichlet_rows(A, b, dirichlet[0], dirichlet[1])
-    if with_raw:
-        return A, b, raw_data, raw_b
-    return A, b
+    return p1.pattern().assemble(elem), b
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ One step advances the scaled state (alpha_g, alpha_l, v_g, v_l, P_l) by
      implicitly) or as a plain linear system (unbounded comparator);
      alpha_l := 1 - alpha_g afterwards.
 
+The step imposes every velocity and gas-fraction Dirichlet row itself, by
+row replacement in the unconstrained systems that `fem` assembles.
+
 The local error of a step is measured on the tentative velocities only,
 by comparing against a Heun (predictor-corrector) evaluation that reuses
 the tentative solve as its predictor, so the extra cost is one explicit
@@ -28,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import caseio, fem, post
-from .errors import StagnationError, StepFailureError, TwoFluidError
+from .errors import (SolverFailureError, StagnationError, StepFailureError,
+                     TwoFluidError)
 from .linalg import solve_bicgstab, solve_cg
 from .mesh import BoundaryTag
 from .physics import make_groups
@@ -150,13 +154,14 @@ def alpha_dirichlet(space, cfg, t_seconds):
 # ---------------------------------------------------------------------------
 # tentative velocities and the Heun error estimate
 
-def _tentative_with_error(dt, cfg, groups, closures, stats):
+def _tentative_with_error(dt, cfg, groups, closures, dirichlet, stats):
     """Solve both tentative velocities and estimate the local error.
 
     The Heun comparison value re-solves the same constrained tentative
     system with the velocity-dependent loads averaged between level n and
     the predictor (one extra solve per phase, warm-started), so boundary
     handling is identical on both paths and the difference is O(dt^2).
+    `dirichlet` maps each phase to its velocity (dofs, values) at t + dt.
     Returns (v*_l, v*_g, error, v* sampled at the quadrature points)."""
     vec = closures.qp.space
     tol = cfg.tol_linear
@@ -166,7 +171,8 @@ def _tentative_with_error(dt, cfg, groups, closures, stats):
     for phase in ("liquid", "gas"):
         A, history, load = fem.tentative_velocity_system(phase, dt, groups,
                                                          closures)
-        dofs, values = closures.dirichlet[phase]
+        dofs, values = dirichlet[phase]
+        A.zero_rows(dofs)
         b = history + load
         b[dofs] = values
         st = {}
@@ -184,7 +190,7 @@ def _tentative_with_error(dt, cfg, groups, closures, stats):
     for phase in ("liquid", "gas"):
         A, history, load_n = systems[phase]
         load_p = fem.velocity_dependent_load(phase, qp_star, groups, closures)
-        dofs, values = closures.dirichlet[phase]
+        dofs, values = dirichlet[phase]
         b = history + 0.5 * (load_n + load_p)
         b[dofs] = values
         st = {}
@@ -223,9 +229,9 @@ def step(state, dt, cfg, warm=None):
 
     try:
         closures = fem.closure_inputs(state, props, scales, groups,
-                                      cfg.alpha_ln_floor, dirichlet)
+                                      cfg.alpha_ln_floor)
         vsl, vsg, error, qp_star = _tentative_with_error(
-            dt, cfg, groups, closures, stats)
+            dt, cfg, groups, closures, dirichlet, stats)
     except TwoFluidError as exc:
         raise StepFailureError("tentative-velocity", exc) from exc
 
@@ -254,9 +260,11 @@ def step(state, dt, cfg, warm=None):
     for phase, vstar in (("liquid", vsl), ("gas", vsg)):
         try:
             st = {}
-            M, b = fem.assemble_velocity_update(
-                phase, vstar, dp_field, dt, groups,
-                dirichlet=dirichlet[phase])
+            M, b = fem.assemble_velocity_update(phase, vstar, dp_field, dt,
+                                                groups)
+            dofs, values = dirichlet[phase]
+            M.zero_rows(dofs)
+            b[dofs] = values
             new_v[phase] = solve_bicgstab(M, b, tol=cfg.tol_linear,
                                           max_iter=2000,
                                           x0=vstar.coefficients, stats=st)
@@ -266,16 +274,18 @@ def step(state, dt, cfg, warm=None):
     v_l_new = vec.field(new_v["liquid"])
     v_g_new = vec.field(new_v["gas"])
 
-    alpha_bc = alpha_dirichlet(p1, cfg, t_next_seconds)
+    alpha_nodes, alpha_values = alpha_dirichlet(p1, cfg, t_next_seconds)
     try:
-        A_a, b_a, raw_data, raw_b = fem.assemble_alpha_system(
-            state.alpha_g, v_g_new, dt, dirichlet=alpha_bc, supg=cfg.supg,
-            with_raw=True)
+        A_a, b_a = fem.assemble_alpha_system(state.alpha_g, v_g_new, dt)
         # scale the system by dt for the solvers: rows become O(mass).
         # Positive scaling leaves bounds and complementarity signs intact
-        # but makes the absolute residual tolerances meaningful.
+        # but makes the absolute residual tolerances meaningful.  The
+        # Dirichlet rows become dt * (alpha = value); A_a and b_a stay
+        # unconstrained for the mass accounting.
         A_s = A_a.with_data(A_a.data * dt)
+        A_s.zero_rows(alpha_nodes, diag_value=dt)
         b_s = b_a * dt
+        b_s[alpha_nodes] = alpha_values * dt
         vi_iterations = 0
         if cfg.bounded:
             st = {}
@@ -307,20 +317,20 @@ def step(state, dt, cfg, warm=None):
         min_alpha_g=float(alpha_new.min()),
         max_alpha_g=float(alpha_new.max()),
         mass_balance_residual=_mass_balance_residual(
-            state.alpha_g, alpha_g_new, v_g_new, dt,
-            A_a, raw_data, raw_b, alpha_bc[0]),
+            state.alpha_g, alpha_g_new, v_g_new, dt, A_a, b_a, alpha_nodes),
     )
     return new_state, report
 
 
-def _mass_balance_residual(alpha_old, alpha_new, v_g, dt, A_a, raw_data,
-                           raw_b, dirichlet_rows):
+def _mass_balance_residual(alpha_old, alpha_new, v_g, dt, A_a, b_a,
+                           dirichlet_rows):
     """Relative defect of the discrete gas balance
 
         d/dt int(alpha) + (boundary flux of alpha v) = injection,
 
-    where `injection` collects the pre-replacement residuals of the
-    Dirichlet rows (the discrete source those rows feed into the domain).
+    where `injection` collects the residuals of the Dirichlet rows in the
+    unconstrained system (A_a, b_a) (the discrete source those rows feed
+    into the domain).
     Everything else cancels to quadrature and solver accuracy.
     """
     p1 = alpha_old.space
@@ -335,8 +345,7 @@ def _mass_balance_residual(alpha_old, alpha_new, v_g, dt, A_a, raw_data,
         alpha_new, v_g, BoundaryTag.Inlet, BoundaryTag.Outlet,
         BoundaryTag.WallLeft, BoundaryTag.WallRight)
 
-    raw = A_a.with_data(raw_data)
-    residual_rows = raw.matvec(alpha_new.coefficients) - raw_b
+    residual_rows = A_a.matvec(alpha_new.coefficients) - b_a
     injection = float(residual_rows[dirichlet_rows].sum())
 
     defect = ddt + flux - injection
@@ -359,7 +368,6 @@ class RunResult:
     max_alpha_g: np.ndarray
     slip_mps: np.ndarray
     bubble_reynolds: np.ndarray
-    accepted: np.ndarray
     reports: list
     snapshots: list
     series_path: str
@@ -369,7 +377,9 @@ def run(cfg, quiet=True):
     """Advance the configured case from the quiescent start to t_end,
     emitting a CSV series row per accepted step and snapshots on the
     output cadence.  Solver failure or controller stagnation aborts after
-    flushing the last valid snapshot."""
+    flushing the last valid state (as the snapshot of its accepted-step
+    count, unless already written), with the failed attempt's index and
+    start time set on the error."""
     cfg.validate()
     props = cfg.props()
     scales = cfg.scales()
@@ -385,17 +395,18 @@ def run(cfg, quiet=True):
 
     def snap(index):
         path = os.path.join(cfg.output_dir, f"snap_{index:06d}.vtk")
+        if snapshots and snapshots[-1] == path:
+            return
         caseio.write_snapshot(state, mesh, path)
         snapshots.append(path)
 
-    def diagnostics(dt_seconds, accepted):
+    def diagnostics(dt_seconds):
         holdup = post.gas_holdup(state.alpha_g, mesh)
         slip, reynolds, _ = post.slip_and_reynolds(
             state, props, scales, cfg.slip_alpha_floor)
         alpha = state.alpha_g.coefficients
         return (state.t_tilde * scales.t_s, dt_seconds, holdup,
-                float(alpha.min()), float(alpha.max()), slip, reynolds,
-                accepted)
+                float(alpha.min()), float(alpha.max()), slip, reynolds, 1)
 
     t_end_tilde = cfg.t_end / scales.t_s
     dt = min(cfg.dt_init, cfg.dt_max)
@@ -404,7 +415,7 @@ def run(cfg, quiet=True):
     next_snap = cfg.output_every
 
     with caseio.SeriesWriter(series_path) as series:
-        row = diagnostics(0.0, 1)
+        row = diagnostics(0.0)
         series.write_row(*row)
         rows.append(row)
         snap(0)
@@ -416,7 +427,7 @@ def run(cfg, quiet=True):
                 if report.accepted:
                     state = new_state
                     accepted_steps += 1
-                    row = diagnostics(dt_try * scales.t_s, 1)
+                    row = diagnostics(dt_try * scales.t_s)
                     series.write_row(*row)
                     rows.append(row)
                     if state.t_tilde * scales.t_s >= next_snap - 1e-12:
@@ -427,22 +438,17 @@ def run(cfg, quiet=True):
                               f"dt = {dt_try * scales.t_s:.3e} s  "
                               f"holdup = {row[2]:.5f}  "
                               f"min(alpha) = {row[3]:.2e}")
-                elif cfg.log_rejected_steps:
-                    row = diagnostics(dt_try * scales.t_s, 0)
-                    series.write_row(*row)
-                    rows.append(row)
                 dt = report.dt_next
-        except (StepFailureError, StagnationError):
-            snap(accepted_steps + 1)
-            raise
-        if not snapshots or snapshots[-1] != os.path.join(
-                cfg.output_dir, f"snap_{accepted_steps:06d}.vtk"):
+        except SolverFailureError as exc:
+            exc.attempt = len(reports)
+            exc.t_seconds = state.t_tilde * scales.t_s
             snap(accepted_steps)
+            raise
+        snap(accepted_steps)
 
-    arr = np.array(rows) if rows else np.empty((0, 8))
+    arr = np.array(rows)
     return RunResult(
         config=cfg, mesh=mesh, state=state,
         t_seconds=arr[:, 0], dt_seconds=arr[:, 1], holdup=arr[:, 2],
         min_alpha_g=arr[:, 3], max_alpha_g=arr[:, 4], slip_mps=arr[:, 5],
-        bubble_reynolds=arr[:, 6], accepted=arr[:, 7],
-        reports=reports, snapshots=snapshots, series_path=series_path)
+        bubble_reynolds=arr[:, 6], reports=reports, snapshots=snapshots, series_path=series_path)

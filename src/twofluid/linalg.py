@@ -1,8 +1,13 @@
 """Compressed-row sparse matrices and the Krylov solvers behind each sub-step.
 
-The CSR triplet (indptr, indices, data) is owned here; scipy.sparse is used
-only as the matrix-vector product backend (zero-copy view over the same
-arrays).  Solver logic, preconditioning and the residual contracts are local.
+The CSR format is owned here: `Pattern` is the one COO -> CSR builder (fem
+builds one per function space, `SparseMatrix.from_coo` one per call), and
+every `SparseMatrix` carries its diagonal slots, kept by `with_data` and
+`submatrix`.  Row constraints are imposed in place by `zero_rows` and
+`eliminate`; deciding which rows to constrain is the caller's business.
+scipy.sparse is used only as the matrix-vector product backend (zero-copy
+view over the same arrays).  Solver logic, preconditioning and the
+residual contracts are local.
 """
 
 from __future__ import annotations
@@ -13,67 +18,93 @@ import scipy.sparse as _sp
 from .errors import NonconvergenceError, SingularMatrixError
 
 
-class SparseMatrix:
-    """Square or rectangular CSR matrix with duplicate-summing construction."""
+class Pattern:
+    """Static CSR pattern of an n x n matrix assembled from fixed COO
+    positions: the COO-position -> CSR-slot map and each row's diagonal
+    slot (-1 where the pattern has no diagonal entry)."""
 
-    def __init__(self, indptr, indices, data, shape):
+    def __init__(self, rows, cols, n):
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        key = rows * n + cols
+        uniq, slots = np.unique(key, return_inverse=True)
+        urows = uniq // n
+        ucols = (uniq - urows * n).astype(np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(indptr, urows + 1, 1)
+        np.cumsum(indptr, out=indptr)
+        self.nnz = uniq.size
+        self.indptr = indptr
+        self.indices = ucols
+        self.slots = slots
+        diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
+        hit = np.searchsorted(uniq, diag_keys)
+        hit[hit >= uniq.size] = uniq.size - 1
+        self.diag_slots = np.where(uniq[hit] == diag_keys, hit, -1)
+
+    def assemble_data(self, values):
+        """CSR data of COO values given in the pattern's COO order;
+        duplicates are summed in that order (deterministic)."""
+        return np.bincount(self.slots, weights=np.asarray(values).ravel(),
+                           minlength=self.nnz)
+
+    def assemble(self, values):
+        return self.matrix(self.assemble_data(values))
+
+    def matrix(self, data):
+        return SparseMatrix(self.indptr, self.indices, data, self.diag_slots)
+
+
+class SparseMatrix:
+    """Square CSR matrix that knows the data slot of each row's diagonal
+    entry (-1 where the pattern has none)."""
+
+    def __init__(self, indptr, indices, data, diag_slots):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int32)
         self.data = np.asarray(data, dtype=float)
-        self.shape = tuple(shape)
-        self.diag_slots = None       # optional fast-diagonal cache
+        self.diag_slots = diag_slots
+        n = self.indptr.size - 1
+        self.shape = (n, n)
+        # scipy is only the matvec backend: a view over the same data array
         self._csr = _sp.csr_matrix((self.data, self.indices, self.indptr),
                                    shape=self.shape)
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape):
-        """Build CSR from COO triplets, summing duplicate entries.
-
-        Uses a stable sort so the accumulation order is deterministic for a
-        fixed input ordering.
-        """
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=float).ravel()
+        """Build CSR from COO triplets, summing duplicate entries."""
         n, m = shape
-        key = rows * m + cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        vals = vals[order]
-        uniq, start = np.unique(key, return_index=True)
-        summed = np.add.reduceat(vals, start)
-        urows = uniq // m
-        ucols = (uniq - urows * m).astype(np.int32)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, urows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, ucols, summed, shape)
+        if n != m:
+            raise ValueError(f"need a square shape, got {shape}")
+        return Pattern(rows, cols, n).assemble(vals)
 
     def matvec(self, x):
         return self._csr @ x
 
     def diagonal(self):
-        if self.diag_slots is not None and np.all(self.diag_slots >= 0):
-            return self.data[self.diag_slots].copy()
-        return self._csr.diagonal()
+        d = self.data[self.diag_slots]
+        d[self.diag_slots < 0] = 0.0
+        return d
 
     def to_dense(self):
         return self._csr.toarray()
 
     def with_data(self, data):
         """Same sparsity pattern, new values (shares index arrays)."""
-        return SparseMatrix(self.indptr, self.indices, data, self.shape)
+        return SparseMatrix(self.indptr, self.indices, data, self.diag_slots)
 
     def submatrix(self, keep):
-        """Rows and columns restricted to the boolean mask `keep`."""
+        """Rows and columns restricted to the boolean mask `keep`.  The
+        surviving entries keep their CSR order, which is sorted already."""
         keep = np.asarray(keep, dtype=bool)
+        mask = np.repeat(keep, np.diff(self.indptr)) & keep[self.indices]
+        # number of surviving entries before each position: its new slot
+        before = np.concatenate(([0], np.cumsum(mask)))
+        indptr = np.append(before[self.indptr[:-1]][keep], before[-1])
         newid = np.cumsum(keep) - 1
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        mask = keep[rows] & keep[self.indices]
-        sub_rows = newid[rows[mask]]
-        sub_cols = newid[self.indices[mask]]
-        k = int(keep.sum())
-        return SparseMatrix.from_coo(sub_rows, sub_cols, self.data[mask], (k, k))
+        diag = self.diag_slots[keep]
+        return SparseMatrix(indptr, newid[self.indices[mask]], self.data[mask],
+                            np.where(diag >= 0, before[diag], -1))
 
     def zero_rows(self, rows, diag_value=1.0):
         """Replace the given rows by `diag_value` on the diagonal (in place).
@@ -81,48 +112,33 @@ class SparseMatrix:
         Every row must contain its diagonal entry in the pattern.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
+        diag = self.diag_slots[rows]
+        if np.any(diag < 0):
+            raise ValueError(f"row {rows[np.argmax(diag < 0)]} has no "
+                             "diagonal entry")
         starts = self.indptr[rows]
-        lens = (self.indptr[rows + 1] - starts).astype(np.int64)
-        total = int(lens.sum())
+        lens = self.indptr[rows + 1] - starts
         # flat positions of every entry in the selected rows
         ends = np.cumsum(lens)
-        pos = np.repeat(starts - (ends - lens), lens) + np.arange(total)
-        owner = np.repeat(rows, lens)
-        on_diag = self.indices[pos] == owner
-        diag_pos = pos[on_diag]
-        if diag_pos.size != rows.size:
-            missing = np.setdiff1d(rows, owner[on_diag])
-            raise ValueError(f"row {missing[0]} has no diagonal entry")
+        pos = np.repeat(starts - (ends - lens), lens) + np.arange(lens.sum())
         self.data[pos] = 0.0
-        self.data[diag_pos] = diag_value
+        self.data[diag] = diag_value
 
-    def zero_columns(self, cols, b, values):
-        """Eliminate columns against prescribed values (in place).
-
-        b is updated with b -= A[:, cols] @ values; the column entries are
-        then cleared except on the diagonal.  Used to keep Dirichlet-reduced
-        systems symmetric.
-        """
-        cols = np.asarray(cols, dtype=np.int64)
-        colmask = np.zeros(self.shape[1], dtype=bool)
-        colmask[cols] = True
-        value_of = np.zeros(self.shape[1])
-        value_of[cols] = values
-        rowidx = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        hit = colmask[self.indices] & (rowidx != self.indices)
-        np.add.at(b, rowidx[hit], -self.data[hit] * value_of[self.indices[hit]])
-        self.data[hit] = 0.0
-        self._csr = _sp.csr_matrix((self.data, self.indices, self.indptr),
-                                   shape=self.shape)
+    def eliminate(self, dofs):
+        """Homogeneous symmetric elimination (in place): rows and columns
+        of `dofs` cleared, unit diagonal; the right-hand side must hold
+        zero at `dofs`."""
+        hit = np.zeros(self.shape[1], dtype=bool)
+        hit[dofs] = True
+        self.data[hit[self.indices]] = 0.0
+        self.zero_rows(dofs)
 
 
 # ---------------------------------------------------------------------------
 # Krylov solvers
 
 def _jacobi(A):
-    d = A.diagonal().copy()
+    d = A.diagonal()
     d[d == 0.0] = 1.0
     return 1.0 / d
 

@@ -36,18 +36,17 @@ def make_state(mesh, alpha_g=0.0, v_l=(0.0, 0.0), v_g=(0.0, 0.0), p=0.0):
 
 
 def tentative_system(phase, state, dt, groups, scales=None, dirichlet=None):
-    """A and b of one phase's tentative system, built by the two calls the
-    stepper makes; `dirichlet` is that phase's (dofs, values) pair."""
-    none = (np.zeros(0, dtype=np.int64), np.zeros(0))
-    pairs = {"liquid": none, "gas": none}
-    if dirichlet is not None:
-        pairs[phase] = dirichlet
+    """A and b of one phase's tentative system, built by the calls the
+    stepper makes; `dirichlet` is an optional (dofs, values) pair imposed
+    the way the stepper imposes it."""
     closures = closure_inputs(state, FluidProperties(), scales or Scales(),
-                              groups, 1e-5, pairs)
+                              groups, 1e-5)
     A, history, load = tentative_velocity_system(phase, dt, groups, closures)
     b = history + load
-    dofs, values = pairs[phase]
-    b[dofs] = values
+    if dirichlet is not None:
+        dofs, values = dirichlet
+        A.zero_rows(dofs)
+        b[dofs] = values
     return A, b
 
 
@@ -353,19 +352,6 @@ def test_supg_tau_column():
     assert tau == pytest.approx(mesh.cell_diameters / 2.0, rel=1e-13)
     # guard: zero velocity gives zero weight
     assert np.all(supg_tau(p1, vec.field()) == 0.0)
-
-
-def test_alpha_dirichlet_rows():
-    mesh = generate_rect_mesh(1.0, 2.0, 4, 5, "alternating")
-    p1 = FunctionSpace.scalar_p1(mesh)
-    vec = FunctionSpace.vector_p2(mesh)
-    alpha_old = p1.field()
-    v = vec.interpolate(lambda x, y: (0.0, 0.5))
-    inlet = p1.boundary_nodes(BoundaryTag.Inlet)
-    values = np.full(inlet.size, 0.026)
-    A, b = assemble_alpha_system(alpha_old, v, 0.05, dirichlet=(inlet, values))
-    x = solve_bicgstab(A, b, tol=1e-12)
-    assert x[inlet] == pytest.approx(values, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,22 @@ def test_steps_keep_alpha_bounded_and_complementary(started):
             assert 0.0 <= report.min_alpha_g <= report.max_alpha_g <= 1.0
 
 
+def test_accepted_states_hold_their_dirichlet_data(started):
+    cfg, states, _ = started
+    t_s = cfg.scales().t_s
+    for state in states[1:]:
+        t_seconds = state.t_tilde * t_s
+        for phase, v in (("liquid", state.v_l), ("gas", state.v_g)):
+            dofs, values = ipcs.velocity_dirichlet(v.space, cfg, t_seconds,
+                                                   phase)
+            assert np.abs(v.coefficients[dofs] - values).max() <= 1e-15
+        nodes, values = ipcs.alpha_dirichlet(state.alpha_g.space, cfg,
+                                             t_seconds)
+        assert values.max() > 0.0                       # the inlet is on
+        assert np.abs(state.alpha_g.coefficients[nodes]
+                      - values).max() <= 1e-15
+
+
 def test_rejected_step_returns_input_state_unchanged(started):
     _, states, _ = started
     state = states[-1]
@@ -133,16 +149,67 @@ def test_run_writes_series_and_snapshots_on_cadence(tmp_path):
     assert len(indices) == 3
 
 
+def _snapshot_fields(path):
+    _, _, data, meta = caseio.read_snapshot(str(path))
+    return data, meta["t_tilde"]
+
+
+def _state_fields(state):
+    nv = state.alpha_g.space.mesh.n_vertices
+    return {"alpha_g": state.alpha_g.coefficients[:nv],
+            "pressure": state.p_l.coefficients[:nv],
+            "v_g": state.v_g.vertex_values(),
+            "v_l": state.v_l.vertex_values()}
+
+
 def test_run_flushes_a_snapshot_when_the_controller_stagnates(tmp_path):
     cfg = caseio.CaseConfig(nx=2, ny=4, t_end=0.002, tol_step=1e-14,
                             dt_min=1e-5, output_dir=str(tmp_path))
-    with pytest.raises(StagnationError):
+    with pytest.raises(StagnationError) as exc:
         ipcs.run(cfg)
-    assert sorted(p.name for p in tmp_path.glob("snap_*.vtk")) == [
-        "snap_000000.vtk", "snap_000001.vtk"]
-    # no step was accepted, so the flushed snapshot holds the start state
-    _, _, start, _ = caseio.read_snapshot(str(tmp_path / "snap_000000.vtk"))
-    _, _, flushed, _ = caseio.read_snapshot(str(tmp_path / "snap_000001.vtk"))
-    assert "alpha_g" in start
+    # two rejected attempts, the second one stagnates from t = 0
+    assert exc.value.attempt == 1
+    assert exc.value.t_seconds == 0.0
+    # no step was accepted: the last valid state is the start state, and
+    # snap_000000.vtk already holds it
+    assert [p.name for p in tmp_path.glob("snap_*.vtk")] == ["snap_000000.vtk"]
+    data, t_tilde = _snapshot_fields(tmp_path / "snap_000000.vtk")
+    start = _state_fields(caseio.initial_state(cfg.build_mesh(), cfg))
+    assert t_tilde == 0.0
+    assert sorted(data) == sorted(start)
     for name in start:
-        assert np.array_equal(start[name], flushed[name])
+        assert np.array_equal(data[name], start[name])
+
+
+def test_run_flushes_the_last_accepted_state_on_a_step_failure(
+        tmp_path, monkeypatch):
+    cfg = caseio.CaseConfig(nx=2, ny=4, t_end=0.002, output_dir=str(tmp_path))
+    accepted = []
+    step, solve_cg = ipcs.step, ipcs.solve_cg
+
+    def recording_step(*args, **kwargs):
+        new, report = step(*args, **kwargs)
+        accepted.append(new if report.accepted else None)
+        return new, report
+
+    def cg_failing_after_two_steps(*args, **kwargs):
+        if sum(s is not None for s in accepted) == 2:
+            raise NonconvergenceError("no convergence", residual=1.0,
+                                      iterations=10000)
+        return solve_cg(*args, **kwargs)
+
+    monkeypatch.setattr(ipcs, "step", recording_step)
+    monkeypatch.setattr(ipcs, "solve_cg", cg_failing_after_two_steps)
+    with pytest.raises(StepFailureError) as exc:
+        ipcs.run(cfg)
+    assert exc.value.substep == "pressure-poisson"
+    last = [s for s in accepted if s is not None][-1]
+    # the failed attempt is the one after every recorded attempt
+    assert exc.value.attempt == len(accepted)
+    assert exc.value.t_seconds == last.t_tilde * cfg.scales().t_s
+    assert sorted(p.name for p in tmp_path.glob("snap_*.vtk")) == [
+        "snap_000000.vtk", "snap_000002.vtk"]
+    data, t_tilde = _snapshot_fields(tmp_path / "snap_000002.vtk")
+    assert t_tilde == last.t_tilde
+    for name, values in _state_fields(last).items():
+        assert np.array_equal(data[name], values)

@@ -23,6 +23,8 @@ def test_from_coo_sums_duplicates():
     with pytest.raises(ValueError):
         A.zero_rows([0])  # missing diagonal entry is detected
     assert A.to_dense() == pytest.approx(np.array([[0.0, 5.0], [4.0, 0.0]]))
+    assert np.array_equal(A.diag_slots, [-1, -1])
+    assert np.array_equal(A.diagonal(), [0.0, 0.0])
 
 
 def test_csr_invariants():
@@ -39,9 +41,21 @@ def test_csr_invariants():
 def test_submatrix_matches_dense_slice():
     rng = np.random.default_rng(1)
     A, dense = _random_sparse(rng, 25)
+    A.data[A.diag_slots[3]] = 0.0    # an explicit zero stays in the pattern
+    dense[3, 3] = 0.0
     keep = rng.random(25) > 0.4
+    keep[3] = True
     sub = A.submatrix(keep)
-    assert sub.to_dense() == pytest.approx(dense[np.ix_(keep, keep)])
+    ref = dense[np.ix_(keep, keep)]
+    assert np.array_equal(sub.to_dense(), ref)
+    for i in range(sub.shape[0]):
+        cols = sub.indices[sub.indptr[i]:sub.indptr[i + 1]]
+        assert np.all(np.diff(cols) > 0)
+        assert sub.indices[sub.diag_slots[i]] == i
+    assert np.array_equal(sub.diagonal(), np.diag(ref))
+    # a rescaled copy keeps the slots
+    assert np.array_equal(sub.with_data(2.0 * sub.data).diagonal(),
+                          2.0 * np.diag(ref))
 
 
 def test_cg_identity():
@@ -147,17 +161,15 @@ def test_lu_singular_raises():
 def test_zero_rows_and_columns():
     rng = np.random.default_rng(6)
     A, dense = _random_sparse(rng, 12)
-    b = rng.standard_normal(12)
-    values = np.array([0.5, -1.0])
+    B = A.with_data(A.data.copy())
     rows = np.array([3, 7])
-    # zero_columns subtracts A[i, c] * v_c for every off-diagonal entry
-    expect = b - dense[:, rows] @ values
-    expect[rows] += np.diag(dense)[rows] * values
-    A.zero_columns(rows, b, values)
-    A.zero_rows(rows)
+    A.zero_rows(rows, diag_value=0.5)
     ref = dense.copy()
-    ref[:, rows] = 0.0
     ref[rows, :] = 0.0
+    ref[rows, rows] = 0.5
+    assert np.array_equal(A.to_dense(), ref)
+    # homogeneous symmetric elimination clears the columns too
+    B.eliminate(rows)
+    ref[:, rows] = 0.0
     ref[rows, rows] = 1.0
-    assert A.to_dense() == pytest.approx(ref)
-    assert b == pytest.approx(expect)
+    assert np.array_equal(B.to_dense(), ref)
