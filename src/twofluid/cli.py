@@ -94,8 +94,16 @@ def _cmd_analyze(args):
     except ValueError:
         print(f"bad --grid '{args.grid}', expected NXxNY", file=sys.stderr)
         return 1
-    verts, cells, data, _meta = caseio.read_snapshot(args.snapshot)
-    m = meshmod.from_cell_arrays(verts, cells)
+    verts, cells, data, meta = caseio.read_snapshot(args.snapshot)
+    grid_nx, grid_ny = int(meta.get("nx", 0)), int(meta.get("ny", 0))
+    if grid_nx < 1 or grid_ny < 1 or len(cells) != 2 * grid_nx * grid_ny:
+        print(f"snapshot '{args.snapshot}': header grid nx={grid_nx} "
+              f"ny={grid_ny} does not describe its {len(cells)} cells",
+              file=sys.stderr)
+        return 2
+    (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
+    m = meshmod.Mesh(verts, cells, {"nx": grid_nx, "ny": grid_ny,
+                                    "width": x1 - x0, "height": y1 - y0})
     p1 = fem.FunctionSpace.scalar_p1(m)
     alpha = p1.field(data["alpha_g"])
     grid = post.sample_to_grid(alpha, nx, ny)
@@ -166,8 +174,8 @@ def _cmd_convergence(args):
             for j in range(i + 1, len(interps)):
                 worst = max(worst,
                             float(np.abs(interps[i] - interps[j]).max()))
-        print(f"peak holdup = {peak:.6f}")
-        print(f"max pairwise holdup deviation = {worst:.6f} "
+        print(f"peak holdup = {peak:.6g}")
+        print(f"max pairwise holdup deviation = {worst:.6g} "
               f"({worst / peak * 100 if peak else 0:.2f}% of peak)")
     return 0
 

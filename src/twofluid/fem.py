@@ -7,8 +7,11 @@ degree-4 triangle rule integrates every bilinear form exactly; the
 nonlinear closure terms (drag, interfacial pressure, convection) are
 quadrature approximations on the same points.
 
-Assembly is vectorized over cells: each space builds its static
-`linalg.Pattern` once, and per-step assembly only recomputes values and
+A `FunctionSpace` builds everything static in its constructor: the dof
+map (P2 midpoint nodes follow the mesh's edge table), its
+`linalg.Pattern`, the bases and physical gradients at the quadrature
+points, and the mass, strain-stiffness and G-basis operators.  Assembly
+is vectorized over cells: per-step assembly only recomputes values and
 scatters them with bincount, which keeps the accumulation order (and
 therefore the floating-point result) deterministic.
 
@@ -34,7 +37,7 @@ import numpy as np
 from . import physics
 from .errors import OutOfDomainError, SingularSystemError
 from .linalg import Pattern
-from .mesh import BoundaryTag
+from .mesh import BoundaryTag, boundary_facets
 
 # ---------------------------------------------------------------------------
 # quadrature and reference bases
@@ -84,63 +87,24 @@ def _p2_basis(points):
 
 
 # ---------------------------------------------------------------------------
-# mesh-level cached geometry
-
-class _Geometry:
-    def __init__(self, mesh):
-        v = mesh.vertices[mesh.cells]                    # (nc, 3, 2)
-        j = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-        det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-        if np.any(det <= 0):
-            raise ValueError("mesh has non-counterclockwise cells")
-        inv = np.empty_like(j)
-        inv[:, 0, 0] = j[:, 1, 1] / det
-        inv[:, 0, 1] = -j[:, 0, 1] / det
-        inv[:, 1, 0] = -j[:, 1, 0] / det
-        inv[:, 1, 1] = j[:, 0, 0] / det
-        self.det = det
-        self.inv = inv                                   # J^{-1}, (nc, 2, 2)
-        self.cell_verts = v
-
-
-def _geometry(mesh):
-    geo = getattr(mesh, "_fem_geometry", None)
-    if geo is None:
-        geo = _Geometry(mesh)
-        mesh._fem_geometry = geo
-    return geo
-
-
-def _edge_table(mesh):
-    """Global edge numbering; local edge k opposes local vertex k."""
-    table = getattr(mesh, "_fem_edges", None)
-    if table is not None:
-        return table
-    index = {}
-    cell_edges = np.empty((mesh.n_cells, 3), dtype=np.int64)
-    for c, (a, b, d) in enumerate(mesh.cells):
-        for k, (u, v) in enumerate(((b, d), (a, d), (a, b))):
-            key = (min(u, v), max(u, v))
-            e = index.get(key)
-            if e is None:
-                e = len(index)
-                index[key] = e
-            cell_edges[c, k] = e
-    edges = np.empty((len(index), 2), dtype=np.int64)
-    for (u, v), e in index.items():
-        edges[e] = (u, v)
-    mesh._fem_edges = (edges, cell_edges, index)
-    return mesh._fem_edges
-
-
-# ---------------------------------------------------------------------------
 # function spaces and fields
 
 class FunctionSpace:
-    """Dof map over a mesh for ScalarP1 or VectorP2.
+    """Dof map over a mesh for ScalarP1 or VectorP2, with the static
+    tables and operators of its assembly, all built by the constructor.
 
     Vector dofs interleave components node-major: dof(node, comp) =
     2*node + comp, so coefficients order as (x0, y0, x1, y1, ...).
+
+    Every space has its CSR `pattern` and the assembled `mass_data`.
+    ScalarP1 adds the reference basis at the quadrature points `n3`, the
+    physical basis gradients `grad_p1` (nc, 3, 2), the measure-free
+    gradient products `gg` and the integrals of the basis `int_phi`.
+    VectorP2 adds `n6`, the physical gradients `dn6` (nc, nq, 6, 2), the
+    basis at the centroid `n6_centroid`, the reference mass `mass_ref6`,
+    the strain-stiffness data `keps_data`, the basis `g_basis` of the
+    grad(ln alpha) coupling, the integrals of the basis `int_phi6`, and
+    the assembled `mass_matrix` and `keps_matrix`.
     """
 
     def __init__(self, kind, mesh):
@@ -152,9 +116,9 @@ class FunctionSpace:
             self.node_cell_dofs = mesh.cells.astype(np.int64)
             self.node_coords = mesh.vertices
         elif kind == "VectorP2":
-            edges, cell_edges, _ = _edge_table(mesh)
+            edges = mesh.edges
             self.node_cell_dofs = np.concatenate(
-                [mesh.cells.astype(np.int64), nverts + cell_edges], axis=1)
+                [mesh.cells.astype(np.int64), nverts + mesh.cell_edges], axis=1)
             mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
             self.node_coords = np.concatenate([mesh.vertices, mids], axis=0)
         else:
@@ -172,7 +136,65 @@ class FunctionSpace:
             self.dof_count = self.n_nodes
             self.cell_dofs = self.node_cell_dofs
             self.dof_coords = self.node_coords
-        self._cache = {}
+        self._tag_nodes = {tag: self._facet_nodes(boundary_facets(mesh, tag))
+                           for tag in BoundaryTag}
+        cd = self.cell_dofs
+        nl = cd.shape[1]
+        self.pattern = Pattern(
+            np.broadcast_to(cd[:, :, None], (cd.shape[0], nl, nl)),
+            np.broadcast_to(cd[:, None, :], (cd.shape[0], nl, nl)),
+            self.dof_count)
+        if kind == "ScalarP1":
+            self._build_p1_operators()
+        else:
+            self._build_p2_operators()
+
+    def _build_p1_operators(self):
+        w, det = self.quad.weights, self.mesh.det
+        n3, dn3 = _p1_basis(self.quad.points)
+        self.n3 = n3
+        self.grad_p1 = np.einsum("ik,cka->cia", dn3, self.mesh.inv)
+        m3 = np.einsum("q,qi,qj->ij", w, n3, n3)
+        self.mass_data = self.pattern.assemble_data(
+            np.einsum("ij,c->cij", m3, det))
+        # grad_i . grad_j without measure; scale by the integrated
+        # coefficient when assembling variable-coefficient stiffness
+        self.gg = np.einsum("cia,cja->cij", self.grad_p1, self.grad_p1)
+        self.int_phi = det[:, None] * np.einsum("q,qi->i", w, n3)
+
+    def _build_p2_operators(self):
+        w, det = self.quad.weights, self.mesh.det
+        n6, dn6 = _p2_basis(self.quad.points)
+        dn6 = np.einsum("qik,cka->cqia", dn6, self.mesh.inv)
+        self.n6 = n6
+        self.dn6 = dn6
+        self.n6_centroid = _p2_basis(np.full((1, 2), 1.0 / 3.0))[0][0]
+        eye2 = np.eye(2)
+        m6 = np.einsum("q,qi,qj->ij", w, n6, n6)
+        m12 = np.einsum("ij,ab->iajb", m6, eye2).reshape(12, 12)
+        k6 = np.einsum("q,cqia,cqja,c->cij", w, dn6, dn6, det)
+        kd = np.einsum("q,cqia,cqjb,c->cabij", w, dn6, dn6, det)
+        # Keps[(i,a),(j,b)] = dab <grad_i, grad_j> + int d_a phi_j d_b phi_i
+        keps = np.einsum("cij,ab->ciajb", k6, eye2)
+        keps += np.einsum("cabji->ciajb", kd)
+        # T[c,a,i,j] = int phi_i d_a phi_j
+        t_a = np.einsum("q,qi,cqja,c->caij", w, n6, dn6, det)
+        # G is linear in the per-cell gradient g of ln(alpha'):
+        # G_elem[c] = g_x B_x[c] + g_y B_y[c] with
+        # B_k[(i,a),(j,b)] = dab T_k[i,j] + [b == k] T_a[i,j]
+        gbasis = np.zeros((2, t_a.shape[0], 6, 2, 6, 2))
+        for k in range(2):
+            for a in range(2):
+                gbasis[k][:, :, a, :, a] += t_a[:, k]
+                gbasis[k][:, :, a, :, k] += t_a[:, a]
+        self.mass_ref6 = m6
+        self.mass_data = self.pattern.assemble_data(
+            np.einsum("ij,c->cij", m12, det))
+        self.keps_data = self.pattern.assemble_data(keps.reshape(-1, 144))
+        self.g_basis = gbasis.reshape(2, -1, 144)
+        self.int_phi6 = det[:, None] * np.einsum("q,qi->i", w, n6)
+        self.mass_matrix = self.pattern.matrix(self.mass_data)
+        self.keps_matrix = self.pattern.matrix(self.keps_data)
 
     @classmethod
     def scalar_p1(cls, mesh):
@@ -192,127 +214,24 @@ class FunctionSpace:
         vals = np.array([fn(x, y) for x, y in self.node_coords], dtype=float)
         return FeField(self, vals.ravel())
 
-    def boundary_nodes(self, *tags):
-        """Scalar node indices lying on facets carrying any given tag."""
-        key = ("bnodes",) + tags
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+    def _facet_nodes(self, rows):
         mesh = self.mesh
-        nodes = set()
-        need_edges = self.kind != "ScalarP1"
-        if need_edges:
-            _, _, edge_index = _edge_table(mesh)
-        for f, tag in enumerate(mesh.facet_tags):
-            if tag not in tags:
-                continue
-            u, v = int(mesh.facet_vertices[f, 0]), int(mesh.facet_vertices[f, 1])
-            nodes.add(u)
-            nodes.add(v)
-            if need_edges:
-                nodes.add(mesh.n_vertices + edge_index[(min(u, v), max(u, v))])
-        out = np.array(sorted(nodes), dtype=np.int64)
-        self._cache[key] = out
-        return out
+        nodes = [mesh.facet_vertices[rows].ravel().astype(np.int64)]
+        if self.kind == "VectorP2":
+            nodes.append(mesh.n_vertices + mesh.facet_edges[rows])
+        return np.unique(np.concatenate(nodes))
 
-    # -- cached tables ------------------------------------------------------
-
-    def _tables(self):
-        t = self._cache.get("tables")
-        if t is not None:
-            return t
-        geo = _geometry(self.mesh)
-        qp = self.quad.points
-        w = self.quad.weights
-        n3, dn3 = _p1_basis(qp)
-        t = {"det": geo.det, "w": w, "n3": n3,
-             "grad_p1": np.einsum("ik,cka->cia", dn3, geo.inv),
-             "xq": np.einsum("qi,cia->cqa", n3, geo.cell_verts)}
-        if self.kind != "ScalarP1":
-            n6, dn6 = _p2_basis(qp)
-            t["n6"] = n6
-            t["dn6"] = np.einsum("qik,cka->cqia", dn6, geo.inv)
-            t["n6_centroid"] = _p2_basis(np.full((1, 2), 1.0 / 3.0))[0][0]
-        self._cache["tables"] = t
-        return t
-
-    def pattern(self):
-        p = self._cache.get("pattern")
-        if p is None:
-            cd = self.cell_dofs
-            nl = cd.shape[1]
-            rows = np.broadcast_to(cd[:, :, None], (cd.shape[0], nl, nl))
-            cols = np.broadcast_to(cd[:, None, :], (cd.shape[0], nl, nl))
-            p = Pattern(rows, cols, self.dof_count)
-            self._cache["pattern"] = p
-        return p
-
-    def _static_p1(self):
-        s = self._cache.get("static")
-        if s is not None:
-            return s
-        t = self._tables()
-        w, n3, det = t["w"], t["n3"], t["det"]
-        m3 = np.einsum("q,qi,qj->ij", w, n3, n3)
-        s = {
-            "mass_ref": m3,
-            "mass_data": self.pattern().assemble_data(
-                np.einsum("ij,c->cij", m3, det)),
-            # grad_i . grad_j without measure; scale by the integrated
-            # coefficient when assembling variable-coefficient stiffness
-            "gg": np.einsum("cia,cja->cij", t["grad_p1"], t["grad_p1"]),
-            "int_phi": det[:, None] * np.einsum("q,qi->i", w, n3),
-        }
-        self._cache["static"] = s
-        return s
-
-    def _static_vec(self):
-        s = self._cache.get("static")
-        if s is not None:
-            return s
-        t = self._tables()
-        w, n6, dn6, det = t["w"], t["n6"], t["dn6"], t["det"]
-        eye2 = np.eye(2)
-        m6 = np.einsum("q,qi,qj->ij", w, n6, n6)
-        m12 = np.einsum("ij,ab->iajb", m6, eye2).reshape(12, 12)
-        k6 = np.einsum("q,cqia,cqja,c->cij", w, dn6, dn6, det)
-        kd = np.einsum("q,cqia,cqjb,c->cabij", w, dn6, dn6, det)
-        # Keps[(i,a),(j,b)] = dab <grad_i, grad_j> + int d_a phi_j d_b phi_i
-        keps = np.einsum("cij,ab->ciajb", k6, eye2)
-        keps += np.einsum("cabji->ciajb", kd)
-        # T[c,a,i,j] = int phi_i d_a phi_j
-        t_a = np.einsum("q,qi,cqja,c->caij", w, n6, dn6, det)
-        # G is linear in the per-cell gradient g of ln(alpha'):
-        # G_elem[c] = g_x B_x[c] + g_y B_y[c] with
-        # B_k[(i,a),(j,b)] = dab T_k[i,j] + [b == k] T_a[i,j]
-        gbasis = np.zeros((2, t_a.shape[0], 6, 2, 6, 2))
-        for k in range(2):
-            for a in range(2):
-                gbasis[k][:, :, a, :, a] += t_a[:, k]
-                gbasis[k][:, :, a, :, k] += t_a[:, a]
-        pat = self.pattern()
-        s = {
-            "mass_ref6": m6,
-            "mass_data": pat.assemble_data(np.einsum("ij,c->cij", m12, det)),
-            "keps_data": pat.assemble_data(keps.reshape(-1, 144)),
-            "t_a": t_a,
-            "g_basis": gbasis.reshape(2, -1, 144),
-            "int_phi6": det[:, None] * np.einsum("q,qi->i", w, n6),
-        }
-        s["mass_matrix"] = pat.matrix(s["mass_data"])
-        s["keps_matrix"] = pat.matrix(s["keps_data"])
-        self._cache["static"] = s
-        return s
+    def boundary_nodes(self, *tags):
+        """Sorted scalar node indices lying on facets carrying any given tag."""
+        return np.unique(np.concatenate([self._tag_nodes[t] for t in tags]))
 
     # -- field values at quadrature points -----------------------------------
 
     def p1_at_qp(self, coeffs):
-        t = self._tables()
-        return np.einsum("qi,ci->cq", t["n3"], coeffs[self.mesh.cells])
+        return np.einsum("qi,ci->cq", self.n3, coeffs[self.mesh.cells])
 
     def p1_cell_gradient(self, coeffs):
-        t = self._tables()
-        return np.einsum("cia,ci->ca", t["grad_p1"], coeffs[self.mesh.cells])
+        return np.einsum("cia,ci->ca", self.grad_p1, coeffs[self.mesh.cells])
 
 
 @dataclass
@@ -349,16 +268,14 @@ def _vec_nodes(space, coeffs):
 
 def _vec_at_qp(space, nodes):
     """v[c,q,a] at quadrature points from (nc, 6, 2) nodal values."""
-    t = space._tables()
     # (1, q, i) @ (c, i, a) -> (c, q, a)
-    return np.matmul(t["n6"][None, :, :], nodes)
+    return np.matmul(space.n6[None, :, :], nodes)
 
 
 def _vec_grad_at_qp(space, nodes):
     """dv[c,q,a,k] = d v_a / d x_k at quadrature points."""
-    t = space._tables()
     # (c, 1, a, i) @ (c, q, i, k) -> (c, q, a, k)
-    return np.matmul(nodes.transpose(0, 2, 1)[:, None, :, :], t["dn6"])
+    return np.matmul(nodes.transpose(0, 2, 1)[:, None, :, :], space.dn6)
 
 
 class VelocityQP:
@@ -395,44 +312,36 @@ class VelocityQP:
 
 def _load_vector(space, f_qp):
     """b[(i,a)] = int f_a phi_i dx from qp samples f_qp of shape (nc, nq, 2)."""
-    t = space._tables()
-    wn6 = t["w"][:, None] * t["n6"]          # (q, i)
-    be = np.matmul(wn6.T[None, :, :], f_qp) * t["det"][:, None, None]
+    wn6 = space.quad.weights[:, None] * space.n6          # (q, i)
+    be = np.matmul(wn6.T[None, :, :], f_qp) * space.mesh.det[:, None, None]
     return np.bincount(space.cell_dofs.ravel(), weights=be.ravel(),
                        minlength=space.dof_count)
 
 
 def _const_grad_load(space, vec_cell):
     """b[(i,a)] = int g_a phi_i dx for a per-cell-constant vector g."""
-    s = space._static_vec()
-    be = np.einsum("ci,ca->cia", s["int_phi6"], vec_cell)
+    be = np.einsum("ci,ca->cia", space.int_phi6, vec_cell)
     return np.bincount(space.cell_dofs.ravel(), weights=be.ravel(),
                        minlength=space.dof_count)
 
 
 def mass_matrix(space):
     """Assembled mass matrix of a ScalarP1 or VectorP2 space."""
-    if space.kind == "ScalarP1":
-        s = space._static_p1()
-    else:
-        s = space._static_vec()
-    return space.pattern().matrix(s["mass_data"].copy())
+    return space.pattern.matrix(space.mass_data.copy())
 
 
 def strain_stiffness_matrix(space):
     """Assembled < tau(u), grad v > operator of a VectorP2 space, with
     tau(u) = grad u + (grad u)^T."""
-    s = space._static_vec()
-    return space.pattern().matrix(s["keps_data"].copy())
+    return space.pattern.matrix(space.keps_data.copy())
 
 
 def p1_stiffness_matrix(space, coefficient=None):
     """< c grad u, grad v > on ScalarP1 with an optional per-cell-constant
     coefficient."""
-    st = space._static_p1()
-    det = space._tables()["det"]
+    det = space.mesh.det
     scale = 0.5 * det if coefficient is None else 0.5 * det * coefficient
-    return space.pattern().assemble(st["gg"] * scale[:, None, None])
+    return space.pattern.assemble(space.gg * scale[:, None, None])
 
 
 def supg_tau(space, v_field, guard=1e-10):
@@ -440,7 +349,7 @@ def supg_tau(space, v_field, guard=1e-10):
     z = 1); zero where the centroid speed falls below `guard`."""
     vs = v_field.space
     nodes = _vec_nodes(vs, v_field.coefficients)
-    vc = np.einsum("i,cia->ca", vs._tables()["n6_centroid"], nodes)
+    vc = np.einsum("i,cia->ca", vs.n6_centroid, nodes)
     speed = np.linalg.norm(vc, axis=1)
     h = space.mesh.cell_diameters
     tau = np.zeros_like(speed)
@@ -482,14 +391,14 @@ def closure_inputs(state, props, scales, groups, alpha_ln_floor):
     the same floor bounds the liquid fraction in the drag ratio."""
     space = state.v_l.space
     p1 = state.alpha_g.space
-    gb = space._static_vec()["g_basis"]
+    gb = space.g_basis
     grad_ln = {}
     g_data = {}
     for phase, alpha in (("liquid", state.alpha_l), ("gas", state.alpha_g)):
         g = p1.p1_cell_gradient(
             np.log(np.maximum(alpha.coefficients, alpha_ln_floor)))
         grad_ln[phase] = g
-        g_data[phase] = space.pattern().assemble_data(
+        g_data[phase] = space.pattern.assemble_data(
             g[:, 0, None] * gb[0] + g[:, 1, None] * gb[1])
     alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
     alpha_l_qp = p1.p1_at_qp(state.alpha_l.coefficients)
@@ -512,7 +421,6 @@ def velocity_dependent_load(phase, qp, groups, closures):
     loads, and the explicit half of the viscous terms."""
     liquid = phase == "liquid"
     space = qp.space
-    s = space._static_vec()
     if liquid:
         eu, re = groups.eu_l, groups.re_l
         ratio_signed = closures.drag_ratio_l
@@ -535,8 +443,8 @@ def velocity_dependent_load(phase, qp, groups, closures):
     b -= eu * closures.pressure_load
     b += closures.gravity_load
     vn = qp.coefficients[phase]
-    b += 0.5 / re * (space.pattern().matrix(closures.g_data[phase]).matvec(vn)
-                     - s["keps_matrix"].matvec(vn))
+    b += 0.5 / re * (space.pattern.matrix(closures.g_data[phase]).matvec(vn)
+                     - space.keps_matrix.matvec(vn))
     return b
 
 
@@ -554,12 +462,11 @@ def tentative_velocity_system(phase, dt, groups, closures):
         raise ValueError(f"unknown phase '{phase}'")
     qp = closures.qp
     space = qp.space
-    s = space._static_vec()
     re = groups.re_l if phase == "liquid" else groups.re_g
-    A = space.pattern().matrix(
-        s["mass_data"] / dt
-        + 0.5 / re * (s["keps_data"] - closures.g_data[phase]))
-    history = s["mass_matrix"].matvec(qp.coefficients[phase]) / dt
+    A = space.pattern.matrix(
+        space.mass_data / dt
+        + 0.5 / re * (space.keps_data - closures.g_data[phase]))
+    history = space.mass_matrix.matvec(qp.coefficients[phase]) / dt
     load = velocity_dependent_load(phase, qp, groups, closures)
     return A, history, load
 
@@ -575,15 +482,13 @@ def assemble_pressure_poisson(state, qp, dt, groups):
     dP = 0 and is eliminated symmetrically.
     """
     p1 = state.p_l.space
-    t = p1._tables()
-    st = p1._static_p1()
-    w = t["w"]
+    w, det = p1.quad.weights, p1.mesh.det
 
     alpha_l_qp = p1.p1_at_qp(state.alpha_l.coefficients)
     alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
     coef_qp = groups.eu_l * alpha_l_qp + groups.eu_g * alpha_g_qp
-    cell_coef = t["det"] * (coef_qp @ w)
-    A = p1.pattern().assemble(st["gg"] * cell_coef[:, None, None])
+    cell_coef = det * (coef_qp @ w)
+    A = p1.pattern.assemble(p1.gg * cell_coef[:, None, None])
 
     div = np.zeros((p1.mesh.n_cells, w.size))
     for alpha, v_qp, dvq in ((state.alpha_l, qp.v_l, qp.dv_l),
@@ -592,9 +497,9 @@ def assemble_pressure_poisson(state, qp, dt, groups):
         a_qp = p1.p1_at_qp(alpha.coefficients)
         div += np.matmul(v_qp, ga[:, :, None])[:, :, 0]
         div += a_qp * (dvq[:, :, 0, 0] + dvq[:, :, 1, 1])
-    wn3 = w[:, None] * t["n3"]               # (q, i)
+    wn3 = w[:, None] * p1.n3                 # (q, i)
     be = -np.matmul(wn3.T[None, :, :], div[:, :, None])[:, :, 0] \
-        * t["det"][:, None] / dt
+        * det[:, None] / dt
     b = np.bincount(p1.cell_dofs.ravel(), weights=be.ravel(),
                     minlength=p1.dof_count)
 
@@ -613,12 +518,11 @@ def assemble_velocity_update(phase, v_star, delta_p, dt, groups):
     if phase not in ("liquid", "gas"):
         raise ValueError(f"unknown phase '{phase}'")
     space = v_star.space
-    s = space._static_vec()
     eu = groups.eu_l if phase == "liquid" else groups.eu_g
     dp_cell = delta_p.space.p1_cell_gradient(delta_p.coefficients)
-    b = s["mass_matrix"].matvec(v_star.coefficients)
+    b = space.mass_matrix.matvec(v_star.coefficients)
     b -= dt * eu * _const_grad_load(space, dp_cell)
-    return space.pattern().matrix(s["mass_data"].copy()), b
+    return space.pattern.matrix(space.mass_data.copy()), b
 
 
 def assemble_alpha_system(alpha_old, v_g_new, dt):
@@ -631,8 +535,7 @@ def assemble_alpha_system(alpha_old, v_g_new, dt):
     """
     p1 = alpha_old.space
     space = v_g_new.space
-    t = p1._tables()
-    w, n3, det, gp1 = t["w"], t["n3"], t["det"], t["grad_p1"]
+    w, n3, det, gp1 = p1.quad.weights, p1.n3, p1.mesh.det, p1.grad_p1
 
     nodes = _vec_nodes(space, v_g_new.coefficients)
     v_qp = _vec_at_qp(space, nodes)
@@ -653,16 +556,18 @@ def assemble_alpha_system(alpha_old, v_g_new, dt):
                    aold_qp[:, :, None])[:, :, 0] * det[:, None] / dt
     b = np.bincount(p1.cell_dofs.ravel(), weights=be.ravel(),
                     minlength=p1.dof_count)
-    return p1.pattern().assemble(elem), b
+    return p1.pattern.assemble(elem), b
 
 
 # ---------------------------------------------------------------------------
 # point evaluation
 
 def _locate(mesh, points, tol=1e-10):
-    """Containing cell and barycentric coordinates for each point."""
+    """Containing cell and barycentric coordinates for each point, by
+    direct indexing into the structured grid of `mesh.grid`."""
+    if mesh.grid is None:
+        raise ValueError("point location needs a mesh with grid metadata")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    geo = _geometry(mesh)
     lo, hi = mesh.bounds()
     pad = tol * max(hi[0] - lo[0], hi[1] - lo[1])
     outside = ((points[:, 0] < lo[0] - pad) | (points[:, 0] > hi[0] + pad)
@@ -675,50 +580,27 @@ def _locate(mesh, points, tol=1e-10):
         # (xi, eta) = J^{-1} (p - v0)
         v0 = mesh.vertices[mesh.cells[cells_idx, 0]]
         d = pts - v0
-        xi = (geo.inv[cells_idx, 0, 0] * d[:, 0]
-              + geo.inv[cells_idx, 0, 1] * d[:, 1])
-        eta = (geo.inv[cells_idx, 1, 0] * d[:, 0]
-               + geo.inv[cells_idx, 1, 1] * d[:, 1])
+        xi = (mesh.inv[cells_idx, 0, 0] * d[:, 0]
+              + mesh.inv[cells_idx, 0, 1] * d[:, 1])
+        eta = (mesh.inv[cells_idx, 1, 0] * d[:, 0]
+               + mesh.inv[cells_idx, 1, 1] * d[:, 1])
         return np.stack([1.0 - xi - eta, xi, eta], axis=1)
 
-    if mesh.grid is not None:
-        g = mesh.grid
-        nx, ny = g["nx"], g["ny"]
-        dx = g["width"] / nx
-        dy = g["height"] / ny
-        i = np.clip(((points[:, 0] - lo[0]) / dx).astype(int), 0, nx - 1)
-        j = np.clip(((points[:, 1] - lo[1]) / dy).astype(int), 0, ny - 1)
-        base = 2 * (j * nx + i)
-        lam0 = bary(base, points)
-        lam1 = bary(base + 1, points)
-        use1 = lam1.min(axis=1) > lam0.min(axis=1)
-        cells_idx = np.where(use1, base + 1, base)
-        lam = np.where(use1[:, None], lam1, lam0)
-        if np.any(lam.min(axis=1) < -1e-8):
-            raise OutOfDomainError("point location failed on the grid mesh")
-        return cells_idx, np.clip(lam, 0.0, None)
-
-    # generic fallback: test all cells, in blocks to bound memory
-    n = points.shape[0]
-    cells_idx = np.full(n, -1, dtype=np.int64)
-    lam_out = np.zeros((n, 3))
-    v0 = mesh.vertices[mesh.cells[:, 0]]
-    for start in range(0, n, 256):
-        pts = points[start:start + 256]
-        d = pts[:, None, :] - v0[None, :, :]
-        xi = geo.inv[None, :, 0, 0] * d[:, :, 0] + geo.inv[None, :, 0, 1] * d[:, :, 1]
-        eta = geo.inv[None, :, 1, 0] * d[:, :, 0] + geo.inv[None, :, 1, 1] * d[:, :, 1]
-        lam = np.stack([1.0 - xi - eta, xi, eta], axis=2)
-        ok = lam.min(axis=2) >= -1e-10
-        first = np.argmax(ok, axis=1)
-        found = ok[np.arange(pts.shape[0]), first]
-        if not np.all(found):
-            bad = pts[np.argmin(found)]
-            raise OutOfDomainError(f"point {tuple(bad)} is outside every cell")
-        cells_idx[start:start + 256] = first
-        lam_out[start:start + 256] = np.clip(
-            lam[np.arange(pts.shape[0]), first], 0.0, None)
-    return cells_idx, lam_out
+    g = mesh.grid
+    nx, ny = g["nx"], g["ny"]
+    dx = g["width"] / nx
+    dy = g["height"] / ny
+    i = np.clip(((points[:, 0] - lo[0]) / dx).astype(int), 0, nx - 1)
+    j = np.clip(((points[:, 1] - lo[1]) / dy).astype(int), 0, ny - 1)
+    base = 2 * (j * nx + i)
+    lam0 = bary(base, points)
+    lam1 = bary(base + 1, points)
+    use1 = lam1.min(axis=1) > lam0.min(axis=1)
+    cells_idx = np.where(use1, base + 1, base)
+    lam = np.where(use1[:, None], lam1, lam0)
+    if np.any(lam.min(axis=1) < -1e-8):
+        raise OutOfDomainError("point location failed on the grid mesh")
+    return cells_idx, np.clip(lam, 0.0, None)
 
 
 def evaluate_many(field, points):
@@ -748,27 +630,18 @@ _GAUSS2 = (0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0)))
 
 
 def _facet_quadrature(space, tags):
-    """Cached per-facet data for boundary flux integrals over `tags`:
-    vertex/midpoint node indices, weighted normals, and lengths."""
-    key = ("facetquad",) + tags
-    cached = space._cache.get(key)
-    if cached is not None:
-        return cached
+    """Per-facet data for boundary flux integrals over `tags`: vertex and
+    midpoint node indices, unit outward normals, and lengths."""
     mesh = space.mesh
-    _, _, edge_index = _edge_table(mesh)
-    nverts = mesh.n_vertices
-    rows = [f for f, tag in enumerate(mesh.facet_tags) if tag in tags]
+    rows = boundary_facets(mesh, *tags)
     u = mesh.facet_vertices[rows, 0].astype(np.int64)
     v = mesh.facet_vertices[rows, 1].astype(np.int64)
-    mid = np.array([nverts + edge_index[(min(a, b), max(a, b))]
-                    for a, b in zip(u, v)], dtype=np.int64)
+    mid = mesh.n_vertices + mesh.facet_edges[rows]
     tvec = mesh.vertices[v] - mesh.vertices[u]
     length = np.hypot(tvec[:, 0], tvec[:, 1])
     # counterclockwise traversal: outward normal is the -90 degree rotation
     nrm = np.column_stack([tvec[:, 1], -tvec[:, 0]]) / length[:, None]
-    cached = (u, v, mid, nrm, length)
-    space._cache[key] = cached
-    return cached
+    return u, v, mid, nrm, length
 
 
 def boundary_alpha_flux(alpha, v_field, *tags):

@@ -82,20 +82,13 @@ def adapt_dt(error, tol_step, dt, dt_min=1e-9, dt_max=1e-2):
 # ---------------------------------------------------------------------------
 # boundary conditions (applied at each sub-step at the new time level)
 
-def _ramped(space, key, cfg, t_seconds, build):
-    """(dofs, values) of constraints whose only time dependence is the
-    common ramp factor min(t/t0, 1): `build()` returns the {dof: value}
-    entries at full ramp, once per space and key, and every call scales
-    the cached values by the ramp (unramped entries are zero)."""
-    cached = space._cache.get(key)
-    if cached is None:
-        entries = build()
-        dofs = np.array(sorted(entries), dtype=np.int64)
-        cached = (dofs, np.array([entries[d] for d in dofs]))
-        space._cache[key] = cached
-    dofs, full = cached
-    ramp = min(t_seconds / cfg.inlet_ramp_time, 1.0)
-    return dofs, full * ramp
+def _last_wins(dofs, values):
+    """Sorted unique dofs of the concatenated entries, each taking the
+    value of its last entry."""
+    dofs = np.concatenate(dofs)[::-1]
+    values = np.concatenate(values)[::-1]
+    unique, last = np.unique(dofs, return_index=True)
+    return unique, values[last]
 
 
 def velocity_dirichlet(space, cfg, t_seconds, phase):
@@ -105,56 +98,44 @@ def velocity_dirichlet(space, cfg, t_seconds, phase):
             component only), zero tangential velocity at the outlet
     liquid: no-slip inlet (sparger plate) and walls, zero tangential
             velocity at the outlet
-    """
-    def build():
-        entries = {}
-        inlet = space.boundary_nodes(BoundaryTag.Inlet)
-        if phase == "gas":
-            x_m = space.node_coords[inlet, 0] * cfg.x_scale
-            v_y, _ = caseio.inlet_profiles(x_m, cfg.inlet_ramp_time, cfg)
-            for node, vy in zip(inlet, v_y / cfg.v_scale):
-                entries[2 * node] = 0.0
-                entries[2 * node + 1] = vy
-        else:
-            for node in inlet:
-                entries[2 * node] = 0.0
-                entries[2 * node + 1] = 0.0
-        for node in space.boundary_nodes(BoundaryTag.Outlet):
-            entries[2 * node] = 0.0
-        for node in space.boundary_nodes(BoundaryTag.WallLeft,
-                                         BoundaryTag.WallRight):
-            entries[2 * node] = 0.0
-            if phase == "liquid":
-                entries[2 * node + 1] = 0.0
-        return entries
 
-    key = ("bc", phase, cfg.inlet_peak_velocity, cfg.inlet_half_width,
-           cfg.inlet_sigma, cfg.x_scale, cfg.v_scale)
-    return _ramped(space, key, cfg, t_seconds, build)
+    Values are the full-ramp values times the ramp factor min(t/t0, 1).
+    """
+    inlet = space.boundary_nodes(BoundaryTag.Inlet)
+    outlet = space.boundary_nodes(BoundaryTag.Outlet)
+    walls = space.boundary_nodes(BoundaryTag.WallLeft, BoundaryTag.WallRight)
+    if phase == "gas":
+        x_m = space.node_coords[inlet, 0] * cfg.x_scale
+        v_y, _ = caseio.inlet_profiles(x_m, cfg.inlet_ramp_time, cfg)
+        inlet_y = v_y / cfg.v_scale
+    else:
+        inlet_y = np.zeros(inlet.size)
+    dofs = [2 * inlet, 2 * inlet + 1, 2 * outlet, 2 * walls]
+    values = [np.zeros(inlet.size), inlet_y, np.zeros(outlet.size),
+              np.zeros(walls.size)]
+    if phase == "liquid":
+        dofs.append(2 * walls + 1)
+        values.append(np.zeros(walls.size))
+    dofs, full = _last_wins(dofs, values)
+    return dofs, full * min(t_seconds / cfg.inlet_ramp_time, 1.0)
 
 
 def alpha_dirichlet(space, cfg, t_seconds):
     """(nodes, values) gas-fraction constraints: ramped gaussian at the
     inlet, zero at the walls (the liquid wets the walls)."""
-    def build():
-        inlet = space.boundary_nodes(BoundaryTag.Inlet)
-        x_m = space.node_coords[inlet, 0] * cfg.x_scale
-        _, a_in = caseio.inlet_profiles(x_m, cfg.inlet_ramp_time, cfg)
-        entries = dict(zip(inlet, a_in))
-        for node in space.boundary_nodes(BoundaryTag.WallLeft,
-                                         BoundaryTag.WallRight):
-            entries[node] = 0.0
-        return entries
-
-    key = ("bc", "alpha", cfg.inlet_peak_alpha, cfg.inlet_half_width,
-           cfg.inlet_sigma, cfg.x_scale)
-    return _ramped(space, key, cfg, t_seconds, build)
+    inlet = space.boundary_nodes(BoundaryTag.Inlet)
+    walls = space.boundary_nodes(BoundaryTag.WallLeft, BoundaryTag.WallRight)
+    x_m = space.node_coords[inlet, 0] * cfg.x_scale
+    _, a_in = caseio.inlet_profiles(x_m, cfg.inlet_ramp_time, cfg)
+    nodes, full = _last_wins([inlet, walls], [a_in, np.zeros(walls.size)])
+    return nodes, full * min(t_seconds / cfg.inlet_ramp_time, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # tentative velocities and the Heun error estimate
 
-def _tentative_with_error(dt, cfg, groups, closures, dirichlet, stats):
+def _tentative_with_error(dt, tol, props, scales, groups, closures,
+                          dirichlet, stats):
     """Solve both tentative velocities and estimate the local error.
 
     The Heun comparison value re-solves the same constrained tentative
@@ -164,7 +145,6 @@ def _tentative_with_error(dt, cfg, groups, closures, dirichlet, stats):
     `dirichlet` maps each phase to its velocity (dofs, values) at t + dt.
     Returns (v*_l, v*_g, error, v* sampled at the quadrature points)."""
     vec = closures.qp.space
-    tol = cfg.tol_linear
 
     systems = {}
     v_star = {}
@@ -184,7 +164,7 @@ def _tentative_with_error(dt, cfg, groups, closures, dirichlet, stats):
 
     vsl = vec.field(v_star["liquid"])
     vsg = vec.field(v_star["gas"])
-    qp_star = fem.VelocityQP(vsl, vsg, cfg.props(), cfg.scales(), groups)
+    qp_star = fem.VelocityQP(vsl, vsg, props, scales, groups)
 
     error = 0.0
     for phase in ("liquid", "gas"):
@@ -231,7 +211,8 @@ def step(state, dt, cfg, warm=None):
         closures = fem.closure_inputs(state, props, scales, groups,
                                       cfg.alpha_ln_floor)
         vsl, vsg, error, qp_star = _tentative_with_error(
-            dt, cfg, groups, closures, dirichlet, stats)
+            dt, cfg.tol_linear, props, scales, groups, closures, dirichlet,
+            stats)
     except TwoFluidError as exc:
         raise StepFailureError("tentative-velocity", exc) from exc
 
@@ -334,8 +315,7 @@ def _mass_balance_residual(alpha_old, alpha_new, v_g, dt, A_a, b_a,
     Everything else cancels to quadrature and solver accuracy.
     """
     p1 = alpha_old.space
-    st = p1._static_p1()
-    lumped = st["int_phi"]
+    lumped = p1.int_phi
     cells = p1.mesh.cells
     int_old = float(np.sum(lumped * alpha_old.coefficients[cells]))
     int_new = float(np.sum(lumped * alpha_new.coefficients[cells]))

@@ -5,12 +5,17 @@ y in [0, height]: the inlet is the bottom side, the outlet the top, and
 the two remaining sides are walls.  Cells are counterclockwise vertex
 triples obtained by splitting a structured quad grid along one of its
 diagonals.
+
+`Mesh(vertices, cells, grid)` builds its whole topology and geometry in
+the constructor: the cell Jacobian determinants and inverses, the cell
+diameters, one global edge table (which places the P2 midpoint nodes)
+and the boundary facets, i.e. the edges owned by one cell, tagged against
+the bounding box.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,34 +27,86 @@ class BoundaryTag(enum.Enum):
     WallRight = "wall_right"
 
 
-@dataclass
 class Mesh:
     """Triangle mesh with tagged boundary facets.
 
-    vertices:  (n_vertices, 2) coordinates
-    cells:     (n_cells, 3) vertex indices, counterclockwise
-    facet_vertices: (n_facets, 2) vertex indices of boundary edges
-    facet_cells:    (n_facets,) owning cell of each boundary edge
-    facet_tags:     list of BoundaryTag, one per boundary edge
+    vertices:       (n_vertices, 2) coordinates
+    cells:          (n_cells, 3) vertex indices, counterclockwise
+    grid:           {"nx", "ny", "width", "height"} of a structured mesh
+                    whose quad (i, j) holds cells 2*(j*nx + i) and the
+                    next one; enables O(1) point location
+    det, inv:       (n_cells,) Jacobian determinants and (n_cells, 2, 2)
+                    inverse Jacobians of the reference map
     cell_diameters: (n_cells,) longest edge length per cell
+    edges:          (n_edges, 2) sorted vertex pairs, numbered by first
+                    appearance over the cells
+    cell_edges:     (n_cells, 3) edge of each cell; local edge k is
+                    opposite local vertex k
+    facet_vertices: (n_facets, 2) boundary edges, directed along their
+                    owner cell's counterclockwise traversal
+    facet_edges:    (n_facets,) edge index of each boundary facet
+    facet_tags:     list of BoundaryTag, one per boundary facet
     """
 
-    vertices: np.ndarray
-    cells: np.ndarray
-    facet_vertices: np.ndarray
-    facet_cells: np.ndarray
-    facet_tags: list
-    cell_diameters: np.ndarray = field(default=None)
-    # grid metadata when built by generate_rect_mesh; enables O(1) point location
-    grid: dict = field(default=None, repr=False)
+    def __init__(self, vertices, cells, grid=None):
+        self.vertices = np.asarray(vertices, dtype=float)
+        self.cells = np.asarray(cells, dtype=np.int32)
+        self.grid = grid
+        nc = self.n_cells
 
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        self.cells = np.asarray(self.cells, dtype=np.int32)
-        if self.cell_diameters is None:
-            p = self.vertices[self.cells]  # (nc, 3, 2)
-            e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-            self.cell_diameters = np.linalg.norm(e, axis=-1).max(axis=0)
+        v = self.vertices[self.cells]                     # (nc, 3, 2)
+        j = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+        det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
+        if np.any(det <= 0):
+            raise ValueError("mesh has non-counterclockwise cells")
+        inv = np.empty_like(j)
+        inv[:, 0, 0] = j[:, 1, 1] / det
+        inv[:, 0, 1] = -j[:, 0, 1] / det
+        inv[:, 1, 0] = -j[:, 1, 0] / det
+        inv[:, 1, 1] = j[:, 0, 0] / det
+        self.det = det
+        self.inv = inv
+        e = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 1], v[:, 0] - v[:, 2]])
+        self.cell_diameters = np.linalg.norm(e, axis=-1).max(axis=0)
+
+        # local edge k runs from vertex k+1 to vertex k+2 (mod 3): opposite
+        # vertex k, in counterclockwise direction
+        tail = self.cells[:, [1, 2, 0]].astype(np.int64)
+        head = self.cells[:, [2, 0, 1]].astype(np.int64)
+        lo, hi = np.minimum(tail, head).ravel(), np.maximum(tail, head).ravel()
+        _, first, inverse, count = np.unique(
+            lo * self.n_vertices + hi, return_index=True, return_inverse=True,
+            return_counts=True)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(order.size)
+        self.cell_edges = number[inverse.reshape(nc, 3)]
+        self.edges = np.column_stack([lo, hi])[first[order]]
+
+        # boundary facets in cell order, edges (0,1), (1,2), (2,0) within
+        # a cell, i.e. local edges 2, 0, 1
+        occurrence = np.arange(3 * nc).reshape(nc, 3)[:, [2, 0, 1]].ravel()
+        occurrence = occurrence[count[inverse[occurrence]] == 1]
+        self.facet_vertices = np.column_stack(
+            [tail.ravel()[occurrence], head.ravel()[occurrence]]).astype(np.int32)
+        self.facet_edges = self.cell_edges.ravel()[occurrence]
+        self.facet_tags = self._tag_facets()
+
+    def _tag_facets(self):
+        """Tag each facet by the bounding-box side it lies on; a facet on
+        none of them (a non-rectangular outline) is an Outlet."""
+        (x0, y0), (x1, y1) = self.bounds()
+        tol = 1e-12 * max(x1 - x0, y1 - y0, 1.0)
+        p = self.vertices[self.facet_vertices]            # (nf, 2, 2)
+
+        def on(axis, level):
+            return np.all(np.abs(p[:, :, axis] - level) <= tol, axis=1)
+
+        kinds = (BoundaryTag.Inlet, BoundaryTag.Outlet, BoundaryTag.WallLeft,
+                 BoundaryTag.WallRight)
+        which = np.select([on(1, y0), on(1, y1), on(0, x0), on(0, x1)],
+                          [0, 1, 2, 3], default=1)
+        return [kinds[k] for k in which]
 
     @property
     def n_vertices(self):
@@ -60,10 +117,7 @@ class Mesh:
         return self.cells.shape[0]
 
     def cell_areas(self):
-        p = self.vertices[self.cells]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return 0.5 * self.det
 
     def bounds(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -114,75 +168,13 @@ def generate_rect_mesh(width, height, nx, ny, diagonal="alternating"):
                 cells[k + 1] = (lr, ur, ul)
             k += 2
 
-    fv, fc, tags = _boundary_facets(vertices, cells, width, height)
-    grid = {"nx": nx, "ny": ny, "width": width, "height": height,
-            "diagonal": diagonal}
-    return Mesh(vertices, cells, fv, fc, tags, grid=grid)
+    grid = {"nx": nx, "ny": ny, "width": width, "height": height}
+    return Mesh(vertices, cells, grid)
 
 
-def from_cell_arrays(vertices, cells):
-    """Build a Mesh from raw vertex/cell arrays (e.g. read back from disk).
-
-    Boundary edges are tagged against the bounding box; edges that lie on
-    none of the four sides (non-rectangular outlines) fall back to Outlet.
-    """
-    vertices = np.asarray(vertices, dtype=float)
-    cells = np.asarray(cells, dtype=np.int32)
-    (x0, y0), (x1, y1) = vertices.min(axis=0), vertices.max(axis=0)
-    fv, fc, tags = _boundary_facets(vertices, cells, x1 - x0, y1 - y0,
-                                    x_left=x0, y_bottom=y0)
-    return Mesh(vertices, cells, fv, fc, tags)
-
-
-def _boundary_facets(vertices, cells, width, height, x_left=None, y_bottom=None):
-    if x_left is None:
-        x_left = -width / 2.0
-    if y_bottom is None:
-        y_0 = 0.0
-    else:
-        y_0 = y_bottom
-    x_right = x_left + width
-    y_top = y_0 + height
-
-    # directed edges kept in cell-traversal (counterclockwise) order so the
-    # outward normal of a boundary facet is its direction rotated by -90 deg
-    edge_owner = {}
-    for c, (a, b, d) in enumerate(cells):
-        for u, v in ((a, b), (b, d), (d, a)):
-            key = (min(u, v), max(u, v))
-            if key in edge_owner:
-                edge_owner[key] = None  # interior
-            else:
-                edge_owner[key] = (c, int(u), int(v))
-
-    tol = 1e-12 * max(width, height, 1.0)
-    fv, fc, tags = [], [], []
-    for owner in edge_owner.values():
-        if owner is None:
-            continue
-        c, u, v = owner
-        p, q = vertices[u], vertices[v]
-        if abs(p[1] - y_0) <= tol and abs(q[1] - y_0) <= tol:
-            tag = BoundaryTag.Inlet
-        elif abs(p[1] - y_top) <= tol and abs(q[1] - y_top) <= tol:
-            tag = BoundaryTag.Outlet
-        elif abs(p[0] - x_left) <= tol and abs(q[0] - x_left) <= tol:
-            tag = BoundaryTag.WallLeft
-        elif abs(p[0] - x_right) <= tol and abs(q[0] - x_right) <= tol:
-            tag = BoundaryTag.WallRight
-        else:
-            tag = BoundaryTag.Outlet
-        fv.append((u, v))
-        fc.append(c)
-        tags.append(tag)
-
-    return (np.asarray(fv, dtype=np.int32).reshape(-1, 2),
-            np.asarray(fc, dtype=np.int32), tags)
-
-
-def boundary_facets(mesh, tag):
-    """Indices of the boundary facets carrying the given tag."""
-    return [i for i, t in enumerate(mesh.facet_tags) if t is tag]
+def boundary_facets(mesh, *tags):
+    """Indices of the boundary facets carrying any of the given tags."""
+    return [i for i, t in enumerate(mesh.facet_tags) if t in tags]
 
 
 def facet_lengths(mesh, facet_indices=None):

@@ -16,14 +16,15 @@ from .errors import BracketError
 
 @dataclass
 class FluidProperties:
-    """Dimensional material properties (SI units)."""
+    """Dimensional material properties (SI units); `CaseConfig.props`
+    holds the reference values."""
 
-    rho_g: float = 10.0       # kg/m^3
-    rho_l: float = 1000.0     # kg/m^3
-    mu_g: float = 2e-5        # Pa s
-    mu_l: float = 5e-3        # Pa s
-    d_b: float = 1e-3         # bubble diameter, m
-    g: float = 9.81           # m/s^2
+    rho_g: float              # kg/m^3
+    rho_l: float              # kg/m^3
+    mu_g: float               # Pa s
+    mu_l: float               # Pa s
+    d_b: float                # bubble diameter, m
+    g: float                  # m/s^2
 
     def validate(self):
         for name in ("rho_g", "rho_l", "mu_g", "mu_l", "d_b", "g"):
@@ -36,13 +37,14 @@ class Scales:
     """Reference scales used to nondimensionalize the governing equations.
 
     Pressure scale is hydrostatic, P_s = rho_l * g_s * h_ref, with P_0 = 0.
-    The time scale is x_s / v_s.
+    The time scale is x_s / v_s.  `CaseConfig.scales` holds the reference
+    values.
     """
 
-    x_s: float = 0.05     # m (column width)
-    v_s: float = 0.0616   # m/s (peak inlet gas speed)
-    g_s: float = 9.81     # m/s^2
-    h_ref: float = 0.1    # m (column height)
+    x_s: float            # m (column width)
+    v_s: float            # m/s (peak inlet gas speed)
+    g_s: float            # m/s^2
+    h_ref: float          # m (column height)
 
     @property
     def t_s(self):
@@ -64,7 +66,7 @@ class DimensionlessGroups:
     c_p: float
 
 
-def make_groups(props: FluidProperties, scales: Scales, c_p=0.25):
+def make_groups(props: FluidProperties, scales: Scales, c_p):
     """Euler, Reynolds and Froude numbers plus the scaled bubble diameter.
 
     Setting c_p = 0 recovers the equal bulk/interfacial pressure model.

@@ -71,14 +71,16 @@ def sample_to_grid(field, nx, ny):
 
 def power_spectrum_2d(grid):
     """Power spectral density of the mean-removed field: |DFT|^2 normalized
-    by the sample count, on the unshifted DFT index grid."""
+    by the sample count, on the unshifted DFT index grid.  The DC term is
+    exactly 0, not the roundoff left after removing the mean."""
     values = np.asarray(grid.values if isinstance(grid, UniformGridSample)
                         else grid, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("grid values must be finite")
     centered = values - values.mean()
-    f = np.fft.fft2(centered)
-    return np.abs(f) ** 2 / values.size
+    psd = np.abs(np.fft.fft2(centered)) ** 2 / values.size
+    psd[0, 0] = 0.0
+    return psd
 
 
 def _radial_index(shape):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twofluid import fem
+from twofluid.caseio import CaseConfig
 from twofluid.errors import OutOfDomainError
 from twofluid.fem import (FunctionSpace, VelocityQP, assemble_alpha_system,
                           assemble_pressure_poisson, assemble_velocity_update,
@@ -12,12 +13,15 @@ from twofluid.fem import (FunctionSpace, VelocityQP, assemble_alpha_system,
                           strain_stiffness_matrix, supg_tau,
                           tentative_velocity_system)
 from twofluid.linalg import solve_bicgstab, solve_cg
-from twofluid.mesh import BoundaryTag, from_cell_arrays, generate_rect_mesh
-from twofluid.physics import FluidProperties, Scales, make_groups
+from twofluid.mesh import BoundaryTag, Mesh, generate_rect_mesh
+from twofluid.physics import make_groups
+
+CFG = CaseConfig()
+PROPS, SCALES = CFG.props(), CFG.scales()
 
 
 def reference_triangle_spaces():
-    m = from_cell_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
+    m = Mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
     return m, FunctionSpace.scalar_p1(m), FunctionSpace.vector_p2(m)
 
 
@@ -39,7 +43,7 @@ def tentative_system(phase, state, dt, groups, scales=None, dirichlet=None):
     """A and b of one phase's tentative system, built by the calls the
     stepper makes; `dirichlet` is an optional (dofs, values) pair imposed
     the way the stepper imposes it."""
-    closures = closure_inputs(state, FluidProperties(), scales or Scales(),
+    closures = closure_inputs(state, PROPS, scales or SCALES,
                               groups, 1e-5)
     A, history, load = tentative_velocity_system(phase, dt, groups, closures)
     b = history + load
@@ -51,7 +55,7 @@ def tentative_system(phase, state, dt, groups, scales=None, dirichlet=None):
 
 
 def sampled(v_l, v_g, groups):
-    return VelocityQP(v_l, v_g, FluidProperties(), Scales(), groups)
+    return VelocityQP(v_l, v_g, PROPS, SCALES, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +95,7 @@ def symbolic_ops():
 def test_degree4_rule_exact_for_p2_products(symbolic_ops):
     m6_exact, _, _ = symbolic_ops
     _, _, vec = reference_triangle_spaces()
-    s = vec._static_vec()
-    assert s["mass_ref6"] == pytest.approx(m6_exact, abs=1e-14)
+    assert vec.mass_ref6 == pytest.approx(m6_exact, abs=1e-14)
 
 
 def test_quadrature_weights_sum_to_reference_area():
@@ -119,7 +122,7 @@ def test_tentative_velocity_matrix_is_mass_plus_viscous(symbolic_ops):
     m6, k6, kd = symbolic_ops
     mesh, _, _ = reference_triangle_spaces()
     state, _, vec = make_state(mesh, alpha_g=0.3)
-    groups = make_groups(FluidProperties(), Scales())
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     A, _ = tentative_system("liquid", state, 1.0, groups)
     eye = np.eye(2)
     m12 = np.einsum("ij,ab->iajb", m6, eye).reshape(12, 12)
@@ -156,7 +159,7 @@ def test_stiffness_annihilates_constants():
 def test_gravity_only_rhs():
     mesh = generate_rect_mesh(1.0, 2.0, 3, 4, "alternating")
     state, p1, vec = make_state(mesh, alpha_g=0.3)
-    groups = make_groups(FluidProperties(), Scales())
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     _, b = tentative_system("liquid", state, 0.1, groups)
     M = mass_matrix(vec)
     grav = vec.interpolate(lambda x, y: (0.0, -1.0 / groups.fr ** 2))
@@ -166,12 +169,12 @@ def test_gravity_only_rhs():
 def test_hydrostatic_pressure_cancels_gravity():
     # p = (h_ref - y x_s)/h_ref in scaled units balances gravity for the
     # liquid exactly (Eu_l x_s / h_ref = 1/Fr^2)
-    scales = Scales()
+    scales = SCALES
     mesh = generate_rect_mesh(1.0, 2.0, 3, 4, "alternating")
     state, p1, vec = make_state(mesh)
     pcoef = 1.0 - state.p_l.space.node_coords[:, 1] * scales.x_s / scales.h_ref
     state.p_l.coefficients[:] = pcoef
-    groups = make_groups(FluidProperties(), scales)
+    groups = make_groups(PROPS, scales, CFG.c_p)
     _, b = tentative_system("liquid", state, 0.1, groups, scales=scales)
     assert np.max(np.abs(b)) < 1e-10
 
@@ -180,8 +183,8 @@ def test_drag_load_matches_closed_form():
     from twofluid.physics import drag_exchange_coefficient
 
     mesh = generate_rect_mesh(1.0, 2.0, 4, 4, "alternating")
-    props, scales = FluidProperties(), Scales()
-    groups = make_groups(props, scales)
+    props, scales = PROPS, SCALES
+    groups = make_groups(props, scales, CFG.c_p)
     state, p1, vec = make_state(mesh, alpha_g=0.02, v_g=(0.0, 0.1))
     _, b = tentative_system("liquid", state, 0.5, groups)
     M = mass_matrix(vec)
@@ -198,8 +201,8 @@ def test_gas_drag_sign_and_density_ratio():
     from twofluid.physics import drag_exchange_coefficient
 
     mesh = generate_rect_mesh(1.0, 1.0, 3, 3, "alternating")
-    props, scales = FluidProperties(), Scales()
-    groups = make_groups(props, scales)
+    props, scales = PROPS, SCALES
+    groups = make_groups(props, scales, CFG.c_p)
     state, p1, vec = make_state(mesh, alpha_g=0.02, v_g=(0.0, 0.1))
     groups.c_p = 0.0  # isolate drag
     _, b = tentative_system("gas", state, 0.5, groups)
@@ -216,7 +219,7 @@ def test_gas_drag_sign_and_density_ratio():
 def test_dirichlet_rows_enforced():
     mesh = generate_rect_mesh(1.0, 2.0, 3, 4, "alternating")
     state, p1, vec = make_state(mesh)
-    groups = make_groups(FluidProperties(), Scales())
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     dofs = 2 * vec.boundary_nodes(BoundaryTag.Inlet) + 1   # y components
     values = np.full(dofs.size, 0.25)
     A, b = tentative_system("gas", state, 0.1, groups,
@@ -230,7 +233,7 @@ def test_space_mismatch_rejected():
     other = generate_rect_mesh(1.0, 1.0, 2, 2, "right")
     state, p1, vec = make_state(mesh)
     state.v_g = FunctionSpace.vector_p2(other).field()
-    groups = make_groups(FluidProperties(), Scales())
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     with pytest.raises(ValueError):
         tentative_system("liquid", state, 0.1, groups)
 
@@ -241,7 +244,7 @@ def test_space_mismatch_rejected():
 def test_pressure_zero_tentative_gives_zero_increment():
     mesh = generate_rect_mesh(1.0, 2.0, 4, 6, "alternating")
     state, p1, vec = make_state(mesh, alpha_g=0.2)
-    groups = make_groups(FluidProperties(), Scales())
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     A, b = assemble_pressure_poisson(
         state, sampled(vec.field(), vec.field(), groups), 0.01, groups)
     assert np.max(np.abs(b)) == 0.0
@@ -252,7 +255,7 @@ def test_pressure_zero_tentative_gives_zero_increment():
 def test_pressure_rhs_zero_for_divergence_free_liquid():
     mesh = generate_rect_mesh(1.0, 2.0, 4, 6, "alternating")
     state, p1, vec = make_state(mesh, alpha_g=0.0)
-    groups = make_groups(FluidProperties(), Scales())
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     v_star = vec.interpolate(lambda x, y: (y, 0.0))
     _, b = assemble_pressure_poisson(
         state, sampled(v_star, vec.field(), groups), 0.01, groups)
@@ -262,7 +265,7 @@ def test_pressure_rhs_zero_for_divergence_free_liquid():
 def test_pressure_rhs_linear_field_oracle():
     mesh = generate_rect_mesh(1.0, 2.0, 4, 6, "alternating")
     state, p1, vec = make_state(mesh, alpha_g=0.5)
-    groups = make_groups(FluidProperties(), Scales())
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     c = 0.3
     v_star = vec.interpolate(lambda x, y: (0.0, c * y))
     dt = 0.01
@@ -279,7 +282,7 @@ def test_pressure_rhs_linear_field_oracle():
 def test_pressure_matrix_symmetric_and_spd():
     mesh = generate_rect_mesh(1.0, 2.0, 5, 8, "alternating")
     state, p1, vec = make_state(mesh, alpha_g=0.3)
-    groups = make_groups(FluidProperties(), Scales())
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     A, b = assemble_pressure_poisson(
         state, sampled(vec.field(), vec.field(), groups), 0.01, groups)
     dense = A.to_dense()
@@ -294,7 +297,7 @@ def test_pressure_matrix_symmetric_and_spd():
 def test_update_identity_for_zero_increment():
     mesh = generate_rect_mesh(1.0, 2.0, 3, 4, "alternating")
     state, p1, vec = make_state(mesh)
-    groups = make_groups(FluidProperties(), Scales())
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     v_star = vec.interpolate(lambda x, y: (np.sin(x), y))
     M, b = assemble_velocity_update("liquid", v_star, p1.field(), 0.01, groups)
     v_new = solve_cg(M, b, tol=1e-13)
@@ -304,7 +307,7 @@ def test_update_identity_for_zero_increment():
 def test_update_constant_pressure_slope():
     mesh = generate_rect_mesh(1.0, 2.0, 3, 4, "alternating")
     state, p1, vec = make_state(mesh)
-    groups = make_groups(FluidProperties(), Scales())
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     s = 0.8
     dp = p1.field(s * p1.node_coords[:, 1])
     dt = 0.01

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from twofluid.mesh import (BoundaryTag, boundary_facets, facet_lengths,
-                           from_cell_arrays, generate_rect_mesh)
+from twofluid.mesh import (BoundaryTag, Mesh, boundary_facets, facet_lengths,
+                           generate_rect_mesh)
+
+REFERENCE_TRIANGLE = ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
 
 
 def test_unit_square_single_quad():
@@ -79,8 +81,9 @@ def test_single_inlet_facet_on_unit_square():
 
 def test_each_facet_has_one_cell_owner():
     m = generate_rect_mesh(1.0, 2.0, 3, 4, "alternating")
-    assert m.facet_cells.min() >= 0
-    assert m.facet_cells.max() < m.n_cells
+    owners = np.bincount(m.cell_edges.ravel(), minlength=len(m.edges))
+    assert np.all(owners[m.facet_edges] == 1)
+    assert np.count_nonzero(owners == 1) == len(m.facet_edges)
 
 
 def test_alternating_mesh_mirror_symmetric():
@@ -102,8 +105,64 @@ def test_cell_diameters_are_longest_edges():
         assert m.cell_diameters[c] == pytest.approx(max(dists), rel=1e-14)
 
 
-def test_from_cell_arrays_reference_triangle():
-    m = from_cell_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
+def test_mesh_from_raw_arrays_reference_triangle():
+    m = Mesh(*REFERENCE_TRIANGLE)
     assert m.n_cells == 1
     assert m.cell_areas().sum() == pytest.approx(0.5)
     assert len(m.facet_tags) == 3
+
+
+def test_clockwise_cell_rejected():
+    with pytest.raises(ValueError):
+        Mesh([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)], [(0, 1, 2)])
+
+
+def oracle_topology(mesh):
+    """Edge table and boundary facets by dict loops over the cells: edges
+    numbered by first appearance with local edge k opposite vertex k, and
+    the single-owner edges in counterclockwise traversal order."""
+    index = {}
+    cell_edges = np.empty((mesh.n_cells, 3), dtype=np.int64)
+    for c, (a, b, d) in enumerate(mesh.cells):
+        for k, (u, v) in enumerate(((b, d), (a, d), (a, b))):
+            cell_edges[c, k] = index.setdefault((min(u, v), max(u, v)),
+                                                len(index))
+    owner = {}
+    for a, b, d in mesh.cells:
+        for u, v in ((a, b), (b, d), (d, a)):
+            key = (min(u, v), max(u, v))
+            owner[key] = None if key in owner else (u, v)
+    facets = [uv for uv in owner.values() if uv is not None]
+    facet_edges = [index[(min(u, v), max(u, v))] for u, v in facets]
+    return (np.array(list(index)), cell_edges, np.array(facets),
+            np.array(facet_edges))
+
+
+TOPOLOGY_MESHES = {
+    "right": lambda: generate_rect_mesh(1.0, 2.0, 3, 4, "right"),
+    "left": lambda: generate_rect_mesh(1.0, 2.0, 3, 4, "left"),
+    "alternating": lambda: generate_rect_mesh(2.0, 1.0, 4, 3, "alternating"),
+    "reference": lambda: Mesh(*REFERENCE_TRIANGLE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGY_MESHES))
+def test_topology_matches_dict_oracle(name):
+    m = TOPOLOGY_MESHES[name]()
+    edges, cell_edges, facet_vertices, facet_edges = oracle_topology(m)
+    assert np.array_equal(m.edges, edges)
+    assert np.array_equal(m.cell_edges, cell_edges)
+    assert np.array_equal(m.facet_vertices, facet_vertices)
+    assert np.array_equal(m.facet_edges, facet_edges)
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGY_MESHES))
+def test_facet_normals_point_away_from_owner(name):
+    m = TOPOLOGY_MESHES[name]()
+    for (u, v), e in zip(m.facet_vertices, m.facet_edges):
+        (owner,), _ = np.nonzero(m.cell_edges == e)
+        t = m.vertices[v] - m.vertices[u]
+        normal = np.array([t[1], -t[0]])
+        away = 0.5 * (m.vertices[u] + m.vertices[v]) \
+            - m.vertices[m.cells[owner]].mean(axis=0)
+        assert normal @ away > 0

@@ -1,26 +1,26 @@
 import numpy as np
 import pytest
 
+from twofluid.caseio import CaseConfig
 from twofluid.errors import BracketError
-from twofluid.physics import (FluidProperties, Scales, bubble_reynolds,
-                              clift_terminal_reynolds, drag_coefficient,
-                              drag_exchange_coefficient, make_groups,
-                              terminal_velocity_balance)
+from twofluid.physics import (bubble_reynolds, clift_terminal_reynolds,
+                              drag_coefficient, drag_exchange_coefficient,
+                              make_groups, terminal_velocity_balance)
 
 
 @pytest.fixture
 def props():
-    return FluidProperties()
+    return CaseConfig().props()
 
 
 @pytest.fixture
 def scales():
-    return Scales()
+    return CaseConfig().scales()
 
 
 @pytest.fixture
 def groups(props, scales):
-    return make_groups(props, scales)
+    return make_groups(props, scales, CaseConfig().c_p)
 
 
 def test_group_arithmetic(groups):
@@ -36,10 +36,10 @@ def test_group_arithmetic(groups):
 
 
 def test_equal_density_unit_euler():
-    props = FluidProperties(rho_g=1000.0)
     # v_s^2 = P_s / rho makes both Euler numbers one
-    scales = Scales(v_s=np.sqrt(9.81 * 0.1), g_s=9.81, h_ref=0.1)
-    g = make_groups(props, scales)
+    cfg = CaseConfig(rho_g=1000.0, v_scale=np.sqrt(9.81 * 0.1), gravity=9.81,
+                     h_ref=0.1)
+    g = make_groups(cfg.props(), cfg.scales(), cfg.c_p)
     assert g.eu_l == pytest.approx(1.0)
     assert g.eu_g == pytest.approx(1.0)
 
@@ -105,7 +105,7 @@ def test_terminal_velocity_balance(props):
 
 
 def test_terminal_velocity_stokes_regime():
-    props = FluidProperties(d_b=1e-5)
+    props = CaseConfig(d_b=1e-5).props()
     v_t = terminal_velocity_balance(props)
     stokes = (props.rho_l - props.rho_g) * props.g * props.d_b ** 2 / (18 * props.mu_l)
     assert v_t == pytest.approx(stokes, rel=0.01)
@@ -113,7 +113,7 @@ def test_terminal_velocity_stokes_regime():
 
 def test_terminal_velocity_no_buoyancy():
     with pytest.raises(BracketError):
-        terminal_velocity_balance(FluidProperties(rho_g=1000.0))
+        terminal_velocity_balance(CaseConfig(rho_g=1000.0).props())
 
 
 def test_clift_correlation(props):
@@ -128,7 +128,7 @@ def test_clift_viscosity_dependence(props):
     # doubling mu_l shrinks N_D by 4 and Re_T accordingly; check against a
     # recomputation of the correlation with the new N_D
     re1, _ = clift_terminal_reynolds(props)
-    thick = FluidProperties(mu_l=2 * props.mu_l)
+    thick = CaseConfig(mu_l=2 * props.mu_l).props()
     re2, _ = clift_terminal_reynolds(thick)
     n_d2 = 4 * 1000 * 990 * 9.81 * 1e-9 / (3 * (1e-2) ** 2)
     logn = np.log10(n_d2)
@@ -143,9 +143,8 @@ def test_balance_and_correlation_agree(props):
     assert abs(v_balance - v_clift) / v_clift < 0.05
 
 
-def test_drag_antisymmetry(props, scales):
+def test_drag_antisymmetry(props, scales, groups):
     # alpha_l rho_l (liquid drag accel) + alpha_g rho_g (gas drag accel) = 0
-    groups = make_groups(props, scales)
     alpha_g, alpha_l = 0.02, 0.98
     v_r = 0.5
     k = drag_exchange_coefficient(v_r, props, scales, groups)

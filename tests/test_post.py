@@ -5,7 +5,6 @@ from twofluid import post
 from twofluid.caseio import CaseConfig, build_spaces, initial_state
 from twofluid.fem import FunctionSpace
 from twofluid.mesh import generate_rect_mesh
-from twofluid.physics import FluidProperties, Scales
 from twofluid.post import (UniformGridSample, gas_holdup, power_spectrum_2d,
                            psd_histogram, radial_average, sample_to_grid,
                            slip_and_reynolds)
@@ -98,6 +97,13 @@ def test_grid_shape_validation():
 def test_psd_constant_field_is_zero():
     psd = power_spectrum_2d(np.full((16, 16), 3.3))
     assert np.max(np.abs(psd)) < 1e-20
+
+
+def test_psd_dc_term_is_exactly_zero():
+    # the mean is removed, so the DC term is 0, not a roundoff residue
+    rng = np.random.default_rng(11)
+    field = 0.3 + 1e-3 * rng.standard_normal((16, 8))
+    assert power_spectrum_2d(field)[0, 0] == 0.0
 
 
 def test_psd_pure_tone():
