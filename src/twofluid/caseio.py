@@ -106,29 +106,34 @@ class CaseConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(CaseConfig)}
 
 
-def _parse_value(key, raw, lineno):
-    kind = _FIELD_TYPES[key]
+def _parse_bool(raw):
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+# field type -> (parser, what a parse error says was expected)
+_PARSERS = {"bool": (_parse_bool, "a boolean"), "int": (int, "an integer"),
+            "float": (float, "a number"), "str": (str, "text")}
+
+
+def _assign(cfg, key, raw, line=None):
+    """Parse the text `raw` as the value of config key `key` and set it.
+    Errors name the key, and the line when the text is a config file's."""
+    key = key.strip()
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown key '{key}'", line=line)
+    parse, expected = _PARSERS[_FIELD_TYPES[key]]
     raw = raw.strip()
-    if kind == "bool":
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got '{raw}'", line=lineno)
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"expected an integer, got '{raw}'",
-                              line=lineno) from exc
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"expected a number, got '{raw}'",
-                              line=lineno) from exc
-    return raw
+    try:
+        value = parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"expected {expected}, got '{raw}'", line=line,
+                          key=key) from exc
+    setattr(cfg, key, value)
 
 
 def parse_config(text):
@@ -144,10 +149,7 @@ def parse_config(text):
             raise ConfigError(f"expected 'key = value', got '{stripped}'",
                               line=lineno)
         key, raw = stripped.split("=", 1)
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown key '{key}'", line=lineno)
-        setattr(cfg, key, _parse_value(key, raw, lineno))
+        _assign(cfg, key, raw, lineno)
     return cfg.validate()
 
 
@@ -180,14 +182,11 @@ def dump_config(cfg):
 
 def apply_overrides(cfg, pairs):
     """Apply 'key=value' override strings (CLI --set) onto a config."""
-    for i, pair in enumerate(pairs):
+    for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"override '{pair}' is not key=value")
         key, raw = pair.split("=", 1)
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown key '{key}'")
-        setattr(cfg, key, _parse_value(key, raw, lineno=i + 1))
+        _assign(cfg, key, raw)
     return cfg.validate()
 
 

@@ -60,10 +60,10 @@ class ConfigError(TwoFluidError):
     """Configuration text could not be parsed or holds an invalid value."""
 
     def __init__(self, message, line=None, key=None):
-        if line is not None:
-            message = f"line {line}: {message}"
         if key is not None:
             message = f"key '{key}': {message}"
+        if line is not None:
+            message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
         self.key = key

@@ -19,13 +19,18 @@ row replacement in the unconstrained systems that `fem` assembles.
 
 The local error of a step is measured on the tentative velocities only,
 by comparing against a Heun (predictor-corrector) evaluation that reuses
-the tentative solve as its predictor, so the extra cost is one explicit
-right-hand-side evaluation per phase.
+the tentative solve as its predictor, so the extra cost per phase is one
+more velocity-dependent load evaluation and one warm-started BiCGStab
+solve of the same tentative system.
+
+The solver policy lives here: this module picks each sub-step's solver,
+tolerance, iteration cap and warm start; `linalg` and `vi` take them.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +41,7 @@ from .errors import (SolverFailureError, StagnationError, StepFailureError,
 from .linalg import solve_bicgstab, solve_cg
 from .mesh import BoundaryTag
 from .physics import make_groups
-from .vi import BoxVIProblem, solve_box_vi
+from .vi import solve_box_vi
 
 
 @dataclass
@@ -64,7 +69,7 @@ class StepReport:
     mass_balance_residual: float = 0.0
 
 
-def adapt_dt(error, tol_step, dt, dt_min=1e-9, dt_max=1e-2):
+def adapt_dt(error, tol_step, dt, dt_min, dt_max):
     """Embedded-pair controller: accept iff error <= tol_step and rescale
     dt by 0.9 sqrt(tol/error) clamped to [0.2, 2.0] and [dt_min, dt_max]."""
     if error < 0:
@@ -132,6 +137,27 @@ def alpha_dirichlet(space, cfg, t_seconds):
 
 
 # ---------------------------------------------------------------------------
+# sub-step plumbing
+
+@contextmanager
+def _substep(label):
+    """Re-raise a solver error from the block as a StepFailureError that
+    names the sub-step."""
+    try:
+        yield
+    except TwoFluidError as exc:
+        raise StepFailureError(label, exc) from exc
+
+
+def _krylov(solver, stats, key, A, b, tol, max_iter, x0):
+    """Solve A x = b from x0; record the iteration count as stats[key]."""
+    st = {}
+    x = solver(A, b, tol=tol, max_iter=max_iter, x0=x0, stats=st)
+    stats[key] = st["iterations"]
+    return x
+
+
+# ---------------------------------------------------------------------------
 # tentative velocities and the Heun error estimate
 
 def _tentative_with_error(dt, tol, props, scales, groups, closures,
@@ -155,11 +181,9 @@ def _tentative_with_error(dt, tol, props, scales, groups, closures,
         A.zero_rows(dofs)
         b = history + load
         b[dofs] = values
-        st = {}
-        v_star[phase] = solve_bicgstab(A, b, tol=tol, max_iter=5000,
-                                       x0=closures.qp.coefficients[phase],
-                                       stats=st)
-        stats[f"tentative_{phase}"] = st.get("iterations", 0)
+        v_star[phase] = _krylov(solve_bicgstab, stats, f"tentative_{phase}",
+                                A, b, tol=tol, max_iter=5000,
+                                x0=closures.qp.coefficients[phase])
         systems[phase] = (A, history, load)
 
     vsl = vec.field(v_star["liquid"])
@@ -173,10 +197,8 @@ def _tentative_with_error(dt, tol, props, scales, groups, closures,
         dofs, values = dirichlet[phase]
         b = history + 0.5 * (load_n + load_p)
         b[dofs] = values
-        st = {}
-        v_heun = solve_bicgstab(A, b, tol=tol, max_iter=5000,
-                                x0=v_star[phase], stats=st)
-        stats[f"heun_{phase}"] = st.get("iterations", 0)
+        v_heun = _krylov(solve_bicgstab, stats, f"heun_{phase}", A, b,
+                         tol=tol, max_iter=5000, x0=v_star[phase])
         norm = max(float(np.linalg.norm(v_heun)), 1.0)
         error = max(error,
                     float(np.linalg.norm(v_heun - v_star[phase])) / norm)
@@ -199,64 +221,52 @@ def step(state, dt, cfg, warm=None):
     p1 = state.alpha_g.space
     vec = state.v_l.space
     t_next_seconds = (state.t_tilde + dt) * scales.t_s
+    tol = cfg.tol_linear
     stats = {}
 
-    try:
+    with _substep("boundary-conditions"):
         dirichlet = {phase: velocity_dirichlet(vec, cfg, t_next_seconds, phase)
                      for phase in ("liquid", "gas")}
-    except TwoFluidError as exc:
-        raise StepFailureError("boundary-conditions", exc) from exc
+        alpha_nodes, alpha_values = alpha_dirichlet(p1, cfg, t_next_seconds)
 
-    try:
+    with _substep("tentative-velocity"):
         closures = fem.closure_inputs(state, props, scales, groups,
                                       cfg.alpha_ln_floor)
         vsl, vsg, error, qp_star = _tentative_with_error(
-            dt, cfg.tol_linear, props, scales, groups, closures, dirichlet,
-            stats)
-    except TwoFluidError as exc:
-        raise StepFailureError("tentative-velocity", exc) from exc
+            dt, tol, props, scales, groups, closures, dirichlet, stats)
 
-    dt_next, accepted = adapt_dt(error, cfg.tol_step, dt,
-                                 dt_min=cfg.dt_min, dt_max=cfg.dt_max)
+    dt_next, accepted = adapt_dt(error, cfg.tol_step, dt, cfg.dt_min,
+                                 cfg.dt_max)
     if not accepted:
         return state, StepReport(dt, error, False, dt_next,
                                  linear_iterations=stats)
 
-    try:
-        st = {}
+    with _substep("pressure-poisson"):
         A_p, b_p = fem.assemble_pressure_poisson(state, qp_star, dt, groups)
         # the increment scales with dt, so cache its rate across steps
         rate = None if warm is None else warm.get("delta_p_rate")
         x0 = None if rate is None or rate.size != b_p.size else rate * dt
-        delta_p = solve_cg(A_p, b_p, tol=cfg.tol_linear, max_iter=10000,
-                           x0=x0, stats=st)
+        delta_p = _krylov(solve_cg, stats, "pressure", A_p, b_p, tol=tol,
+                          max_iter=10000, x0=x0)
         if warm is not None:
             warm["delta_p_rate"] = delta_p / dt
-        stats["pressure"] = st.get("iterations", 0)
-    except TwoFluidError as exc:
-        raise StepFailureError("pressure-poisson", exc) from exc
     dp_field = p1.field(delta_p)
 
     new_v = {}
     for phase, vstar in (("liquid", vsl), ("gas", vsg)):
-        try:
-            st = {}
+        with _substep(f"velocity-update-{phase}"):
             M, b = fem.assemble_velocity_update(phase, vstar, dp_field, dt,
                                                 groups)
             dofs, values = dirichlet[phase]
             M.zero_rows(dofs)
             b[dofs] = values
-            new_v[phase] = solve_bicgstab(M, b, tol=cfg.tol_linear,
-                                          max_iter=2000,
-                                          x0=vstar.coefficients, stats=st)
-            stats[f"update_{phase}"] = st.get("iterations", 0)
-        except TwoFluidError as exc:
-            raise StepFailureError(f"velocity-update-{phase}", exc) from exc
+            new_v[phase] = _krylov(solve_bicgstab, stats, f"update_{phase}",
+                                   M, b, tol=tol, max_iter=2000,
+                                   x0=vstar.coefficients)
     v_l_new = vec.field(new_v["liquid"])
     v_g_new = vec.field(new_v["gas"])
 
-    alpha_nodes, alpha_values = alpha_dirichlet(p1, cfg, t_next_seconds)
-    try:
+    with _substep("alpha-update"):
         A_a, b_a = fem.assemble_alpha_system(state.alpha_g, v_g_new, dt)
         # scale the system by dt for the solvers: rows become O(mass).
         # Positive scaling leaves bounds and complementarity signs intact
@@ -267,23 +277,14 @@ def step(state, dt, cfg, warm=None):
         A_s.zero_rows(alpha_nodes, diag_value=dt)
         b_s = b_a * dt
         b_s[alpha_nodes] = alpha_values * dt
-        vi_iterations = 0
+        vi_stats = {"iterations": 0}
         if cfg.bounded:
-            st = {}
-            problem = BoxVIProblem(
-                A_s, b_s, np.zeros(p1.dof_count), np.ones(p1.dof_count),
-                x0=np.clip(state.alpha_g.coefficients, 0.0, 1.0))
-            alpha_new = solve_box_vi(problem, tol=cfg.tol_vi, stats=st)
-            vi_iterations = st.get("iterations", 0)
+            alpha_new = solve_box_vi(A_s, b_s, state.alpha_g.coefficients,
+                                     tol=cfg.tol_vi, stats=vi_stats)
         else:
-            st = {}
-            alpha_new = solve_bicgstab(A_s, b_s, tol=cfg.tol_linear,
-                                       max_iter=5000,
-                                       x0=state.alpha_g.coefficients,
-                                       stats=st)
-            stats["alpha"] = st.get("iterations", 0)
-    except TwoFluidError as exc:
-        raise StepFailureError("alpha-update", exc) from exc
+            alpha_new = _krylov(solve_bicgstab, stats, "alpha", A_s, b_s,
+                                tol=tol, max_iter=5000,
+                                x0=state.alpha_g.coefficients)
 
     alpha_g_new = p1.field(alpha_new)
     alpha_l_new = p1.field(1.0 - alpha_new)
@@ -294,7 +295,7 @@ def step(state, dt, cfg, warm=None):
     report = StepReport(
         dt_used=dt, local_error_estimate=error, accepted=True,
         dt_next=dt_next, linear_iterations=stats,
-        vi_iterations=vi_iterations,
+        vi_iterations=vi_stats["iterations"],
         min_alpha_g=float(alpha_new.min()),
         max_alpha_g=float(alpha_new.max()),
         mass_balance_residual=_mass_balance_residual(

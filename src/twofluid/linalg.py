@@ -143,7 +143,7 @@ def _jacobi(A):
     return 1.0 / d
 
 
-def solve_cg(A, b, tol=1e-10, max_iter=2000, x0=None, stats=None):
+def solve_cg(A, b, tol, max_iter, x0=None, stats=None):
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     Returns x with ||A x - b||_2 <= tol * ||b||_2, else raises
@@ -185,7 +185,7 @@ def solve_cg(A, b, tol=1e-10, max_iter=2000, x0=None, stats=None):
         f"(relative residual {res / nb:.3e})", residual=res, iterations=max_iter)
 
 
-def solve_bicgstab(A, b, tol=1e-10, max_iter=2000, x0=None, stats=None):
+def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None):
     """Jacobi-preconditioned BiCGStab for nonsingular (possibly
     nonsymmetric) systems.  Same residual and iteration-count contract as
     solve_cg.

@@ -123,7 +123,7 @@ class Mesh:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
 
-def generate_rect_mesh(width, height, nx, ny, diagonal="alternating"):
+def generate_rect_mesh(width, height, nx, ny, diagonal):
     """Triangulate [-width/2, width/2] x [0, height] into 2*nx*ny cells.
 
     diagonal selects how each structured quad is split:

@@ -3,8 +3,6 @@ gas-fraction field."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fem import evaluate_many
@@ -18,7 +16,7 @@ def gas_holdup(alpha_g, mesh):
     return float((areas * cell_means).sum() / areas.sum())
 
 
-def slip_and_reynolds(state, props, scales, alpha_floor=0.005):
+def slip_and_reynolds(state, props, scales, alpha_floor):
     """Average dimensional slip speed |v_g - v_l| and bubble Reynolds
     number over mesh vertices where alpha_g >= alpha_floor.
 
@@ -37,24 +35,10 @@ def slip_and_reynolds(state, props, scales, alpha_floor=0.005):
     return slip, float(bubble_reynolds(slip, props)), True
 
 
-@dataclass
-class UniformGridSample:
-    nx: int
-    ny: int
-    origin: tuple
-    spacing: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.spacing[0] <= 0 or self.spacing[1] <= 0:
-            raise ValueError("spacing must be positive")
-        if self.values.shape != (self.ny, self.nx):
-            raise ValueError("value array does not match grid dimensions")
-
-
 def sample_to_grid(field, nx, ny):
     """Sample a field at nx-by-ny cell-centered points covering the mesh
-    bounding box; values[j, i] holds row j (constant y)."""
+    bounding box.  Returns the (ny, nx) array whose row j holds the
+    points at one y."""
     if nx < 2 or ny < 2:
         raise ValueError("need nx, ny >= 2")
     lo, hi = field.space.mesh.bounds()
@@ -64,17 +48,15 @@ def sample_to_grid(field, nx, ny):
     ys = lo[1] + dy * (0.5 + np.arange(ny))
     xv, yv = np.meshgrid(xs, ys)
     pts = np.column_stack([xv.ravel(), yv.ravel()])
-    vals = evaluate_many(field, pts).reshape(ny, nx)
-    return UniformGridSample(nx, ny, (float(lo[0] + dx / 2), float(lo[1] + dy / 2)),
-                             (float(dx), float(dy)), vals)
+    return evaluate_many(field, pts).reshape(ny, nx)
 
 
 def power_spectrum_2d(grid):
-    """Power spectral density of the mean-removed field: |DFT|^2 normalized
-    by the sample count, on the unshifted DFT index grid.  The DC term is
-    exactly 0, not the roundoff left after removing the mean."""
-    values = np.asarray(grid.values if isinstance(grid, UniformGridSample)
-                        else grid, dtype=float)
+    """Power spectral density of the mean-removed (ny, nx) sample grid:
+    |DFT|^2 normalized by the sample count, on the unshifted DFT index
+    grid.  The DC term is exactly 0, not the roundoff left after removing
+    the mean."""
+    values = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("grid values must be finite")
     centered = values - values.mean()

@@ -1,88 +1,42 @@
 """Box-constrained variational inequality solver for the phase-fraction update.
 
-For an affine residual F(x) = A x - b and bounds l <= x <= u, the solution
-x* satisfies, componentwise, one of
+For an affine residual F(x) = A x - b on the box [0, 1]^n, the solution x*
+satisfies, componentwise, one of
 
-    x*_i = l_i        and  F_i(x*) >= 0,
-    l_i < x*_i < u_i  and  F_i(x*) =  0,
-    x*_i = u_i        and  F_i(x*) <= 0.
+    x*_i = 0        and  F_i(x*) >= 0,
+    0 < x*_i < 1    and  F_i(x*) =  0,
+    x*_i = 1        and  F_i(x*) <= 0.
 
-The solver is a reduced-space active-set Newton iteration: estimate the
-active bounds from the current iterate and residual signs, solve the
-unconstrained system restricted to the inactive indices, project back onto
-the box, repeat.  For an affine F each iteration is exact on its active-set
-guess, so the loop terminates once the guess stops changing; a monotone
-growth fallback guards against cycling between guesses.
+The solver is a reduced-space active-set Newton iteration (Hintermueller,
+Ito & Kunisch, SIAM J. Optim. 13, 2002): estimate the active bounds from
+the current iterate and residual signs, solve the unconstrained system
+restricted to the inactive indices, project back onto the box, repeat.
+For an affine F each iteration is exact on its active-set guess, so the
+loop terminates once the guess stops changing; a monotone growth fallback
+guards against cycling between guesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonconvergenceError
-from .linalg import SparseMatrix, lu_solve_dense, solve_bicgstab
+from .linalg import lu_solve_dense, solve_bicgstab
 
 _DENSE_CUTOFF = 400  # reduced systems up to this size go through dense LU
 
 
-@dataclass
-class BoxVIProblem:
-    a: SparseMatrix
-    b: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    x0: np.ndarray = None
-
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
-        n = self.b.size
-        self.lower = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,))
-        self.upper = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,))
-        if self.a.shape != (n, n):
-            raise ValueError("matrix and right-hand side sizes disagree")
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bounds exceed upper bounds")
-        if self.x0 is None:
-            self.x0 = np.clip(np.zeros(n), self.lower, self.upper)
-        else:
-            self.x0 = np.asarray(self.x0, dtype=float)
-
-
-@dataclass
-class VIReport:
-    """Worst complementarity violation per case; all <= tol means valid."""
-
-    lower_violation: float
-    upper_violation: float
-    interior_violation: float
-
-    def worst(self):
-        return max(self.lower_violation, self.upper_violation,
-                   self.interior_violation)
-
-    def ok(self, tol):
-        return self.worst() <= tol
-
-
-def check_vi_conditions(x, a, b, lower, upper, tol=1e-10):
-    """Evaluate the three complementarity cases for a candidate solution."""
-    x = np.asarray(x, dtype=float)
-    r = a.matvec(x) - np.asarray(b, dtype=float)
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), x.shape)
-    scale = np.maximum(1.0, np.maximum(np.abs(lower), np.abs(upper)))
-    at_lo = x <= lower + 1e-13 * scale
-    at_hi = x >= upper - 1e-13 * scale
-    fixed = at_lo & at_hi          # degenerate l == u: no residual condition
-    at_lo &= ~fixed
-    at_hi &= ~fixed
-    interior = ~(at_lo | at_hi | fixed)
+def check_vi_conditions(x, r):
+    """Worst violation of the three complementarity cases by x in [0, 1]
+    with residual r = A x - b; the conditions hold within tol iff the
+    result is <= tol."""
+    at_lo = x <= 1e-13
+    at_hi = x >= 1.0 - 1e-13
+    interior = ~(at_lo | at_hi)
     lo_v = float(np.max(-r[at_lo])) if np.any(at_lo) else 0.0
     hi_v = float(np.max(r[at_hi])) if np.any(at_hi) else 0.0
     in_v = float(np.max(np.abs(r[interior]))) if np.any(interior) else 0.0
-    return VIReport(max(lo_v, 0.0), max(hi_v, 0.0), max(in_v, 0.0))
+    return max(lo_v, hi_v, in_v, 0.0)
 
 
 def _reduced_solve(a, rhs, inactive, tol):
@@ -92,18 +46,17 @@ def _reduced_solve(a, rhs, inactive, tol):
     return solve_bicgstab(sub, rhs, tol=tol, max_iter=4000)
 
 
-def solve_box_vi(problem: BoxVIProblem, tol=1e-10, max_iter=50, stats=None):
-    """Reduced-space active-set solve of the affine box VI.
+def solve_box_vi(a, b, x0, tol, max_iter=50, stats=None):
+    """Reduced-space active-set solve of the affine VI on [0, 1]^n,
+    started from x0 clipped to the box.
 
-    The result lies in [lower, upper] exactly (final projection) and the
+    The result lies in [0, 1] exactly (final projection) and the
     three-case conditions hold within tol; otherwise NonconvergenceError
     reports the worst violation.
     """
-    a, b = problem.a, problem.b
-    lower, upper = problem.lower, problem.upper
     n = b.size
-    x = np.clip(problem.x0, lower, upper)
-    fixed = lower >= upper
+    x = np.clip(x0, 0.0, 1.0)
+    r = a.matvec(x) - b
     seen = set()
     grow = False
     act_lo = np.zeros(n, dtype=bool)
@@ -114,9 +67,8 @@ def solve_box_vi(problem: BoxVIProblem, tol=1e-10, max_iter=50, stats=None):
 
     for iterations in range(1, max_iter + 1):
         stats["iterations"] = iterations
-        r = a.matvec(x) - b
-        new_lo = (x <= lower) & (r >= 0.0) | fixed
-        new_hi = (x >= upper) & (r <= 0.0) & ~fixed
+        new_lo = (x <= 0.0) & (r >= 0.0)
+        new_hi = (x >= 1.0) & (r <= 0.0)
         if grow:
             # anti-cycling: only let the active set grow monotonically
             new_lo |= act_lo
@@ -124,16 +76,17 @@ def solve_box_vi(problem: BoxVIProblem, tol=1e-10, max_iter=50, stats=None):
         act_lo, act_hi = new_lo, new_hi
         inactive = ~(act_lo | act_hi)
 
-        x_try = np.where(act_lo, lower, np.where(act_hi, upper, x))
+        x_try = np.where(act_lo, 0.0, np.where(act_hi, 1.0, x))
         if np.any(inactive):
             pad = np.where(inactive, 0.0, x_try)
             rhs = (b - a.matvec(pad))[inactive]
             inner_tol = min(1e-12, tol * 1e-2 / max(1.0, np.linalg.norm(rhs)))
             x_try[inactive] = _reduced_solve(a, rhs, inactive, inner_tol)
-        x = np.clip(x_try, lower, upper)
+        x = np.clip(x_try, 0.0, 1.0)
 
-        report = check_vi_conditions(x, a, b, lower, upper, tol)
-        if report.ok(tol):
+        r = a.matvec(x) - b
+        worst = check_vi_conditions(x, r)
+        if worst <= tol:
             return x
 
         signature = (act_lo.tobytes(), act_hi.tobytes())
@@ -143,5 +96,5 @@ def solve_box_vi(problem: BoxVIProblem, tol=1e-10, max_iter=50, stats=None):
 
     raise NonconvergenceError(
         f"box VI solve did not converge in {max_iter} iterations "
-        f"(worst complementarity violation {report.worst():.3e})",
-        residual=report.worst(), iterations=iterations)
+        f"(worst complementarity violation {worst:.3e})",
+        residual=worst, iterations=iterations)

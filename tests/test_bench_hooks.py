@@ -1,0 +1,69 @@
+"""The span tracer of `bench/tracing.py` wraps solver functions by module
+attribute name and matches each step's Krylov solves, in call order, to
+the keys of `StepReport.linear_iterations`.  A rename or reorder under
+`src/` breaks `bench/run.py --trace 1`; this catches it in tier-1."""
+
+import os
+import sys
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench")
+sys.path.insert(0, BENCH)
+
+import tracing  # noqa: E402
+from tracing import ATTRS, ID, NAME, PARENT  # noqa: E402
+from twofluid import caseio, ipcs  # noqa: E402
+
+KRYLOV = ("linalg.bicgstab", "linalg.cg")
+
+
+def _attempts(cfg, n):
+    """n chained step attempts on 4x8 from the quiescent start."""
+    state = caseio.initial_state(cfg.build_mesh(), cfg)
+    dt, warm, reports = cfg.dt_init, {}, []
+    for _ in range(n):
+        new, report = ipcs.step(state, dt, cfg, warm=warm)
+        reports.append(report)
+        if report.accepted:
+            state = new
+        dt = report.dt_next
+    return reports
+
+
+def test_tracer_wraps_every_hook_and_matches_step_reports():
+    originals = [(owner, attr, getattr(owner, attr))
+                 for owner, attr, _ in tracing.WRAPPED]
+    assert all(callable(fn) for _, _, fn in originals)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        reports = (_attempts(caseio.CaseConfig(nx=4, ny=8), 6)
+                   + _attempts(caseio.CaseConfig(nx=4, ny=8, bounded=False),
+                               6))
+    finally:
+        tracer.uninstall()
+    for owner, attr, fn in originals:
+        assert getattr(owner, attr) is fn
+
+    spans = tracer.spans
+    children = {}
+    for s in spans:
+        children.setdefault(s[PARENT], []).append(s)
+    tracing._label_solves(spans, children)    # raises on any mismatch
+
+    steps = [s for s in spans if s[NAME] == "ipcs.step"]
+    assert len(steps) == len(reports)
+    assert any(r.accepted for r in reports)
+    assert any(not r.accepted for r in reports)
+    assert any("alpha" in r.linear_iterations for r in reports)
+    for span, report in zip(steps, reports):
+        below = children.get(span[ID], [])
+        solves = [c for c in below if c[NAME] in KRYLOV]
+        assert [c[ATTRS]["substep"] for c in solves] == [
+            key.split("_")[0] for key in report.linear_iterations]
+        vi = [c[ATTRS]["iters"] for c in below
+              if c[NAME] == "vi.solve_box_vi"]
+        bounded = report.accepted and "alpha" not in report.linear_iterations
+        assert vi == ([report.vi_iterations] if bounded else [])
+    assert any(s[NAME] == "vi.reduced.lu" for s in spans)

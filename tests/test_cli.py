@@ -56,8 +56,8 @@ def test_analyze_matches_sampling_on_the_original_mesh(tmp_path, capsys):
     alpha = caseio.read_snapshot(last)[2]["alpha_g"]
     grid = post.sample_to_grid(fem.FunctionSpace.scalar_p1(mesh).field(alpha),
                                8, 16)
-    assert grid.values.max() > 0.0
-    assert (f"holdup on grid = {grid.values.mean():.6f}"
+    assert grid.max() > 0.0
+    assert (f"holdup on grid = {grid.mean():.6f}"
             in capsys.readouterr().out)
     _, power, _ = post.radial_average(post.power_spectrum_2d(grid))
     rows = (tmp_path / "spectra" / "spectrum_radial.csv").read_text()
@@ -110,6 +110,13 @@ def test_configuration_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err
+
+
+def test_override_error_names_the_key(capsys):
+    assert cli.main(["run", "--set", "ny=4", "--set", "nx=abc"]) == 2
+    err = capsys.readouterr().err
+    assert "nx" in err and "abc" in err
+    assert "line" not in err
 
 
 def test_stagnating_run_exits_3(tmp_path, capsys):

@@ -224,7 +224,7 @@ def test_dirichlet_rows_enforced():
     values = np.full(dofs.size, 0.25)
     A, b = tentative_system("gas", state, 0.1, groups,
                             dirichlet=(dofs, values))
-    x = solve_bicgstab(A, b, tol=1e-12)
+    x = solve_bicgstab(A, b, tol=1e-12, max_iter=2000)
     assert x[dofs] == pytest.approx(values, abs=1e-10)
 
 
@@ -248,7 +248,7 @@ def test_pressure_zero_tentative_gives_zero_increment():
     A, b = assemble_pressure_poisson(
         state, sampled(vec.field(), vec.field(), groups), 0.01, groups)
     assert np.max(np.abs(b)) == 0.0
-    dp = solve_cg(A, b, tol=1e-12)
+    dp = solve_cg(A, b, tol=1e-12, max_iter=2000)
     assert np.max(np.abs(dp)) == 0.0
 
 
@@ -300,7 +300,7 @@ def test_update_identity_for_zero_increment():
     groups = make_groups(PROPS, SCALES, CFG.c_p)
     v_star = vec.interpolate(lambda x, y: (np.sin(x), y))
     M, b = assemble_velocity_update("liquid", v_star, p1.field(), 0.01, groups)
-    v_new = solve_cg(M, b, tol=1e-13)
+    v_new = solve_cg(M, b, tol=1e-13, max_iter=2000)
     assert v_new == pytest.approx(v_star.coefficients, abs=1e-10)
 
 
@@ -312,7 +312,7 @@ def test_update_constant_pressure_slope():
     dp = p1.field(s * p1.node_coords[:, 1])
     dt = 0.01
     M, b = assemble_velocity_update("gas", vec.field(), dp, dt, groups)
-    v_new = solve_cg(M, b, tol=1e-13)
+    v_new = solve_cg(M, b, tol=1e-13, max_iter=2000)
     expect = vec.interpolate(lambda x, y: (0.0, -dt * groups.eu_g * s))
     assert v_new == pytest.approx(expect.coefficients, abs=1e-9)
 
@@ -330,7 +330,7 @@ def test_alpha_zero_velocity_is_mass_over_dt():
     A, b = assemble_alpha_system(alpha_old, vec.field(), dt)
     M = mass_matrix(p1)
     assert A.to_dense() == pytest.approx(M.to_dense() / dt, abs=1e-13)
-    x = solve_bicgstab(A, b, tol=1e-13)
+    x = solve_bicgstab(A, b, tol=1e-13, max_iter=2000)
     assert x == pytest.approx(alpha_old.coefficients, abs=1e-10)
 
 

@@ -82,12 +82,12 @@ def test_rejected_step_returns_input_state_unchanged(started):
 
 
 def test_adapt_dt_clamps_and_stagnates():
-    assert ipcs.adapt_dt(0.0, 1e-4, 9e-3, dt_max=1e-2) == (1e-2, True)
-    dt_next, accepted = ipcs.adapt_dt(1.0, 1e-4, 1e-3)
+    assert ipcs.adapt_dt(0.0, 1e-4, 9e-3, 1e-9, 1e-2) == (1e-2, True)
+    dt_next, accepted = ipcs.adapt_dt(1.0, 1e-4, 1e-3, 1e-9, 1e-2)
     assert not accepted
     assert dt_next == pytest.approx(2e-4)          # factor clamped at 0.2
     with pytest.raises(StagnationError):
-        ipcs.adapt_dt(1.0, 1e-4, 1e-8, dt_min=1e-8)
+        ipcs.adapt_dt(1.0, 1e-4, 1e-8, 1e-8, 1e-2)
 
 
 def test_step_raises_stagnation_below_dt_min(started):
@@ -107,19 +107,47 @@ def test_local_error_estimate_is_second_order(started):
     assert 3.0 <= ratio <= 5.0
 
 
-def test_step_failure_names_the_sub_step(started, monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise NonconvergenceError("no convergence", residual=1.0,
-                                  iterations=10000)
+def _failing_on_call(fn, n, error):
+    """fn, except that its n-th call (from 1) raises `error`."""
+    calls = []
 
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise error
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_step_failure_names_the_sub_step(started, monkeypatch):
     cfg, states, _ = started
     _, report = ipcs.step(states[-1], 1e-7, cfg)
-    assert report.accepted            # so the step reaches the pressure solve
-    monkeypatch.setattr(ipcs, "solve_cg", no_convergence)
-    with pytest.raises(StepFailureError) as exc:
-        ipcs.step(states[-1], 1e-7, cfg)
-    assert exc.value.substep == "pressure-poisson"
-    assert isinstance(exc.value.cause, NonconvergenceError)
+    assert report.accepted            # so the step reaches every sub-step
+    # an accepted step's BiCGStab calls: tentative and Heun for each
+    # phase, then the two velocity updates
+    assert list(report.linear_iterations) == [
+        "tentative_liquid", "tentative_gas", "heun_liquid", "heun_gas",
+        "pressure", "update_liquid", "update_gas"]
+    cases = [
+        ("boundary-conditions", "velocity_dirichlet", 1),
+        ("tentative-velocity", "solve_bicgstab", 1),
+        ("tentative-velocity", "solve_bicgstab", 3),        # Heun
+        ("pressure-poisson", "solve_cg", 1),
+        ("velocity-update-liquid", "solve_bicgstab", 5),
+        ("velocity-update-gas", "solve_bicgstab", 6),
+        ("alpha-update", "solve_box_vi", 1),
+    ]
+    for substep, name, failing_call in cases:
+        cause = NonconvergenceError("no convergence", residual=1.0,
+                                    iterations=10000)
+        with monkeypatch.context() as patch:
+            patch.setattr(ipcs, name, _failing_on_call(
+                getattr(ipcs, name), failing_call, cause))
+            with pytest.raises(StepFailureError) as exc:
+                ipcs.step(states[-1], 1e-7, cfg)
+        assert exc.value.substep == substep, (name, failing_call)
+        assert exc.value.cause is cause
 
 
 def _snapshot_index(path):

@@ -5,9 +5,8 @@ from twofluid import post
 from twofluid.caseio import CaseConfig, build_spaces, initial_state
 from twofluid.fem import FunctionSpace
 from twofluid.mesh import generate_rect_mesh
-from twofluid.post import (UniformGridSample, gas_holdup, power_spectrum_2d,
-                           psd_histogram, radial_average, sample_to_grid,
-                           slip_and_reynolds)
+from twofluid.post import (gas_holdup, power_spectrum_2d, psd_histogram,
+                           radial_average, sample_to_grid, slip_and_reynolds)
 
 
 @pytest.fixture
@@ -50,7 +49,8 @@ def _state_with_slip(vy):
 def test_slip_matches_correlation_speed():
     state, cfg = _state_with_slip(0.0572)
     state.alpha_g.coefficients[:] = 0.02
-    slip, re_b, ok = slip_and_reynolds(state, cfg.props(), cfg.scales())
+    slip, re_b, ok = slip_and_reynolds(state, cfg.props(), cfg.scales(),
+                                     cfg.slip_alpha_floor)
     assert ok
     assert slip == pytest.approx(0.0572, rel=1e-12)
     assert re_b == pytest.approx(11.44, rel=1e-10)
@@ -59,23 +59,26 @@ def test_slip_matches_correlation_speed():
 def test_slip_zero_when_phases_match():
     state, cfg = _state_with_slip(0.0)
     state.alpha_g.coefficients[:] = 0.02
-    slip, re_b, ok = slip_and_reynolds(state, cfg.props(), cfg.scales())
+    slip, re_b, ok = slip_and_reynolds(state, cfg.props(), cfg.scales(),
+                                     cfg.slip_alpha_floor)
     assert ok and slip == 0.0 and re_b == 0.0
 
 
 def test_slip_empty_region_flag():
     state, cfg = _state_with_slip(0.1)
-    slip, re_b, ok = slip_and_reynolds(state, cfg.props(), cfg.scales())
+    slip, re_b, ok = slip_and_reynolds(state, cfg.props(), cfg.scales(),
+                                     cfg.slip_alpha_floor)
     assert not ok and slip == 0.0 and re_b == 0.0
 
 
 def test_sample_to_grid_constant_and_linear(column):
     mesh, p1 = column
     const = sample_to_grid(p1.field(np.full(p1.dof_count, 0.7)), 8, 16)
-    assert const.values == pytest.approx(0.7 * np.ones((16, 8)))
+    assert const == pytest.approx(0.7 * np.ones((16, 8)))
     lin = sample_to_grid(p1.field(p1.node_coords[:, 0]), 8, 16)
-    assert lin.values[0] == pytest.approx(lin.origin[0]
-                                          + lin.spacing[0] * np.arange(8))
+    (x0, _), (x1, _) = mesh.bounds()
+    dx = (x1 - x0) / 8
+    assert lin[0] == pytest.approx(x0 + dx * (0.5 + np.arange(8)))
 
 
 def test_grid_mean_approximates_holdup(column):
@@ -83,15 +86,18 @@ def test_grid_mean_approximates_holdup(column):
     rng = np.random.default_rng(5)
     alpha = p1.field(rng.uniform(0.0, 0.05, p1.dof_count))
     grid = sample_to_grid(alpha, 32, 64)
-    assert grid.values.mean() == pytest.approx(gas_holdup(alpha, mesh),
+    assert grid.mean() == pytest.approx(gas_holdup(alpha, mesh),
                                                abs=0.05 * 0.05)
 
 
-def test_grid_shape_validation():
+def test_grid_shape_validation(column):
+    _, p1 = column
+    alpha = p1.field(np.zeros(p1.dof_count))
+    assert sample_to_grid(alpha, 4, 3).shape == (3, 4)
     with pytest.raises(ValueError):
-        UniformGridSample(4, 4, (0, 0), (1.0, 1.0), np.zeros((3, 4)))
+        sample_to_grid(alpha, 1, 3)
     with pytest.raises(ValueError):
-        UniformGridSample(4, 3, (0, 0), (0.0, 1.0), np.zeros((3, 4)))
+        sample_to_grid(alpha, 4, 1)
 
 
 def test_psd_constant_field_is_zero():

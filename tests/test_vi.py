@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twofluid.linalg import SparseMatrix
-from twofluid.vi import BoxVIProblem, check_vi_conditions, solve_box_vi
+from twofluid.vi import check_vi_conditions, solve_box_vi
 
 
 def _sparse_from_dense(dense):
@@ -16,15 +16,15 @@ def _identity(n):
     return _sparse_from_dense(np.eye(n))
 
 
-def box_qp_minimizer(dense, b, lower, upper):
-    """Brute-force minimizer of 0.5 x'Ax - b'x over the box, by enumerating
-    all lower/interior/upper patterns and keeping the best feasible KKT
-    candidate.  Exponential; keep n <= 10."""
+def box_qp_minimizer(dense, b):
+    """Brute-force minimizer of 0.5 x'Ax - b'x over [0, 1]^n, by
+    enumerating all lower/interior/upper patterns and keeping the best
+    feasible KKT candidate.  Exponential; keep n <= 10."""
     n = b.size
     best, best_val = None, np.inf
     for pattern in itertools.product((-1, 0, 1), repeat=n):
         pattern = np.array(pattern)
-        x = np.where(pattern == -1, lower, np.where(pattern == 1, upper, 0.0))
+        x = np.where(pattern == 1, 1.0, 0.0)
         interior = pattern == 0
         if np.any(interior):
             sub = dense[np.ix_(interior, interior)]
@@ -33,59 +33,41 @@ def box_qp_minimizer(dense, b, lower, upper):
                 x[interior] = np.linalg.solve(sub, rhs)
             except np.linalg.LinAlgError:
                 continue
-        if np.any(x < lower - 1e-9) or np.any(x > upper + 1e-9):
+        if np.any(x < -1e-9) or np.any(x > 1.0 + 1e-9):
             continue
         r = dense @ x - b
         if np.any(r[pattern == -1] < -1e-9) or np.any(r[pattern == 1] > 1e-9):
             continue
         val = 0.5 * x @ dense @ x - b @ x
         if val < best_val:
-            best, best_val = np.clip(x, lower, upper), val
+            best, best_val = np.clip(x, 0.0, 1.0), val
     return best
 
 
 def test_unconstrained_feasible_interior():
     n = 4
     b = np.full(n, 0.5)
-    prob = BoxVIProblem(_identity(n), b, np.zeros(n), np.ones(n))
-    x = solve_box_vi(prob)
+    x = solve_box_vi(_identity(n), b, np.zeros(n), 1e-10)
     assert x == pytest.approx(b)
 
 
 def test_diagonal_projection():
     b = np.array([-0.3, 0.5, 1.2])
-    prob = BoxVIProblem(_identity(3), b, np.zeros(3), np.ones(3))
-    x = solve_box_vi(prob)
+    x = solve_box_vi(_identity(3), b, np.zeros(3), 1e-10)
     assert x == pytest.approx([0.0, 0.5, 1.0])
-    a = _identity(3)
-    r = a.matvec(x) - b
+    r = _identity(3).matvec(x) - b
     assert r == pytest.approx([0.3, 0.0, -0.2])
-    assert check_vi_conditions(x, a, b, np.zeros(3), np.ones(3)).ok(1e-10)
-
-
-def test_inconsistent_bounds_rejected():
-    with pytest.raises(ValueError):
-        BoxVIProblem(_identity(2), np.zeros(2),
-                     np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    assert check_vi_conditions(x, r) <= 1e-10
 
 
 def test_report_flags_interior_violation():
-    a = _identity(3)
-    b = np.array([0.2, 0.3, 0.4])
-    x = np.array([0.5, 0.3, 0.4])  # first component off
-    rep = check_vi_conditions(x, a, b, np.zeros(3), np.ones(3))
-    assert rep.interior_violation == pytest.approx(0.3)
-    assert not rep.ok(1e-10)
-
-
-def test_degenerate_equal_bounds():
-    lower = np.array([0.0, 0.5, 0.0])
-    upper = np.array([1.0, 0.5, 1.0])
-    b = np.array([0.2, 5.0, 0.9])
-    prob = BoxVIProblem(_identity(3), b, lower, upper)
-    x = solve_box_vi(prob)
-    assert x[1] == 0.5
-    assert check_vi_conditions(x, _identity(3), b, lower, upper).ok(1e-10)
+    x = np.array([0.5, 0.3, 0.4])
+    r = np.array([0.3, 0.0, 0.0])  # first component off
+    assert check_vi_conditions(x, r) == pytest.approx(0.3)
+    # wrong residual signs at the bounds
+    x = np.array([0.0, 1.0, 0.4])
+    assert check_vi_conditions(x, np.array([-0.2, 0.0, 0.0])) == 0.2
+    assert check_vi_conditions(x, np.array([0.0, 0.1, 0.0])) == 0.1
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -95,14 +77,13 @@ def test_matches_exhaustive_qp_oracle(seed):
     q = rng.standard_normal((n, n))
     dense = q.T @ q + np.eye(n)
     b = rng.standard_normal(n) * 2.0
-    lower, upper = np.zeros(n), np.ones(n)
-    prob = BoxVIProblem(_sparse_from_dense(dense), b, lower, upper)
-    x = solve_box_vi(prob, tol=1e-10)
+    a = _sparse_from_dense(dense)
+    x = solve_box_vi(a, b, np.zeros(n), tol=1e-10)
     assert np.all(x >= 0.0) and np.all(x <= 1.0)
-    oracle = box_qp_minimizer(dense, b, lower, upper)
+    oracle = box_qp_minimizer(dense, b)
     assert oracle is not None
     assert np.max(np.abs(x - oracle)) <= 1e-8
-    assert check_vi_conditions(x, prob.a, b, lower, upper).ok(1e-10)
+    assert check_vi_conditions(x, a.matvec(x) - b) <= 1e-10
 
 
 def test_unconstrained_consistency():
@@ -112,8 +93,7 @@ def test_unconstrained_consistency():
     dense = q.T @ q + n * np.eye(n)
     x_ref = rng.uniform(0.3, 0.7, n)  # strictly interior target
     b = dense @ x_ref
-    prob = BoxVIProblem(_sparse_from_dense(dense), b, np.zeros(n), np.ones(n))
-    x = solve_box_vi(prob, tol=1e-12)
+    x = solve_box_vi(_sparse_from_dense(dense), b, np.zeros(n), tol=1e-12)
     assert x == pytest.approx(x_ref, abs=1e-9)
 
 
@@ -128,6 +108,5 @@ def test_large_reduced_system_uses_iterative_path():
     vals = np.concatenate([diag, np.full(n - 1, -0.5), np.full(n - 1, -0.5)])
     a = SparseMatrix.from_coo(rows, cols, vals, (n, n))
     b = rng.standard_normal(n)
-    prob = BoxVIProblem(a, b, np.zeros(n), np.ones(n))
-    x = solve_box_vi(prob, tol=1e-10)
-    assert check_vi_conditions(x, a, b, np.zeros(n), np.ones(n)).ok(1e-10)
+    x = solve_box_vi(a, b, np.zeros(n), tol=1e-10)
+    assert check_vi_conditions(x, a.matvec(x) - b) <= 1e-10
