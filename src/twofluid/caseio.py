@@ -88,8 +88,12 @@ class CaseConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError("must be positive", key=name)
-        if self.nx < 1 or self.ny < 1:
-            raise ConfigError("mesh resolution must be at least 1", key="nx")
+        for name in ("nx", "ny"):
+            if getattr(self, name) < 1:
+                raise ConfigError("mesh resolution must be at least 1",
+                                  key=name)
+        if self.dt_min > self.dt_max:
+            raise ConfigError("must not exceed dt_max", key="dt_min")
         if self.diagonal not in ("right", "left", "alternating"):
             raise ConfigError(f"unknown rule '{self.diagonal}'", key="diagonal")
         if self.t_end < 0:

@@ -105,6 +105,13 @@ class FunctionSpace:
     the strain-stiffness data `keps_data`, the basis `g_basis` of the
     grad(ln alpha) coupling, the integrals of the basis `int_phi6`, and
     the assembled `mass_matrix` and `keps_matrix`.
+
+    The vector mass matrix couples only equal components (m6 (x) I2), so
+    half the entries of the space's pattern are exact zeros there.
+    `mass_matrix` stores only the same-component entries, masked out of
+    the full CSR matrix (no second pattern): its dense form and its
+    matvec equal the full matrix's bit for bit.  `mass_data` keeps the
+    full pattern, for sums with the other operators.
     """
 
     def __init__(self, kind, mesh):
@@ -193,7 +200,11 @@ class FunctionSpace:
         self.keps_data = self.pattern.assemble_data(keps.reshape(-1, 144))
         self.g_basis = gbasis.reshape(2, -1, 144)
         self.int_phi6 = det[:, None] * np.einsum("q,qi->i", w, n6)
-        self.mass_matrix = self.pattern.matrix(self.mass_data)
+        full = self.pattern.matrix(self.mass_data)
+        # dof parity is the component: keep entries whose row and column agree
+        row_odd = np.repeat(np.arange(self.dof_count) % 2 == 1,
+                            np.diff(full.indptr))
+        self.mass_matrix = full.keep_entries(row_odd == (full.indices % 2 == 1))
         self.keps_matrix = self.pattern.matrix(self.keps_data)
 
     @classmethod
@@ -399,7 +410,7 @@ def closure_inputs(state, props, scales, groups, alpha_ln_floor):
             np.log(np.maximum(alpha.coefficients, alpha_ln_floor)))
         grad_ln[phase] = g
         g_data[phase] = space.pattern.assemble_data(
-            g[:, 0, None] * gb[0] + g[:, 1, None] * gb[1])
+            np.einsum("ck,kce->ce", g, gb))
     alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
     alpha_l_qp = p1.p1_at_qp(state.alpha_l.coefficients)
     grav = np.zeros((space.mesh.n_cells, 2))
@@ -430,15 +441,20 @@ def velocity_dependent_load(phase, qp, groups, closures):
         ratio_signed = np.broadcast_to(-groups.rho_ratio, qp.kdrag.shape)
         cp_liquid, cp_gas = 0.0, 2.0 * groups.c_p * groups.rho_ratio
 
+    # 2x2 products per quadrature point as explicit two-term sums: a
+    # batched matmul over (nc, nq) tiny matrices is several times slower
     v_qp = qp.value(phase)
-    conv = np.matmul(qp.grad(phase), v_qp[:, :, :, None])[:, :, :, 0]
+    dv = qp.grad(phase)
+    conv = dv[..., 0] * v_qp[..., 0, None] + dv[..., 1] * v_qp[..., 1, None]
     f_qp = (ratio_signed * qp.kdrag)[:, :, None] * qp.vr - conv
     if cp_liquid != 0.0:
         f_qp = f_qp - (cp_liquid * (qp.vr_norm ** 2)[:, :, None]
                        * closures.grad_ln_alpha_l[:, None, :])
     if cp_gas != 0.0:
         dvr = qp.dv_g - qp.dv_l
-        f_qp = f_qp + cp_gas * np.matmul(qp.vr[:, :, None, :], dvr)[:, :, 0, :]
+        vr = qp.vr
+        f_qp = f_qp + cp_gas * (vr[..., 0, None] * dvr[..., 0, :]
+                                + vr[..., 1, None] * dvr[..., 1, :])
     b = _load_vector(space, f_qp)
     b -= eu * closures.pressure_load
     b += closures.gravity_load
@@ -514,15 +530,17 @@ def assemble_pressure_poisson(state, qp, dt, groups):
 
 def assemble_velocity_update(phase, v_star, delta_p, dt, groups):
     """Mass system M v(n+1) = M v* - dt Eu_q < grad dP, phi >, without
-    boundary constraints."""
+    boundary constraints.  M is a copy of the space's `mass_matrix`, so it
+    stores no cross-component entries."""
     if phase not in ("liquid", "gas"):
         raise ValueError(f"unknown phase '{phase}'")
     space = v_star.space
     eu = groups.eu_l if phase == "liquid" else groups.eu_g
     dp_cell = delta_p.space.p1_cell_gradient(delta_p.coefficients)
-    b = space.mass_matrix.matvec(v_star.coefficients)
+    M = space.mass_matrix
+    b = M.matvec(v_star.coefficients)
     b -= dt * eu * _const_grad_load(space, dp_cell)
-    return space.pattern.matrix(space.mass_data.copy()), b
+    return M.with_data(M.data.copy()), b
 
 
 def assemble_alpha_system(alpha_old, v_g_new, dt):

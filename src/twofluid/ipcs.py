@@ -25,6 +25,10 @@ solve of the same tentative system.
 
 The solver policy lives here: this module picks each sub-step's solver,
 tolerance, iteration cap and warm start; `linalg` and `vi` take them.
+Warm starts that carry across steps (the tentative velocities and the
+pressure increment) are cached as rates of change per unit dt, so that a
+guess scales with the step it starts (cf. Fischer, CMAME 163, 1998, on
+reusing previous solutions as initial guesses).
 """
 
 from __future__ import annotations
@@ -149,6 +153,13 @@ def _substep(label):
         raise StepFailureError(label, exc) from exc
 
 
+def _from_rate(warm, key, dt, size):
+    """dt times the rate cached as warm[key], or None when the cache holds
+    no rate of this size (no cache, a first step, another mesh)."""
+    rate = None if warm is None else warm.get(key)
+    return None if rate is None or rate.size != size else rate * dt
+
+
 def _krylov(solver, stats, key, A, b, tol, max_iter, x0):
     """Solve A x = b from x0; record the iteration count as stats[key]."""
     st = {}
@@ -161,7 +172,7 @@ def _krylov(solver, stats, key, A, b, tol, max_iter, x0):
 # tentative velocities and the Heun error estimate
 
 def _tentative_with_error(dt, tol, props, scales, groups, closures,
-                          dirichlet, stats):
+                          dirichlet, stats, warm):
     """Solve both tentative velocities and estimate the local error.
 
     The Heun comparison value re-solves the same constrained tentative
@@ -169,6 +180,9 @@ def _tentative_with_error(dt, tol, props, scales, groups, closures,
     the predictor (one extra solve per phase, warm-started), so boundary
     handling is identical on both paths and the difference is O(dt^2).
     `dirichlet` maps each phase to its velocity (dofs, values) at t + dt.
+    Each tentative solve starts from v(n) + dt * rate, with the rate
+    (v* - v(n))/dt of the last attempt cached in `warm` (rejected attempts
+    included), or from v(n) without one.
     Returns (v*_l, v*_g, error, v* sampled at the quadrature points)."""
     vec = closures.qp.space
 
@@ -181,9 +195,14 @@ def _tentative_with_error(dt, tol, props, scales, groups, closures,
         A.zero_rows(dofs)
         b = history + load
         b[dofs] = values
-        v_star[phase] = _krylov(solve_bicgstab, stats, f"tentative_{phase}",
-                                A, b, tol=tol, max_iter=5000,
-                                x0=closures.qp.coefficients[phase])
+        vn = closures.qp.coefficients[phase]
+        key = f"tentative_rate_{phase}"
+        step_guess = _from_rate(warm, key, dt, vn.size)
+        v_star[phase] = _krylov(
+            solve_bicgstab, stats, f"tentative_{phase}", A, b, tol=tol,
+            max_iter=5000, x0=vn if step_guess is None else vn + step_guess)
+        if warm is not None:
+            warm[key] = (v_star[phase] - vn) / dt
         systems[phase] = (A, history, load)
 
     vsl = vec.field(v_star["liquid"])
@@ -211,8 +230,15 @@ def _tentative_with_error(dt, tol, props, scales, groups, closures,
 def step(state, dt, cfg, warm=None):
     """Advance one adaptive step.  Returns (new_state, report); on
     rejection the returned state is the input state and only dt_next in
-    the report is meaningful.  `warm` is an optional cross-step cache of
-    solver starting guesses."""
+    the report is meaningful.
+
+    `warm` is an optional cross-step cache of solver starting guesses,
+    stored as rates so that they scale with the next dt: each phase's
+    tentative rate (v* - v(n))/dt under "tentative_rate_liquid" and
+    "tentative_rate_gas", written on every attempt, and the pressure
+    increment's rate dP/dt under "delta_p_rate", written on accepted
+    steps.  A cached rate of another size (another mesh) is ignored and
+    overwritten."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     props = cfg.props()
@@ -233,7 +259,7 @@ def step(state, dt, cfg, warm=None):
         closures = fem.closure_inputs(state, props, scales, groups,
                                       cfg.alpha_ln_floor)
         vsl, vsg, error, qp_star = _tentative_with_error(
-            dt, tol, props, scales, groups, closures, dirichlet, stats)
+            dt, tol, props, scales, groups, closures, dirichlet, stats, warm)
 
     dt_next, accepted = adapt_dt(error, cfg.tol_step, dt, cfg.dt_min,
                                  cfg.dt_max)
@@ -243,11 +269,9 @@ def step(state, dt, cfg, warm=None):
 
     with _substep("pressure-poisson"):
         A_p, b_p = fem.assemble_pressure_poisson(state, qp_star, dt, groups)
-        # the increment scales with dt, so cache its rate across steps
-        rate = None if warm is None else warm.get("delta_p_rate")
-        x0 = None if rate is None or rate.size != b_p.size else rate * dt
         delta_p = _krylov(solve_cg, stats, "pressure", A_p, b_p, tol=tol,
-                          max_iter=10000, x0=x0)
+                          max_iter=10000,
+                          x0=_from_rate(warm, "delta_p_rate", dt, b_p.size))
         if warm is not None:
             warm["delta_p_rate"] = delta_p / dt
     dp_field = p1.field(delta_p)

@@ -2,9 +2,10 @@
 
 The CSR format is owned here: `Pattern` is the one COO -> CSR builder (fem
 builds one per function space, `SparseMatrix.from_coo` one per call), and
-every `SparseMatrix` carries its diagonal slots, kept by `with_data` and
-`submatrix`.  Row constraints are imposed in place by `zero_rows` and
-`eliminate`; deciding which rows to constrain is the caller's business.
+every `SparseMatrix` carries its diagonal slots, kept by `with_data`,
+`keep_entries` and `submatrix`.  Row constraints are imposed in place by
+`zero_rows` and `eliminate`; deciding which rows to constrain is the
+caller's business.
 scipy.sparse is used only as the matrix-vector product backend (zero-copy
 view over the same arrays).  Solver logic, preconditioning and the
 residual contracts are local.
@@ -93,18 +94,27 @@ class SparseMatrix:
         """Same sparsity pattern, new values (shares index arrays)."""
         return SparseMatrix(self.indptr, self.indices, data, self.diag_slots)
 
+    def keep_entries(self, mask):
+        """Same shape, only the stored entries whose flag in the boolean
+        per-entry `mask` is set.  They keep their CSR order; a dropped
+        diagonal entry's slot becomes -1."""
+        # number of surviving entries before each position: its new slot
+        before = np.concatenate(([0], np.cumsum(mask)))
+        diag = self.diag_slots
+        return SparseMatrix(before[self.indptr], self.indices[mask],
+                            self.data[mask],
+                            np.where((diag >= 0) & mask[diag], before[diag],
+                                     -1))
+
     def submatrix(self, keep):
         """Rows and columns restricted to the boolean mask `keep`.  The
         surviving entries keep their CSR order, which is sorted already."""
         keep = np.asarray(keep, dtype=bool)
-        mask = np.repeat(keep, np.diff(self.indptr)) & keep[self.indices]
-        # number of surviving entries before each position: its new slot
-        before = np.concatenate(([0], np.cumsum(mask)))
-        indptr = np.append(before[self.indptr[:-1]][keep], before[-1])
-        newid = np.cumsum(keep) - 1
-        diag = self.diag_slots[keep]
-        return SparseMatrix(indptr, newid[self.indices[mask]], self.data[mask],
-                            np.where(diag >= 0, before[diag], -1))
+        kept = self.keep_entries(np.repeat(keep, np.diff(self.indptr))
+                                 & keep[self.indices])
+        return SparseMatrix(np.append(kept.indptr[:-1][keep], kept.indptr[-1]),
+                            (np.cumsum(keep) - 1)[kept.indices], kept.data,
+                            kept.diag_slots[keep])
 
     def zero_rows(self, rows, diag_value=1.0):
         """Replace the given rows by `diag_value` on the diagonal (in place).

@@ -14,6 +14,10 @@ restricted to the inactive indices, project back onto the box, repeat.
 For an affine F each iteration is exact on its active-set guess, so the
 loop terminates once the guess stops changing; a monotone growth fallback
 guards against cycling between guesses.
+
+A reduced system too large for dense LU is solved by BiCGStab started
+from the current iterate on the inactive indices, which changes little
+between active-set iterations.
 """
 
 from __future__ import annotations
@@ -39,11 +43,11 @@ def check_vi_conditions(x, r):
     return max(lo_v, hi_v, in_v, 0.0)
 
 
-def _reduced_solve(a, rhs, inactive, tol):
+def _reduced_solve(a, rhs, inactive, tol, x0):
     sub = a.submatrix(inactive)
     if sub.shape[0] <= _DENSE_CUTOFF:
         return lu_solve_dense(sub.to_dense(), rhs)
-    return solve_bicgstab(sub, rhs, tol=tol, max_iter=4000)
+    return solve_bicgstab(sub, rhs, tol=tol, max_iter=4000, x0=x0)
 
 
 def solve_box_vi(a, b, x0, tol, max_iter=50, stats=None):
@@ -81,7 +85,8 @@ def solve_box_vi(a, b, x0, tol, max_iter=50, stats=None):
             pad = np.where(inactive, 0.0, x_try)
             rhs = (b - a.matvec(pad))[inactive]
             inner_tol = min(1e-12, tol * 1e-2 / max(1.0, np.linalg.norm(rhs)))
-            x_try[inactive] = _reduced_solve(a, rhs, inactive, inner_tol)
+            x_try[inactive] = _reduced_solve(a, rhs, inactive, inner_tol,
+                                             x_try[inactive])
         x = np.clip(x_try, 0.0, 1.0)
 
         r = a.matvec(x) - b

@@ -52,6 +52,17 @@ def test_domain_invalid_value_names_key():
     assert "rho_l" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("ny = 0\n", "ny"),
+    ("nx = 0\n", "nx"),
+    ("dt_min = 0.1\ndt_max = 0.01\n", "dt_min"),
+], ids=["ny", "nx", "dt_min"])
+def test_invalid_value_names_the_wrong_key(text, key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.key == key
+
+
 def test_malformed_line_reports_position():
     with pytest.raises(ConfigError) as exc:
         parse_config("rho_l 1000\n")
@@ -69,8 +80,10 @@ def _carriable(text):
             and len(text.splitlines()) <= 1)
 
 
-def _heavier_liquid(cfg):
+def _ordered(cfg):
+    """The liquid is the heavier phase and dt_min <= dt_max."""
     cfg.rho_g, cfg.rho_l = sorted((cfg.rho_g, cfg.rho_l))
+    cfg.dt_min, cfg.dt_max = sorted((cfg.dt_min, cfg.dt_max))
     return cfg
 
 
@@ -92,7 +105,7 @@ def _valid_configs():
     by_type = {"float": positive, "bool": st.booleans()}
     return st.builds(CaseConfig, **{
         f.name: special.get(f.name, by_type.get(f.type))
-        for f in fields(CaseConfig)}).map(_heavier_liquid)
+        for f in fields(CaseConfig)}).map(_ordered)
 
 
 @given(_valid_configs())

@@ -116,6 +116,29 @@ def test_vector_mass_and_strain_stiffness_on_reference_cell(symbolic_ops):
         keps12, abs=1e-13)
 
 
+@pytest.mark.parametrize("diagonal", ["right", "left", "alternating"])
+def test_vector_mass_matrix_stores_no_cross_component_entries(diagonal):
+    vec = FunctionSpace.vector_p2(generate_rect_mesh(1.0, 2.0, 3, 4, diagonal))
+    full = mass_matrix(vec)
+    M = vec.mass_matrix
+    assert np.array_equal(M.to_dense(), full.to_dense())
+    rows = np.repeat(np.arange(vec.dof_count), np.diff(M.indptr))
+    assert np.all(rows % 2 == M.indices % 2)
+    assert 2 * M.indptr[-1] == full.indptr[-1]
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        x = rng.standard_normal(vec.dof_count)
+        assert np.array_equal(M.matvec(x), full.matvec(x))
+    # every diagonal slot survives, so the stepper can constrain rows of M
+    assert np.all(M.diag_slots >= 0)
+    assert np.array_equal(M.diagonal(), full.diagonal())
+    constrained = np.array([0, 5, vec.dof_count - 1])
+    M = M.with_data(M.data.copy())
+    M.zero_rows(constrained, diag_value=2.0)
+    full.zero_rows(constrained, diag_value=2.0)
+    assert np.array_equal(M.to_dense(), full.to_dense())
+
+
 def test_tentative_velocity_matrix_is_mass_plus_viscous(symbolic_ops):
     # single reference cell, unit dt, uniform alpha and zero velocities:
     # A = M/dt + (1/(2 Re)) Keps exactly

@@ -81,6 +81,60 @@ def test_rejected_step_returns_input_state_unchanged(started):
         assert np.array_equal(a, b)
 
 
+def _chain(cfg, n, warm):
+    """The state and dt after n attempted steps from the quiescent start,
+    chained the way `run` chains them."""
+    state = caseio.initial_state(cfg.build_mesh(), cfg)
+    dt = cfg.dt_init
+    for _ in range(n):
+        new, report = ipcs.step(state, dt, cfg, warm=warm)
+        if report.accepted:
+            state = new
+        dt = report.dt_next
+    return state, dt
+
+
+def test_warm_starts_move_a_step_only_within_solver_tolerance():
+    cfg = _config()
+    warm = {}
+    state, dt = _chain(cfg, 12, warm)
+    assert set(warm) == {"tentative_rate_liquid", "tentative_rate_gas",
+                         "delta_p_rate"}
+    new_warm, warm_report = ipcs.step(state, dt, cfg, warm=warm)
+    new_cold, cold_report = ipcs.step(state, dt, cfg, warm=None)
+    assert warm_report.accepted and cold_report.accepted
+    # the warm start must have changed the solves, not just been carried
+    assert warm_report.linear_iterations != cold_report.linear_iterations
+    assert warm_report.local_error_estimate == pytest.approx(
+        cold_report.local_error_estimate, rel=1e-5)
+    # each solve stops at relative residual tol_linear = 1e-10 from a
+    # different start; the fields differ by that times the conditioning
+    for warm_f, cold_f in zip(_fields(new_warm), _fields(new_cold)):
+        scale = max(np.abs(cold_f).max(), 1.0)
+        assert np.abs(warm_f - cold_f).max() <= 1e-7 * scale
+
+
+def test_warm_cache_from_another_mesh_is_ignored_and_replaced():
+    warm = {}
+    _chain(_config(), 6, warm)              # rates of the 4x8 mesh
+    cfg = caseio.CaseConfig(nx=2, ny=4)
+    state = caseio.initial_state(cfg.build_mesh(), cfg)
+    dt, fresh = 1e-7, {}
+    new, report = ipcs.step(state, dt, cfg, warm=warm)
+    new_fresh, fresh_report = ipcs.step(state, dt, cfg, warm=fresh)
+    assert report.accepted
+    assert report == fresh_report
+    for a, b in zip(_fields(new), _fields(new_fresh)):
+        assert np.array_equal(a, b)
+    assert set(warm) == set(fresh)
+    for key, rate in fresh.items():
+        assert np.array_equal(warm[key], rate)
+    vec = state.v_l.space
+    assert warm["tentative_rate_liquid"].size == vec.dof_count
+    assert warm["tentative_rate_gas"].size == vec.dof_count
+    assert warm["delta_p_rate"].size == state.p_l.space.dof_count
+
+
 def test_adapt_dt_clamps_and_stagnates():
     assert ipcs.adapt_dt(0.0, 1e-4, 9e-3, 1e-9, 1e-2) == (1e-2, True)
     dt_next, accepted = ipcs.adapt_dt(1.0, 1e-4, 1e-3, 1e-9, 1e-2)

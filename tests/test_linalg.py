@@ -58,6 +58,29 @@ def test_submatrix_matches_dense_slice():
                           2.0 * np.diag(ref))
 
 
+def test_keep_entries_matches_masked_dense():
+    rng = np.random.default_rng(2)
+    A, dense = _random_sparse(rng, 20)
+    mask = rng.random(A.indptr[-1]) > 0.5
+    mask[A.diag_slots[4]] = False    # drop one diagonal entry
+    mask[A.diag_slots[7]] = True
+    B = A.keep_entries(mask)
+    rows = np.repeat(np.arange(20), np.diff(A.indptr))
+    ref = np.zeros_like(dense)
+    ref[rows[mask], A.indices[mask]] = A.data[mask]
+    assert np.array_equal(B.to_dense(), ref)
+    assert B.indptr[-1] == mask.sum()
+    assert B.diag_slots[4] == -1
+    assert np.array_equal(B.diagonal(), np.diag(ref))
+    with pytest.raises(ValueError):
+        B.zero_rows([4])
+    B.zero_rows([7], diag_value=3.0)
+    ref[7] = 0.0
+    ref[7, 7] = 3.0
+    assert np.array_equal(B.to_dense(), ref)
+    assert np.array_equal(A.to_dense(), dense)    # the source is untouched
+
+
 def test_cg_identity():
     b = np.array([3.0, -1.0, 2.0])
     assert solve_cg(_identity(3), b, 1e-10, 2000) == pytest.approx(b)
