@@ -84,10 +84,13 @@ class CaseConfig:
                     "x_scale", "v_scale", "h_ref", "width", "height",
                     "tol_step", "tol_linear", "tol_vi", "alpha_ln_floor",
                     "dt_init", "dt_min", "dt_max", "inlet_ramp_time",
-                    "inlet_sigma", "inlet_half_width")
+                    "inlet_sigma", "inlet_half_width", "output_every")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError("must be positive", key=name)
+        for name in ("c_p", "t_end", "inlet_peak_velocity"):
+            if getattr(self, name) < 0:
+                raise ConfigError("must be nonnegative", key=name)
         for name in ("nx", "ny"):
             if getattr(self, name) < 1:
                 raise ConfigError("mesh resolution must be at least 1",
@@ -96,8 +99,6 @@ class CaseConfig:
             raise ConfigError("must not exceed dt_max", key="dt_min")
         if self.diagonal not in ("right", "left", "alternating"):
             raise ConfigError(f"unknown rule '{self.diagonal}'", key="diagonal")
-        if self.t_end < 0:
-            raise ConfigError("must be nonnegative", key="t_end")
         if not 0.0 <= self.inlet_peak_alpha <= 1.0:
             raise ConfigError("must lie in [0, 1]", key="inlet_peak_alpha")
         if not 0.0 < self.slip_alpha_floor < 1.0:

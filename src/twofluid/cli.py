@@ -82,7 +82,7 @@ def _cmd_run(args):
     accepted = sum(report.accepted for report in result.reports)
     print(f"finished t = {result.t_seconds[-1]:.4f} s after "
           f"{accepted} accepted steps")
-    print(f"final holdup = {result.holdup[-1]:.6f}")
+    print(f"final holdup = {result.holdup[-1]:.6g}")
     print(f"min(alpha_g) over run = {result.min_alpha_g.min():.3e}")
     print(f"series: {result.series_path}")
     return 0

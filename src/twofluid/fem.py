@@ -96,15 +96,17 @@ class FunctionSpace:
     Vector dofs interleave components node-major: dof(node, comp) =
     2*node + comp, so coefficients order as (x0, y0, x1, y1, ...).
 
-    Every space has its CSR `pattern` and the assembled `mass_data`.
+    Every space has its nodes `node_coords`, the per-cell node and dof
+    indices `node_cell_dofs` and `cell_dofs`, the `dof_count`, its CSR
+    `pattern` and the assembled `mass_data`.
     ScalarP1 adds the reference basis at the quadrature points `n3`, the
     physical basis gradients `grad_p1` (nc, 3, 2), the measure-free
     gradient products `gg` and the integrals of the basis `int_phi`.
     VectorP2 adds `n6`, the physical gradients `dn6` (nc, nq, 6, 2), the
-    basis at the centroid `n6_centroid`, the reference mass `mass_ref6`,
-    the strain-stiffness data `keps_data`, the basis `g_basis` of the
-    grad(ln alpha) coupling, the integrals of the basis `int_phi6`, and
-    the assembled `mass_matrix` and `keps_matrix`.
+    basis at the centroid `n6_centroid`, the strain-stiffness data
+    `keps_data`, the basis `g_basis` of the grad(ln alpha) coupling, the
+    integrals of the basis `int_phi6`, and the assembled `mass_matrix`
+    and `keps_matrix`.
 
     The vector mass matrix couples only equal components (m6 (x) I2), so
     half the entries of the space's pattern are exact zeros there.
@@ -130,19 +132,16 @@ class FunctionSpace:
             self.node_coords = np.concatenate([mesh.vertices, mids], axis=0)
         else:
             raise ValueError(f"unknown space kind '{kind}'")
-        self.n_nodes = self.node_coords.shape[0]
         if kind == "VectorP2":
-            self.dof_count = 2 * self.n_nodes
+            self.dof_count = 2 * self.node_coords.shape[0]
             nd = self.node_cell_dofs
             cd = np.empty((mesh.n_cells, 12), dtype=np.int64)
             cd[:, 0::2] = 2 * nd
             cd[:, 1::2] = 2 * nd + 1
             self.cell_dofs = cd
-            self.dof_coords = np.repeat(self.node_coords, 2, axis=0)
         else:
-            self.dof_count = self.n_nodes
+            self.dof_count = self.node_coords.shape[0]
             self.cell_dofs = self.node_cell_dofs
-            self.dof_coords = self.node_coords
         self._tag_nodes = {tag: self._facet_nodes(boundary_facets(mesh, tag))
                            for tag in BoundaryTag}
         cd = self.cell_dofs
@@ -194,7 +193,6 @@ class FunctionSpace:
             for a in range(2):
                 gbasis[k][:, :, a, :, a] += t_a[:, k]
                 gbasis[k][:, :, a, :, k] += t_a[:, a]
-        self.mass_ref6 = m6
         self.mass_data = self.pattern.assemble_data(
             np.einsum("ij,c->cij", m12, det))
         self.keps_data = self.pattern.assemble_data(keps.reshape(-1, 144))
@@ -640,46 +638,3 @@ def evaluate(field, point):
     """Nodal-basis interpolation at one point (exact for the space degree)."""
     return evaluate_many(field, np.asarray(point, dtype=float).reshape(1, 2))[0]
 
-
-# ---------------------------------------------------------------------------
-# boundary flux of alpha * (v . n): 2-point Gauss per facet, exact to degree 3
-
-_GAUSS2 = (0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0)))
-
-
-def _facet_quadrature(space, tags):
-    """Per-facet data for boundary flux integrals over `tags`: vertex and
-    midpoint node indices, unit outward normals, and lengths."""
-    mesh = space.mesh
-    rows = boundary_facets(mesh, *tags)
-    u = mesh.facet_vertices[rows, 0].astype(np.int64)
-    v = mesh.facet_vertices[rows, 1].astype(np.int64)
-    mid = mesh.n_vertices + mesh.facet_edges[rows]
-    tvec = mesh.vertices[v] - mesh.vertices[u]
-    length = np.hypot(tvec[:, 0], tvec[:, 1])
-    # counterclockwise traversal: outward normal is the -90 degree rotation
-    nrm = np.column_stack([tvec[:, 1], -tvec[:, 0]]) / length[:, None]
-    return u, v, mid, nrm, length
-
-
-def boundary_alpha_flux(alpha, v_field, *tags):
-    """Outward flux integral of (alpha v . n) over the tagged boundary
-    parts, by 2-point Gauss quadrature per facet (exact to cubics)."""
-    space = v_field.space
-    u, v, mid, nrm, length = _facet_quadrature(space, tags)
-    if u.size == 0:
-        return 0.0
-    coeffs = v_field.coefficients
-    au, av = alpha.coefficients[u], alpha.coefficients[v]
-    vu = np.column_stack([coeffs[2 * u], coeffs[2 * u + 1]])
-    vv = np.column_stack([coeffs[2 * v], coeffs[2 * v + 1]])
-    vm = np.column_stack([coeffs[2 * mid], coeffs[2 * mid + 1]])
-    total = 0.0
-    for sq in _GAUSS2:
-        a = (1.0 - sq) * au + sq * av
-        n0 = 2.0 * sq * sq - 3.0 * sq + 1.0
-        n1 = 2.0 * sq * sq - sq
-        nm = 4.0 * sq * (1.0 - sq)
-        vel = n0 * vu + n1 * vv + nm * vm
-        total += 0.5 * float(np.sum(length * a * np.sum(vel * nrm, axis=1)))
-    return total

@@ -63,6 +63,25 @@ def test_invalid_value_names_the_wrong_key(text, key):
     assert exc.value.key == key
 
 
+# the numeric values that stay valid at 0 (no gas at the inlet, no
+# interfacial pressure, a run that only writes its start, no inlet flow)
+VALID_AT_ZERO = {"c_p", "t_end", "inlet_peak_alpha", "inlet_peak_velocity"}
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name", [f.name for f in fields(CaseConfig)
+                                  if f.type in ("int", "float")])
+def test_zero_or_negative_numeric_value_is_rejected_naming_its_key(name,
+                                                                   value):
+    cfg = CaseConfig(**{name: value})
+    if value == 0 and name in VALID_AT_ZERO:
+        cfg.validate()
+        return
+    with pytest.raises(ConfigError) as exc:
+        cfg.validate()
+    assert exc.value.key == name
+
+
 def test_malformed_line_reports_position():
     with pytest.raises(ConfigError) as exc:
         parse_config("rho_l 1000\n")
@@ -92,8 +111,10 @@ def _valid_configs():
     positive = st.floats(min_value=0.0, exclude_min=True,
                          allow_infinity=False)
     special = {
-        "c_p": st.floats(allow_nan=False, allow_infinity=False),
+        "c_p": st.floats(min_value=0.0, allow_infinity=False),
         "t_end": st.floats(min_value=0.0, allow_infinity=False),
+        "inlet_peak_velocity": st.floats(min_value=0.0,
+                                         allow_infinity=False),
         "inlet_peak_alpha": st.floats(min_value=0.0, max_value=1.0),
         "slip_alpha_floor": st.floats(min_value=0.0, max_value=1.0,
                                       exclude_min=True, exclude_max=True),

@@ -33,6 +33,26 @@ def test_short_run_exits_0(tmp_path, capsys):
     assert f"finished t = 0.0001 s after {len(rows)} accepted steps" in out
 
 
+def test_run_prints_the_final_holdup_of_the_series(tmp_path, capsys):
+    # the holdup after 1e-4 s is of order 1e-7: printed in fixed point
+    # with 6 decimals it read 0.000000
+    _run_small(tmp_path)
+    printed = re.search(r"final holdup = (\S+)",
+                        capsys.readouterr().out).group(1)
+    rows = (tmp_path / "series.csv").read_text().splitlines()
+    column = rows[0].split(",").index("holdup")
+    holdup = float(rows[-1].split(",")[column])
+    assert holdup > 0.0
+    assert printed == f"{holdup:.6g}"
+
+
+def test_unbounded_run_exits_0(tmp_path, capsys):
+    argv = ["run", *SMALL, "--t-end", "0.0001", "--unbounded",
+            "--out", str(tmp_path), "--quiet"]
+    assert cli.main(argv) == 0
+    assert "finished t = 0.0001 s" in capsys.readouterr().out
+
+
 def test_analyze_a_run_snapshot_exits_0(tmp_path, capsys):
     _run_small(tmp_path)
     last = sorted(tmp_path.glob("snap_*.vtk"))[-1]     # gas has entered
@@ -124,7 +144,8 @@ def test_override_error_names_the_key(capsys):
 
 
 @pytest.mark.parametrize("override, key", [("ny=0", "ny"),
-                                           ("dt_min=0.02", "dt_min")])
+                                           ("dt_min=0.02", "dt_min"),
+                                           ("output_every=0", "output_every")])
 def test_invalid_value_exits_2_naming_its_key(override, key, tmp_path,
                                               capsys):
     argv = ["run", *SMALL, "--set", override, "--t-end", "0.0001",

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from twofluid import vi
+from twofluid.errors import NonconvergenceError
 from twofluid.linalg import SparseMatrix
 from twofluid.vi import check_vi_conditions, solve_box_vi
 
@@ -16,12 +18,12 @@ def _identity(n):
     return _sparse_from_dense(np.eye(n))
 
 
-def box_qp_minimizer(dense, b):
-    """Brute-force minimizer of 0.5 x'Ax - b'x over [0, 1]^n, by
-    enumerating all lower/interior/upper patterns and keeping the best
-    feasible KKT candidate.  Exponential; keep n <= 10."""
+def kkt_points(dense, b):
+    """Every solution of the VI on [0, 1]^n with residual Ax - b, by
+    enumerating all lower/interior/upper patterns and keeping the
+    feasible KKT candidates.  Exponential; keep n <= 10."""
     n = b.size
-    best, best_val = None, np.inf
+    points = []
     for pattern in itertools.product((-1, 0, 1), repeat=n):
         pattern = np.array(pattern)
         x = np.where(pattern == 1, 1.0, 0.0)
@@ -38,10 +40,15 @@ def box_qp_minimizer(dense, b):
         r = dense @ x - b
         if np.any(r[pattern == -1] < -1e-9) or np.any(r[pattern == 1] > 1e-9):
             continue
-        val = 0.5 * x @ dense @ x - b @ x
-        if val < best_val:
-            best, best_val = np.clip(x, 0.0, 1.0), val
-    return best
+        points.append(np.clip(x, 0.0, 1.0))
+    return points
+
+
+def box_qp_minimizer(dense, b):
+    """Brute-force minimizer of 0.5 x'Ax - b'x over [0, 1]^n (A
+    symmetric): the best of the KKT points."""
+    return min(kkt_points(dense, b), default=None,
+               key=lambda x: 0.5 * x @ dense @ x - b @ x)
 
 
 def test_unconstrained_feasible_interior():
@@ -110,3 +117,67 @@ def test_large_reduced_system_uses_iterative_path():
     b = rng.standard_normal(n)
     x = solve_box_vi(a, b, np.zeros(n), tol=1e-10)
     assert check_vi_conditions(x, a.matvec(x) - b) <= 1e-10
+
+
+# A nonsymmetric P-matrix instance on which the active-set guesses cycle
+# (draw 7,517 of default_rng(1): n = integers(2, 6), q and s standard
+# normal (n, n), A = 0.2 q'q + (s - s') uniform(0, 3) + 0.1 I,
+# b = 2 standard_normal(n), x0 = uniform(0, 1, n)).  Its symmetric part is
+# positive definite, so the VI has exactly one solution.
+CYCLING_A = np.array([
+    [1.0967852010873023, -5.854402365424064, 1.1439721720537004,
+     1.9518692444884174, 1.6672415758530728],
+    [5.573749037611916, 0.7411669440223566, 1.9260738819514631,
+     -4.690428312366583, -1.9020112150012365],
+    [-0.6127221069839044, -2.2206912580134657, 0.9341654586701835,
+     3.365263449972832, 3.0863682671830905],
+    [-3.0808519094703266, 5.025843603241768, -3.5214338987617646,
+     0.6133201627601448, 5.274498719980288],
+    [-1.2474689676891824, 1.694325163534497, -2.9879875048924602,
+     -5.563723263767725, 0.1574195164877746]])
+CYCLING_B = np.array([-0.8796380618975607, -0.012364120236354902,
+                      -4.141300180397659, 0.1758511653373288,
+                      -0.9008232709717532])
+CYCLING_X0 = np.array([0.42733246130686475, 0.20657701174590926,
+                       0.27309815382141056, 0.7135633226481157,
+                       0.6868774650644783])
+
+
+def test_anti_cycling_fallback_resolves_a_cycling_instance(monkeypatch):
+    revisits = []
+
+    class SeenLog(set):
+        """The solver's set of visited active-set guesses, logging each
+        revisit (the trigger of the monotone-growth fallback)."""
+
+        def __contains__(self, item):
+            found = super().__contains__(item)
+            if found:
+                revisits.append(item)
+            return found
+
+    monkeypatch.setattr(vi, "set", SeenLog, raising=False)
+    a = _sparse_from_dense(CYCLING_A)
+    stats = {}
+    x = solve_box_vi(a, CYCLING_B, CYCLING_X0, tol=1e-10, stats=stats)
+    assert revisits                               # the guesses cycled
+    assert stats["iterations"] == 7
+    (oracle,) = kkt_points(CYCLING_A, CYCLING_B)
+    assert np.max(np.abs(x - oracle)) <= 1e-10
+    assert check_vi_conditions(x, a.matvec(x) - CYCLING_B) <= 1e-10
+
+
+class _NeverSeen(set):
+    """A set of visited guesses that never reports a revisit, so the
+    fallback never engages."""
+
+    def __contains__(self, item):
+        return False
+
+
+def test_without_the_fallback_the_cycling_instance_fails(monkeypatch):
+    monkeypatch.setattr(vi, "set", _NeverSeen, raising=False)
+    with pytest.raises(NonconvergenceError) as exc:
+        solve_box_vi(_sparse_from_dense(CYCLING_A), CYCLING_B, CYCLING_X0,
+                     tol=1e-10)
+    assert exc.value.iterations == 50
