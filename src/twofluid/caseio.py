@@ -253,8 +253,8 @@ def write_snapshot(state, mesh, path):
     """Legacy-VTK ASCII unstructured grid with point data alpha_g and
     pressure plus 3-component vectors v_g, v_l sampled at the vertices."""
     nv = mesh.n_vertices
-    alpha = state.alpha_g.coefficients[:nv]
-    pressure = state.p_l.coefficients[:nv]
+    alpha = state.alpha_g.vertex_values()
+    pressure = state.p_l.vertex_values()
     v_g = state.v_g.vertex_values()
     v_l = state.v_l.vertex_values()
     grid = mesh.grid or {}

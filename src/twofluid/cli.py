@@ -121,7 +121,7 @@ def _cmd_analyze(args):
         fh.write("bin_lo,bin_hi,count\n")
         for lo, hi, c in zip(edges[:-1], edges[1:], hist):
             fh.write(f"{lo:.17g},{hi:.17g},{c}\n")
-    print(f"holdup on grid = {grid.mean():.6f}")
+    print(f"holdup on grid = {grid.mean():.6g}")
     print(f"wrote {radial_path} and {hist_path}")
     return 0
 

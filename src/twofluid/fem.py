@@ -294,7 +294,7 @@ class VelocityQP:
     the viscous matrix-vector products.  Shared by the tentative loads,
     the Heun load and the pressure assembly."""
 
-    def __init__(self, v_l, v_g, props, scales, groups):
+    def __init__(self, v_l, v_g, groups):
         space = v_l.space
         if v_g.space is not space:
             raise ValueError("phase velocity fields must share one space")
@@ -309,8 +309,7 @@ class VelocityQP:
         self.dv_g = _vec_grad_at_qp(space, ng)
         self.vr = self.v_g - self.v_l
         self.vr_norm = np.linalg.norm(self.vr, axis=2)
-        self.kdrag = physics.drag_exchange_coefficient(
-            self.vr_norm, props, scales, groups)
+        self.kdrag = physics.drag_exchange_coefficient(self.vr_norm, groups)
 
     def value(self, phase):
         return self.v_l if phase == "liquid" else self.v_g
@@ -393,7 +392,7 @@ class ClosureInputs:
     gravity_load: np.ndarray
 
 
-def closure_inputs(state, props, scales, groups, alpha_ln_floor):
+def closure_inputs(state, groups, alpha_ln_floor):
     """ClosureInputs of `state`.  The phase fractions enter through
     ln(max(alpha, alpha_ln_floor)), whose per-cell gradient g gives
     G[(i,a),(j,b)] = int phi_i [(g.grad phi_j) dab + g_b d_a phi_j] dx;
@@ -414,7 +413,7 @@ def closure_inputs(state, props, scales, groups, alpha_ln_floor):
     grav = np.zeros((space.mesh.n_cells, 2))
     grav[:, 1] = -1.0 / groups.fr ** 2
     return ClosureInputs(
-        qp=VelocityQP(state.v_l, state.v_g, props, scales, groups),
+        qp=VelocityQP(state.v_l, state.v_g, groups),
         g_data=g_data,
         grad_ln_alpha_l=grad_ln["liquid"],
         drag_ratio_l=alpha_g_qp / np.maximum(alpha_l_qp, alpha_ln_floor),

@@ -171,8 +171,8 @@ def _krylov(solver, stats, key, A, b, tol, max_iter, x0):
 # ---------------------------------------------------------------------------
 # tentative velocities and the Heun error estimate
 
-def _tentative_with_error(dt, tol, props, scales, groups, closures,
-                          dirichlet, stats, warm):
+def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
+                          warm):
     """Solve both tentative velocities and estimate the local error.
 
     The Heun comparison value re-solves the same constrained tentative
@@ -207,7 +207,7 @@ def _tentative_with_error(dt, tol, props, scales, groups, closures,
 
     vsl = vec.field(v_star["liquid"])
     vsg = vec.field(v_star["gas"])
-    qp_star = fem.VelocityQP(vsl, vsg, props, scales, groups)
+    qp_star = fem.VelocityQP(vsl, vsg, groups)
 
     error = 0.0
     for phase in ("liquid", "gas"):
@@ -241,9 +241,8 @@ def step(state, dt, cfg, warm=None):
     overwritten."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    props = cfg.props()
     scales = cfg.scales()
-    groups = make_groups(props, scales, cfg.c_p)
+    groups = make_groups(cfg.props(), scales, cfg.c_p)
     p1 = state.alpha_g.space
     vec = state.v_l.space
     t_next_seconds = (state.t_tilde + dt) * scales.t_s
@@ -256,10 +255,9 @@ def step(state, dt, cfg, warm=None):
         alpha_nodes, alpha_values = alpha_dirichlet(p1, cfg, t_next_seconds)
 
     with _substep("tentative-velocity"):
-        closures = fem.closure_inputs(state, props, scales, groups,
-                                      cfg.alpha_ln_floor)
+        closures = fem.closure_inputs(state, groups, cfg.alpha_ln_floor)
         vsl, vsg, error, qp_star = _tentative_with_error(
-            dt, tol, props, scales, groups, closures, dirichlet, stats, warm)
+            dt, tol, groups, closures, dirichlet, stats, warm)
 
     dt_next, accepted = adapt_dt(error, cfg.tol_step, dt, cfg.dt_min,
                                  cfg.dt_max)

@@ -201,8 +201,10 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None):
     solve_cg.
 
     Convergence of the recurrence residual is confirmed against the true
-    residual b - A x before returning.  A breakdown (rho or omega zero)
-    restarts the recurrence from the current iterate.
+    residual b - A x before returning.  A breakdown restarts the
+    recurrence from the current iterate: omega or r0 . v zero, or
+    |rho| <= eps ||r0|| ||r|| (r0 numerically orthogonal to r, as when b
+    lives on rows that hold only their diagonal).
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
@@ -216,19 +218,22 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None):
     target = tol * nb
     r = b - A.matvec(x)
     r0 = r.copy()
+    nr0 = np.linalg.norm(r0)
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
     for it in range(max_iter):
         stats["iterations"] = it
-        if np.linalg.norm(r) <= target:
+        nr = np.linalg.norm(r)
+        if nr <= target:
             true_r = np.linalg.norm(b - A.matvec(x))
             if true_r <= target:
                 return x
         rho_new = r0 @ r
-        if rho_new == 0.0 or omega == 0.0:
+        if abs(rho_new) <= np.finfo(float).eps * nr0 * nr or omega == 0.0:
             r = b - A.matvec(x)
             r0 = r.copy()
+            nr0 = np.linalg.norm(r0)
             rho = alpha = omega = 1.0
             v[:] = 0.0
             p[:] = 0.0
@@ -240,7 +245,11 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None):
         p = r + beta * (p - omega * v)
         ph = minv * p
         v = A.matvec(ph)
-        alpha = rho / (r0 @ v)
+        r0v = r0 @ v
+        if r0v == 0.0:
+            omega = 0.0  # breakdown: restart on the next pass
+            continue
+        alpha = rho / r0v
         s = r - alpha * v
         if np.linalg.norm(s) <= target:
             x += alpha * ph

@@ -85,19 +85,21 @@ def make_groups(props: FluidProperties, scales: Scales, c_p):
     )
 
 
-def drag_coefficient(re_b):
-    """Schiller-Naumann drag with the Newton-regime cap:
-    C_D = max(24/Re (1 + 0.15 Re^0.687), 0.44).
+def _cd_re(re_b):
+    """The drag law, once: Schiller-Naumann (Z. VDI 77, 1933) with the
+    Newton-regime cap, times Re_b, which keeps it finite at Re_b = 0:
+    C_D Re_b = max(24 (1 + 0.15 Re_b^0.687), 0.44 Re_b)."""
+    return np.maximum(24.0 * (1.0 + 0.15 * re_b ** 0.687), 0.44 * re_b)
 
-    Vectorized; diverges as Re -> 0 (the exchange coefficient below folds
-    the 24/Re branch analytically so callers never evaluate this at zero).
-    """
+
+def drag_coefficient(re_b):
+    """C_D = max(24/Re (1 + 0.15 Re^0.687), 0.44), vectorized; infinite at
+    Re = 0, where the callers below use the finite C_D Re instead."""
     re_b = np.asarray(re_b, dtype=float)
     if np.any(re_b < 0):
         raise ValueError("bubble Reynolds number must be nonnegative")
     with np.errstate(divide="ignore"):
-        stokes = 24.0 / re_b * (1.0 + 0.15 * re_b ** 0.687)
-    out = np.maximum(stokes, 0.44)
+        out = _cd_re(re_b) / re_b
     return float(out) if out.ndim == 0 else out
 
 
@@ -106,23 +108,15 @@ def bubble_reynolds(v_r_norm, props: FluidProperties):
     return props.rho_l * np.asarray(v_r_norm) * props.d_b / props.mu_l
 
 
-def drag_exchange_coefficient(v_r_tilde_norm, props: FluidProperties,
-                              scales: Scales, groups: DimensionlessGroups):
-    """Dimensionless drag factor K = (3/4) (C_D / d_b_tilde) |v_r_tilde|.
-
-    K multiplies v_r_tilde in the momentum equations, so the Stokes branch
-    24/Re is folded in analytically:
-
-        (24/Re_b) |v| = 24 mu_l / (rho_l v_s d_b)   (a constant),
-
-    making K continuous with K(0) = 18 mu_l x_s / (rho_l d_b^2 v_s) and
-    avoiding the 0/0 of the raw correlation at zero slip.
-    """
+def drag_exchange_coefficient(v_r_tilde_norm, groups: DimensionlessGroups):
+    """Dimensionless drag factor K = (3/4) (C_D / d_b_tilde) |v_r_tilde|,
+    which multiplies v_r_tilde in the momentum equations.  In the groups,
+    Re_b = Re_l d_b_tilde |v_r_tilde| and K = (3/4) C_D Re_b /
+    (Re_l d_b_tilde^2): continuous in the slip, with
+    K(0) = 18 / (Re_l d_b_tilde^2) and no 0/0 at zero slip."""
     v = np.asarray(v_r_tilde_norm, dtype=float)
-    re_b = props.rho_l * scales.v_s * v * props.d_b / props.mu_l
-    stokes = 24.0 * props.mu_l / (props.rho_l * scales.v_s * props.d_b)
-    cd_v = np.maximum(stokes * (1.0 + 0.15 * re_b ** 0.687), 0.44 * v)
-    out = 0.75 * cd_v / groups.d_b_tilde
+    re_db = groups.re_l * groups.d_b_tilde
+    out = 0.75 * _cd_re(re_db * v) / (re_db * groups.d_b_tilde)
     return float(out) if out.ndim == 0 else out
 
 
@@ -135,11 +129,9 @@ def terminal_velocity_balance(props: FluidProperties):
     rhs = 4.0 * drho * props.g * props.d_b / (3.0 * props.rho_l)
 
     def f(v):
-        # C_D v^2 - rhs, with the Stokes branch folded to avoid 1/v
-        re = props.rho_l * v * props.d_b / props.mu_l
-        cd_v2 = max(24.0 * props.mu_l * v / (props.rho_l * props.d_b)
-                    * (1.0 + 0.15 * re ** 0.687), 0.44 * v * v)
-        return cd_v2 - rhs
+        # C_D v^2 - rhs, as C_D Re_b mu_l v / (rho_l d_b) to avoid 1/v
+        return (_cd_re(bubble_reynolds(v, props)) * props.mu_l * v
+                / (props.rho_l * props.d_b) - rhs)
 
     lo, hi = 1e-6, 10.0
     flo, fhi = f(lo), f(hi)

@@ -25,9 +25,7 @@ def slip_and_reynolds(state, props, scales, alpha_floor):
     """
     if not 0.0 < alpha_floor < 1.0:
         raise ValueError("alpha_floor must lie in (0, 1)")
-    nv = state.alpha_g.space.mesh.n_vertices
-    alpha = state.alpha_g.coefficients[:nv]
-    mask = alpha >= alpha_floor
+    mask = state.alpha_g.vertex_values() >= alpha_floor
     if not np.any(mask):
         return 0.0, 0.0, False
     v_r = (state.v_g.vertex_values() - state.v_l.vertex_values())[mask]

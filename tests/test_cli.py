@@ -53,6 +53,39 @@ def test_unbounded_run_exits_0(tmp_path, capsys):
     assert "finished t = 0.0001 s" in capsys.readouterr().out
 
 
+def test_unbounded_3x6_run_exits_0(tmp_path, capsys):
+    # the first alpha systems have their whole right-hand side on the
+    # inlet rows, which hold only their diagonal: BiCGStab's shadow
+    # residual turns orthogonal to the residual without r0 . r reaching
+    # 0, and the unrestarted recurrence stalled in the fifth attempt
+    argv = ["run", "--set", "nx=3", "--set", "ny=6", "--t-end", "0.0001",
+            "--unbounded", "--out", str(tmp_path), "--quiet"]
+    assert cli.main(argv) == 0
+    assert "finished t = 0.0001 s" in capsys.readouterr().out
+
+
+def test_run_reads_its_case_from_a_config_file(tmp_path, capsys):
+    out = tmp_path / "from-file"
+    cfg = caseio.CaseConfig(nx=2, ny=4, t_end=0.0001, output_dir=str(out))
+    path = tmp_path / "case.cfg"
+    path.write_text(caseio.dump_config(cfg), encoding="utf-8")
+    assert cli.main(["run", "--config", str(path), "--quiet"]) == 0
+    # the file set the end time, the mesh and the output directory
+    assert "finished t = 0.0001 s" in capsys.readouterr().out
+    first = (out / "snap_000000.vtk").read_text().splitlines()[1]
+    assert first.endswith(" nx=2 ny=4")
+    assert (out / "series.csv").exists()
+
+
+def test_bad_value_in_a_config_file_exits_2_naming_line_and_key(tmp_path,
+                                                                capsys):
+    path = tmp_path / "case.cfg"
+    path.write_text("[mesh]\nny = 4\nnx = abc\n", encoding="utf-8")
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "line 3: key 'nx'" in capsys.readouterr().err
+
+
 def test_analyze_a_run_snapshot_exits_0(tmp_path, capsys):
     _run_small(tmp_path)
     last = sorted(tmp_path.glob("snap_*.vtk"))[-1]     # gas has entered
@@ -81,7 +114,7 @@ def test_analyze_matches_sampling_on_the_original_mesh(tmp_path, capsys):
     grid = post.sample_to_grid(fem.FunctionSpace.scalar_p1(mesh).field(alpha),
                                8, 16)
     assert grid.max() > 0.0
-    assert (f"holdup on grid = {grid.mean():.6f}"
+    assert (f"holdup on grid = {grid.mean():.6g}"
             in capsys.readouterr().out)
     _, power, _ = post.radial_average(post.power_spectrum_2d(grid))
     rows = (tmp_path / "spectra" / "spectrum_radial.csv").read_text()

@@ -38,12 +38,11 @@ def make_state(mesh, alpha_g=0.0, v_l=(0.0, 0.0), v_g=(0.0, 0.0), p=0.0):
     return state, p1, vec
 
 
-def tentative_system(phase, state, dt, groups, scales=None, dirichlet=None):
+def tentative_system(phase, state, dt, groups, dirichlet=None):
     """A and b of one phase's tentative system, built by the calls the
     stepper makes; `dirichlet` is an optional (dofs, values) pair imposed
     the way the stepper imposes it."""
-    closures = closure_inputs(state, PROPS, scales or SCALES,
-                              groups, 1e-5)
+    closures = closure_inputs(state, groups, 1e-5)
     A, history, load = tentative_velocity_system(phase, dt, groups, closures)
     b = history + load
     if dirichlet is not None:
@@ -51,10 +50,6 @@ def tentative_system(phase, state, dt, groups, scales=None, dirichlet=None):
         A.zero_rows(dofs)
         b[dofs] = values
     return A, b
-
-
-def sampled(v_l, v_g, groups):
-    return VelocityQP(v_l, v_g, PROPS, SCALES, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +186,7 @@ def test_hydrostatic_pressure_cancels_gravity():
     pcoef = 1.0 - state.p_l.space.node_coords[:, 1] * scales.x_s / scales.h_ref
     state.p_l.coefficients[:] = pcoef
     groups = make_groups(PROPS, scales, CFG.c_p)
-    _, b = tentative_system("liquid", state, 0.1, groups, scales=scales)
+    _, b = tentative_system("liquid", state, 0.1, groups)
     assert np.max(np.abs(b)) < 1e-10
 
 
@@ -199,14 +194,13 @@ def test_drag_load_matches_closed_form():
     from twofluid.physics import drag_exchange_coefficient
 
     mesh = generate_rect_mesh(1.0, 2.0, 4, 4, "alternating")
-    props, scales = PROPS, SCALES
-    groups = make_groups(props, scales, CFG.c_p)
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     state, p1, vec = make_state(mesh, alpha_g=0.02, v_g=(0.0, 0.1))
     _, b = tentative_system("liquid", state, 0.5, groups)
     M = mass_matrix(vec)
     grav = vec.interpolate(lambda x, y: (0.0, -1.0 / groups.fr ** 2))
     b_drag = b - M.matvec(grav.coefficients)
-    k = drag_exchange_coefficient(0.1, props, scales, groups)
+    k = drag_exchange_coefficient(0.1, groups)
     coef = (0.02 / 0.98) * k
     drag_field = vec.interpolate(lambda x, y: (0.0, coef * 0.1))
     # constant load integrates to the mass-lumped weights times the vector
@@ -217,14 +211,13 @@ def test_gas_drag_sign_and_density_ratio():
     from twofluid.physics import drag_exchange_coefficient
 
     mesh = generate_rect_mesh(1.0, 1.0, 3, 3, "alternating")
-    props, scales = PROPS, SCALES
-    groups = make_groups(props, scales, CFG.c_p)
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     state, p1, vec = make_state(mesh, alpha_g=0.02, v_g=(0.0, 0.1))
     groups.c_p = 0.0  # isolate drag
     _, b = tentative_system("gas", state, 0.5, groups)
     M = mass_matrix(vec)
     grav = vec.interpolate(lambda x, y: (0.0, -1.0 / groups.fr ** 2))
-    k = drag_exchange_coefficient(0.1, props, scales, groups)
+    k = drag_exchange_coefficient(0.1, groups)
     vn = state.v_g.coefficients
     expect = (M.matvec(grav.coefficients) + M.matvec(vn) / 0.5
               + M.matvec(vec.interpolate(
@@ -262,7 +255,7 @@ def test_pressure_zero_tentative_gives_zero_increment():
     state, p1, vec = make_state(mesh, alpha_g=0.2)
     groups = make_groups(PROPS, SCALES, CFG.c_p)
     A, b = assemble_pressure_poisson(
-        state, sampled(vec.field(), vec.field(), groups), 0.01, groups)
+        state, VelocityQP(vec.field(), vec.field(), groups), 0.01, groups)
     assert np.max(np.abs(b)) == 0.0
     dp = solve_cg(A, b, tol=1e-12, max_iter=2000)
     assert np.max(np.abs(dp)) == 0.0
@@ -274,7 +267,7 @@ def test_pressure_rhs_zero_for_divergence_free_liquid():
     groups = make_groups(PROPS, SCALES, CFG.c_p)
     v_star = vec.interpolate(lambda x, y: (y, 0.0))
     _, b = assemble_pressure_poisson(
-        state, sampled(v_star, vec.field(), groups), 0.01, groups)
+        state, VelocityQP(v_star, vec.field(), groups), 0.01, groups)
     assert np.max(np.abs(b)) < 1e-12
 
 
@@ -286,7 +279,7 @@ def test_pressure_rhs_linear_field_oracle():
     v_star = vec.interpolate(lambda x, y: (0.0, c * y))
     dt = 0.01
     A, b = assemble_pressure_poisson(
-        state, sampled(v_star, v_star, groups), dt, groups)
+        state, VelocityQP(v_star, v_star, groups), dt, groups)
     # div(sum alpha_q v) = c everywhere; rows are -c/dt * int psi_i
     M = mass_matrix(p1)
     expect = -c / dt * M.matvec(np.ones(p1.dof_count))
@@ -300,7 +293,7 @@ def test_pressure_matrix_symmetric_and_spd():
     state, p1, vec = make_state(mesh, alpha_g=0.3)
     groups = make_groups(PROPS, SCALES, CFG.c_p)
     A, b = assemble_pressure_poisson(
-        state, sampled(vec.field(), vec.field(), groups), 0.01, groups)
+        state, VelocityQP(vec.field(), vec.field(), groups), 0.01, groups)
     dense = A.to_dense()
     assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense))
     eigs = np.linalg.eigvalsh(dense)

@@ -248,15 +248,31 @@ def test_run_writes_series_and_snapshots_on_cadence(tmp_path):
     assert len(indices) == 3
 
 
+def test_run_prints_a_progress_line_every_100_accepted_steps(tmp_path,
+                                                             capsys):
+    cfg = caseio.CaseConfig(nx=2, ny=4, t_end=0.002,
+                            output_dir=str(tmp_path))
+    result = ipcs.run(cfg, quiet=False)
+    lines = capsys.readouterr().out.splitlines()
+    accepted = sum(r.accepted for r in result.reports)
+    assert accepted >= 100
+    assert len(lines) == accepted // 100
+    for k, line in enumerate(lines, start=1):
+        row = 100 * k                  # series row 0 is the initial state
+        assert line == (f"t = {result.t_seconds[row]:.4f} s  "
+                        f"dt = {result.dt_seconds[row]:.3e} s  "
+                        f"holdup = {result.holdup[row]:.6g}  "
+                        f"min(alpha) = {result.min_alpha_g[row]:.2e}")
+
+
 def _snapshot_fields(path):
     _, _, data, meta = caseio.read_snapshot(str(path))
     return data, meta["t_tilde"]
 
 
 def _state_fields(state):
-    nv = state.alpha_g.space.mesh.n_vertices
-    return {"alpha_g": state.alpha_g.coefficients[:nv],
-            "pressure": state.p_l.coefficients[:nv],
+    return {"alpha_g": state.alpha_g.vertex_values(),
+            "pressure": state.p_l.vertex_values(),
             "v_g": state.v_g.vertex_values(),
             "v_l": state.v_l.vertex_values()}
 

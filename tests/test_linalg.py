@@ -165,6 +165,30 @@ def test_bicgstab_matches_dense_lu_on_nonsymmetric():
     assert x == pytest.approx(lu_solve_dense(dense, b), abs=1e-8)
 
 
+@pytest.mark.parametrize("diag, convection", [(7e-5, 0.3), (7e-5, 0.0),
+                                              (2.7e-3, 0.3)])
+def test_bicgstab_restarts_when_the_rhs_lives_on_diagonal_only_rows(
+        diag, convection):
+    # The first rows hold only their diagonal (Dirichlet rows imposed by
+    # row replacement) and carry the whole right-hand side, as in the
+    # first alpha updates of an unbounded run.  The shadow residual r0 = b
+    # then leaves the Krylov space after one step and r0 . r decays to
+    # roundoff without reaching 0; the recurrence must restart there.
+    n, n_fixed = 100, 4
+    dense = (np.diag(np.full(n, 2.0))
+             + np.diag(np.full(n - 1, -1.0 - convection), -1)
+             + np.diag(np.full(n - 1, -1.0 + convection), 1))
+    dense[:n_fixed] = 0.0
+    dense[np.arange(n_fixed), np.arange(n_fixed)] = diag
+    b = np.zeros(n)
+    b[:n_fixed] = diag * np.linspace(1.0, 0.5, n_fixed)
+    rows, cols = np.nonzero(dense)
+    A = SparseMatrix.from_coo(rows, cols, dense[rows, cols], (n, n))
+    x = solve_bicgstab(A, b, tol=1e-10, max_iter=2000)
+    assert np.linalg.norm(dense @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert x == pytest.approx(lu_solve_dense(dense, b), abs=1e-8)
+
+
 def test_zero_rhs_returns_zero():
     for solver in (solve_cg, solve_bicgstab):
         x = solver(_identity(4), np.zeros(4), 1e-10, 2000)

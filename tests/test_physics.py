@@ -73,21 +73,33 @@ def test_drag_coefficient_continuous_at_crossover():
 
 
 def test_exchange_coefficient_stokes_limit(props, scales, groups):
-    k0 = drag_exchange_coefficient(0.0, props, scales, groups)
+    k0 = drag_exchange_coefficient(0.0, groups)
     expect = 18.0 * props.mu_l * scales.x_s / (props.rho_l * props.d_b ** 2 * scales.v_s)
     assert k0 == pytest.approx(expect, rel=1e-12)
     # continuity: K(eps) -> K(0); the Re^0.687 correction decays slowly
-    gaps = [abs(drag_exchange_coefficient(eps, props, scales, groups) - k0)
+    gaps = [abs(drag_exchange_coefficient(eps, groups) - k0)
             for eps in (1e-4, 1e-6, 1e-8)]
     assert gaps[0] < 1e-2 * k0
     assert gaps[1] < 1e-4 * k0
     assert gaps == sorted(gaps, reverse=True)
 
 
-def test_exchange_coefficient_monotone(props, scales, groups):
+def test_exchange_coefficient_monotone(groups):
     v = np.linspace(0.0, 1.0, 2000)
-    k = drag_exchange_coefficient(v, props, scales, groups)
+    k = drag_exchange_coefficient(v, groups)
     assert np.all(np.diff(k) >= -1e-14)
+
+
+def test_exchange_coefficient_is_the_dimensional_drag_law_in_groups(
+        props, scales, groups):
+    # K = (3/4) C_D(Re_b) |v_r~| / d_b~ with Re_b from the dimensional slip
+    v = np.logspace(-8, 2, 400)
+    re_b = bubble_reynolds(v * scales.v_s, props)
+    expect = 0.75 * drag_coefficient(re_b) * v / groups.d_b_tilde
+    k = drag_exchange_coefficient(v, groups)
+    assert np.max(np.abs(k - expect) / expect) <= 1e-15
+    assert drag_exchange_coefficient(0.0, groups) == pytest.approx(
+        18.0 / (groups.re_l * groups.d_b_tilde ** 2), rel=1e-15)
 
 
 def test_bubble_reynolds_at_correlation_speed(props):
@@ -143,11 +155,11 @@ def test_balance_and_correlation_agree(props):
     assert abs(v_balance - v_clift) / v_clift < 0.05
 
 
-def test_drag_antisymmetry(props, scales, groups):
+def test_drag_antisymmetry(props, groups):
     # alpha_l rho_l (liquid drag accel) + alpha_g rho_g (gas drag accel) = 0
     alpha_g, alpha_l = 0.02, 0.98
     v_r = 0.5
-    k = drag_exchange_coefficient(v_r, props, scales, groups)
+    k = drag_exchange_coefficient(v_r, groups)
     liquid = alpha_l * props.rho_l * (alpha_g / alpha_l) * k * v_r
     gas = alpha_g * props.rho_g * (-groups.rho_ratio * k * v_r)
     assert liquid + gas == pytest.approx(0.0, abs=1e-12 * abs(liquid))

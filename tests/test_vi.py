@@ -104,19 +104,43 @@ def test_unconstrained_consistency():
     assert x == pytest.approx(x_ref, abs=1e-9)
 
 
-def test_large_reduced_system_uses_iterative_path():
-    # above the dense cutoff: diagonally dominant system, half the optimum
-    # clipped at the lower bound
-    rng = np.random.default_rng(7)
-    n = 600
-    diag = rng.uniform(4.0, 6.0, n)
+def test_large_reduced_system_uses_iterative_path(monkeypatch):
+    # a known solution with 430 inactive nodes, above the dense cutoff:
+    # 1-D diffusion-convection-reaction (a nonsymmetric M-matrix, hence a
+    # P-matrix, so the VI has exactly one solution), x* stretches of a
+    # clipped sine at both bounds, r* = A x* - b strictly signed there and
+    # zero inside
+    n = 1000
     rows = np.concatenate([np.arange(n), np.arange(n - 1), np.arange(1, n)])
     cols = np.concatenate([np.arange(n), np.arange(1, n), np.arange(n - 1)])
-    vals = np.concatenate([diag, np.full(n - 1, -0.5), np.full(n - 1, -0.5)])
+    vals = np.concatenate([np.full(n, 2.2), np.full(n - 1, -0.6),
+                           np.full(n - 1, -1.4)])
     a = SparseMatrix.from_coo(rows, cols, vals, (n, n))
-    b = rng.standard_normal(n)
+    x_star = np.clip(0.5 + 0.8 * np.sin(6 * np.pi * np.linspace(0, 1, n)),
+                     0.0, 1.0)
+    at_lo, at_hi = x_star == 0.0, x_star == 1.0
+    assert np.count_nonzero(~(at_lo | at_hi)) > vi._DENSE_CUTOFF
+    rng = np.random.default_rng(0)
+    r_star = np.zeros(n)
+    r_star[at_lo] = rng.uniform(0.1, 1.0, np.count_nonzero(at_lo))
+    r_star[at_hi] = -rng.uniform(0.1, 1.0, np.count_nonzero(at_hi))
+    b = a.matvec(x_star) - r_star
+
+    sizes = []
+
+    def counted(*args, **kwargs):
+        sizes.append(args[1].size)
+        return solve_bicgstab(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("dense LU on a reduced system above the cutoff")
+
+    solve_bicgstab = vi.solve_bicgstab
+    monkeypatch.setattr(vi, "solve_bicgstab", counted)
+    monkeypatch.setattr(vi, "lu_solve_dense", refused)
     x = solve_box_vi(a, b, np.zeros(n), tol=1e-10)
-    assert check_vi_conditions(x, a.matvec(x) - b) <= 1e-10
+    assert sizes and min(sizes) > vi._DENSE_CUTOFF
+    assert np.max(np.abs(x - x_star)) <= 1e-9
 
 
 # A nonsymmetric P-matrix instance on which the active-set guesses cycle
