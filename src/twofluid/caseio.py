@@ -198,16 +198,18 @@ def apply_overrides(cfg, pairs):
 # ---------------------------------------------------------------------------
 # boundary and initial data
 
-def inlet_profiles(x, t, cfg):
-    """Sparger inlet values at position x (m) and time t (s): gas vertical
-    speed (m/s) and gas fraction, both ramped linearly until t = ramp time.
+def inlet_profiles(x, cfg):
+    """Full-ramp sparger inlet values at position x (m): gas vertical speed
+    (m/s) and gas fraction, gaussian in x,
 
-        v(x, t) = min(t/t0, 1) * v_peak * exp(-(x/w)^2 / (2 sigma^2))
+        v(x) = v_peak * exp(-(x/w)^2 / (2 sigma^2)).
+
+    `ipcs.velocity_dirichlet` and `ipcs.alpha_dirichlet` scale them by the
+    time ramp min(t/t0, 1).
     """
-    ramp = min(t / cfg.inlet_ramp_time, 1.0)
     shape = np.exp(-((np.asarray(x) / cfg.inlet_half_width) ** 2)
                    / (2.0 * cfg.inlet_sigma ** 2))
-    return ramp * cfg.inlet_peak_velocity * shape, ramp * cfg.inlet_peak_alpha * shape
+    return cfg.inlet_peak_velocity * shape, cfg.inlet_peak_alpha * shape
 
 
 @dataclass
@@ -287,9 +289,13 @@ def write_snapshot(state, mesh, path):
 
 
 def read_snapshot(path):
-    """Read back a write_snapshot file: (vertices, cells, point_data, meta)."""
+    """Read back a write_snapshot file: (vertices, cells, point_data, meta).
+    A file without write_snapshot's title line raises ValueError naming
+    it."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
+    if len(lines) < 2 or not lines[1].startswith("twofluid snapshot "):
+        raise ValueError(f"snapshot '{path}': not a twofluid snapshot file")
     meta = {}
     for token in lines[1].split():
         if "=" in token:
@@ -355,12 +361,3 @@ class SeriesWriter:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def read_series(path):
-    """Load a series.csv into a dict of column arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-    arr = np.array(rows) if rows else np.empty((0, len(header)))
-    return {name: arr[:, k] for k, name in enumerate(header)}

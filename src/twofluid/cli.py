@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage, 2 configuration error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -92,9 +93,16 @@ def _cmd_analyze(args):
     try:
         nx, ny = (int(v) for v in args.grid.lower().split("x"))
     except ValueError:
-        print(f"bad --grid '{args.grid}', expected NXxNY", file=sys.stderr)
+        nx = ny = 0
+    if nx < 2 or ny < 2:
+        print(f"bad --grid '{args.grid}', expected NXxNY with NX, NY >= 2",
+              file=sys.stderr)
         return 1
-    verts, cells, data, meta = caseio.read_snapshot(args.snapshot)
+    try:
+        verts, cells, data, meta = caseio.read_snapshot(args.snapshot)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     grid_nx, grid_ny = int(meta.get("nx", 0)), int(meta.get("ny", 0))
     if grid_nx < 1 or grid_ny < 1 or len(cells) != 2 * grid_nx * grid_ny:
         print(f"snapshot '{args.snapshot}': header grid nx={grid_nx} "
@@ -147,18 +155,17 @@ def _cmd_convergence(args):
         print(f"bad --meshes '{args.meshes}'", file=sys.stderr)
         return 1
     aspect = cfg.height / cfg.width
-    base_out = cfg.output_dir
     curves = []
     for nx in nxs:
-        run_cfg = _load(args)
-        run_cfg.nx = nx
-        run_cfg.ny = max(1, round(nx * aspect))
-        cells = 2 * run_cfg.nx * run_cfg.ny
-        run_cfg.output_dir = os.path.join(base_out, f"mesh_{cells}")
+        ny = max(1, round(nx * aspect))
+        cells = 2 * nx * ny
+        run_cfg = dataclasses.replace(
+            cfg, nx=nx, ny=ny,
+            output_dir=os.path.join(cfg.output_dir, f"mesh_{cells}"))
         run_cfg.validate()
-        print(f"running {run_cfg.nx} x {run_cfg.ny} ({cells} cells) ...")
+        print(f"running {nx} x {ny} ({cells} cells) ...")
         result = ipcs.run(run_cfg)
-        path = os.path.join(base_out, f"holdup_{cells}.csv")
+        path = os.path.join(cfg.output_dir, f"holdup_{cells}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t_seconds,holdup\n")
             for t, h in zip(result.t_seconds, result.holdup):

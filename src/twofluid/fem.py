@@ -15,14 +15,13 @@ is vectorized over cells: per-step assembly only recomputes values and
 scatters them with bincount, which keeps the accumulation order (and
 therefore the floating-point result) deterministic.
 
-Sub-step systems assembled here.  Only the pressure outlet (dP = 0) is
-eliminated here; the other systems come back unconstrained, and
-`ipcs.step` imposes their Dirichlet rows.
+Sub-step systems assembled here.  All four come back unconstrained;
+`ipcs.step` imposes every Dirichlet row, the pressure outlet included.
 
   tentative velocity   [M/dt + (1/2Re)(Keps - G(ln alpha))] v* = explicit
                        convection / drag / pressure / gravity loads
   pressure Poisson     < sum_q Eu_q alpha_q grad dP, grad phi >  (SPD
-                       after outlet Dirichlet elimination)
+                       once the outlet dP = 0 is imposed symmetrically)
   velocity update      mass solve against the pressure-increment gradient
   phase fraction       implicit advection with SUPG test functions,
                        handed to the VI solver in bounded mode
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physics
-from .errors import OutOfDomainError, SingularSystemError
+from .errors import OutOfDomainError
 from .linalg import Pattern
 from .mesh import BoundaryTag, boundary_facets
 
@@ -333,25 +332,6 @@ def _const_grad_load(space, vec_cell):
                        minlength=space.dof_count)
 
 
-def mass_matrix(space):
-    """Assembled mass matrix of a ScalarP1 or VectorP2 space."""
-    return space.pattern.matrix(space.mass_data.copy())
-
-
-def strain_stiffness_matrix(space):
-    """Assembled < tau(u), grad v > operator of a VectorP2 space, with
-    tau(u) = grad u + (grad u)^T."""
-    return space.pattern.matrix(space.keps_data.copy())
-
-
-def p1_stiffness_matrix(space, coefficient=None):
-    """< c grad u, grad v > on ScalarP1 with an optional per-cell-constant
-    coefficient."""
-    det = space.mesh.det
-    scale = 0.5 * det if coefficient is None else 0.5 * det * coefficient
-    return space.pattern.assemble(space.gg * scale[:, None, None])
-
-
 def supg_tau(space, v_field, guard=1e-10):
     """Per-cell streamline weight tau = h / (2 |v|) (pure-advection factor
     z = 1); zero where the centroid speed falls below `guard`."""
@@ -485,14 +465,15 @@ def tentative_velocity_system(phase, dt, groups, closures):
 
 
 def assemble_pressure_poisson(state, qp, dt, groups):
-    """SPD system for the pressure increment dP = P(n+1) - P(n), with the
+    """System for the pressure increment dP = P(n+1) - P(n), with the
     tentative velocities v* sampled in `qp`:
 
         < sum_q Eu_q alpha_q grad dP, grad phi > =
             - < div sum_q alpha_q v*_q, phi > / dt
 
-    Zero-increment Neumann on inlet and walls is natural; the outlet holds
-    dP = 0 and is eliminated symmetrically.
+    without boundary constraints.  Zero-increment Neumann on inlet and
+    walls is natural; the outlet's dP = 0 is left to the caller, and the
+    matrix is SPD once that is imposed symmetrically.
     """
     p1 = state.p_l.space
     w, det = p1.quad.weights, p1.mesh.det
@@ -515,13 +496,6 @@ def assemble_pressure_poisson(state, qp, dt, groups):
         * det[:, None] / dt
     b = np.bincount(p1.cell_dofs.ravel(), weights=be.ravel(),
                     minlength=p1.dof_count)
-
-    outlet = p1.boundary_nodes(BoundaryTag.Outlet)
-    if outlet.size == 0:
-        raise SingularSystemError(
-            "pressure system has no Dirichlet boundary (all-Neumann)")
-    A.eliminate(outlet)
-    b[outlet] = 0.0
     return A, b
 
 
@@ -631,9 +605,3 @@ def evaluate_many(field, points):
     out[:, 0] = np.einsum("pi,pi->p", n6, field.coefficients[2 * nd])
     out[:, 1] = np.einsum("pi,pi->p", n6, field.coefficients[2 * nd + 1])
     return out
-
-
-def evaluate(field, point):
-    """Nodal-basis interpolation at one point (exact for the space degree)."""
-    return evaluate_many(field, np.asarray(point, dtype=float).reshape(1, 2))[0]
-

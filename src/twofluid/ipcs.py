@@ -14,8 +14,9 @@ One step advances the scaled state (alpha_g, alpha_l, v_g, v_l, P_l) by
      implicitly) or as a plain linear system (unbounded comparator);
      alpha_l := 1 - alpha_g afterwards.
 
-The step imposes every velocity and gas-fraction Dirichlet row itself, by
-row replacement in the unconstrained systems that `fem` assembles.
+The step imposes every Dirichlet row itself, in the unconstrained
+systems that `fem` assembles: velocity and gas-fraction rows by row
+replacement, the pressure outlet (dP = 0) by symmetric elimination.
 
 The local error of a step is measured on the tentative velocities only,
 by comparing against a Heun (predictor-corrector) evaluation that reuses
@@ -40,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import caseio, fem, post
-from .errors import (SolverFailureError, StagnationError, StepFailureError,
-                     TwoFluidError)
+from .errors import (SingularSystemError, SolverFailureError,
+                     StagnationError, StepFailureError, TwoFluidError)
 from .linalg import solve_bicgstab, solve_cg
 from .mesh import BoundaryTag
 from .physics import make_groups
@@ -115,7 +116,7 @@ def velocity_dirichlet(space, cfg, t_seconds, phase):
     walls = space.boundary_nodes(BoundaryTag.WallLeft, BoundaryTag.WallRight)
     if phase == "gas":
         x_m = space.node_coords[inlet, 0] * cfg.x_scale
-        v_y, _ = caseio.inlet_profiles(x_m, cfg.inlet_ramp_time, cfg)
+        v_y, _ = caseio.inlet_profiles(x_m, cfg)
         inlet_y = v_y / cfg.v_scale
     else:
         inlet_y = np.zeros(inlet.size)
@@ -135,7 +136,7 @@ def alpha_dirichlet(space, cfg, t_seconds):
     inlet = space.boundary_nodes(BoundaryTag.Inlet)
     walls = space.boundary_nodes(BoundaryTag.WallLeft, BoundaryTag.WallRight)
     x_m = space.node_coords[inlet, 0] * cfg.x_scale
-    _, a_in = caseio.inlet_profiles(x_m, cfg.inlet_ramp_time, cfg)
+    _, a_in = caseio.inlet_profiles(x_m, cfg)
     nodes, full = _last_wins([inlet, walls], [a_in, np.zeros(walls.size)])
     return nodes, full * min(t_seconds / cfg.inlet_ramp_time, 1.0)
 
@@ -267,6 +268,12 @@ def step(state, dt, cfg, warm=None):
 
     with _substep("pressure-poisson"):
         A_p, b_p = fem.assemble_pressure_poisson(state, qp_star, dt, groups)
+        outlet = p1.boundary_nodes(BoundaryTag.Outlet)
+        if outlet.size == 0:
+            raise SingularSystemError(
+                "pressure system has no Dirichlet boundary (all-Neumann)")
+        A_p.eliminate(outlet)
+        b_p[outlet] = 0.0
         delta_p = _krylov(solve_cg, stats, "pressure", A_p, b_p, tol=tol,
                           max_iter=10000,
                           x0=_from_rate(warm, "delta_p_rate", dt, b_p.size))

@@ -1,11 +1,10 @@
 """Compressed-row sparse matrices and the Krylov solvers behind each sub-step.
 
-The CSR format is owned here: `Pattern` is the one COO -> CSR builder (fem
-builds one per function space, `SparseMatrix.from_coo` one per call), and
-every `SparseMatrix` carries its diagonal slots, kept by `with_data`,
-`keep_entries` and `submatrix`.  Row constraints are imposed in place by
-`zero_rows` and `eliminate`; deciding which rows to constrain is the
-caller's business.
+The CSR format is owned here: `Pattern` is the one COO -> CSR builder
+(fem builds one per function space), and every `SparseMatrix` carries its
+diagonal slots, kept by `with_data`, `keep_entries` and `submatrix`.
+Row constraints are imposed in place by `zero_rows` and `eliminate`;
+deciding which rows to constrain is the caller's business.
 scipy.sparse is used only as the matrix-vector product backend (zero-copy
 view over the same arrays).  Solver logic, preconditioning and the
 residual contracts are local.
@@ -70,14 +69,6 @@ class SparseMatrix:
         # scipy is only the matvec backend: a view over the same data array
         self._csr = _sp.csr_matrix((self.data, self.indices, self.indptr),
                                    shape=self.shape)
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape):
-        """Build CSR from COO triplets, summing duplicate entries."""
-        n, m = shape
-        if n != m:
-            raise ValueError(f"need a square shape, got {shape}")
-        return Pattern(rows, cols, n).assemble(vals)
 
     def matvec(self, x):
         return self._csr @ x

@@ -175,11 +175,3 @@ def generate_rect_mesh(width, height, nx, ny, diagonal):
 def boundary_facets(mesh, *tags):
     """Indices of the boundary facets carrying any of the given tags."""
     return [i for i, t in enumerate(mesh.facet_tags) if t in tags]
-
-
-def facet_lengths(mesh, facet_indices=None):
-    fv = mesh.facet_vertices
-    if facet_indices is not None:
-        fv = fv[np.asarray(facet_indices, dtype=int)]
-    d = mesh.vertices[fv[:, 1]] - mesh.vertices[fv[:, 0]]
-    return np.linalg.norm(d, axis=1)

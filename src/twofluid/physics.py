@@ -50,9 +50,6 @@ class Scales:
     def t_s(self):
         return self.x_s / self.v_s
 
-    def pressure_scale(self, rho_l):
-        return rho_l * self.g_s * self.h_ref
-
 
 @dataclass
 class DimensionlessGroups:
@@ -71,7 +68,7 @@ def make_groups(props: FluidProperties, scales: Scales, c_p):
 
     Setting c_p = 0 recovers the equal bulk/interfacial pressure model.
     """
-    p_s = scales.pressure_scale(props.rho_l)
+    p_s = props.rho_l * scales.g_s * scales.h_ref
     v2 = scales.v_s ** 2
     return DimensionlessGroups(
         eu_l=p_s / (props.rho_l * v2),

@@ -151,9 +151,24 @@ def test_convergence_writes_each_mesh_and_compares(tmp_path, capsys):
     assert np.isfinite(float(worst))
 
 
+@pytest.mark.parametrize("name, text", [("series.csv", None),
+                                        ("empty.vtk", "")])
+def test_analyze_a_file_that_is_not_a_snapshot_exits_2(name, text, tmp_path,
+                                                        capsys):
+    _run_small(tmp_path)
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    capsys.readouterr()
+    assert cli.main(["analyze", str(path), "--out", str(tmp_path)]) == 2
+    assert f"snapshot '{path}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["no-such-command"],
     ["analyze", "snap_000000.vtk", "--grid", "bad"],
+    ["analyze", "snap_000000.vtk", "--grid", "1x4"],   # below 2x2
+    ["analyze", "snap_000000.vtk", "--grid", "1x1"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert cli.main(argv) == 1

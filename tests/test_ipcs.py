@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from twofluid import caseio, ipcs
-from twofluid.errors import (NonconvergenceError, StagnationError,
-                             StepFailureError)
+from twofluid.errors import (NonconvergenceError, SingularSystemError,
+                             StagnationError, StepFailureError)
+from twofluid.mesh import BoundaryTag
 
 
 def _config(**overrides):
@@ -82,6 +83,45 @@ def test_accepted_states_hold_their_dirichlet_data(started):
         assert values.max() > 0.0                       # the inlet is on
         assert np.abs(state.alpha_g.coefficients[nodes]
                       - values).max() <= 1e-15
+
+
+def test_inlet_data_ramp_linearly_to_their_full_values():
+    cfg = _config()
+    spaces = caseio.build_spaces(cfg.build_mesh())
+    t0 = cfg.inlet_ramp_time
+
+    def inlet(t_seconds):
+        _, v = ipcs.velocity_dirichlet(spaces.vec, cfg, t_seconds, "gas")
+        _, a = ipcs.alpha_dirichlet(spaces.p1, cfg, t_seconds)
+        return v, a
+
+    full_v, full_a = inlet(t0)
+    # the sparger's centre node carries the peak values
+    assert full_v.max() == cfg.inlet_peak_velocity / cfg.v_scale
+    assert full_a.max() == cfg.inlet_peak_alpha
+    v, a = inlet(0.0)
+    assert np.all(v == 0.0) and np.all(a == 0.0)
+    v, a = inlet(0.5 * t0)
+    assert np.array_equal(v, 0.5 * full_v) and np.array_equal(a, 0.5 * full_a)
+    for t_seconds in (1.6 * t0, 8.0 * t0):            # constant after t0
+        v, a = inlet(t_seconds)
+        assert np.array_equal(v, full_v) and np.array_equal(a, full_a)
+    ramp = [inlet(f * t0) for f in (0.0, 0.3, 0.6, 0.9, 1.0, 2.0)]
+    for (v0, a0), (v1, a1) in zip(ramp, ramp[1:]):
+        assert np.all(v0 <= v1) and np.all(a0 <= a1)
+
+
+def test_pressure_step_without_an_outlet_fails_in_pressure_poisson(
+        started, monkeypatch):
+    # a pure-Neumann pressure system is singular: the step refuses it
+    cfg, states, _ = started
+    state = states[-1]
+    monkeypatch.setitem(state.p_l.space._tag_nodes, BoundaryTag.Outlet,
+                        np.empty(0, dtype=np.int64))
+    with pytest.raises(StepFailureError) as exc:
+        ipcs.step(state, 1e-7, cfg)
+    assert exc.value.substep == "pressure-poisson"
+    assert isinstance(exc.value.cause, SingularSystemError)
 
 
 def test_rejected_step_returns_input_state_unchanged(started):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twofluid.errors import NonconvergenceError, SingularMatrixError
-from twofluid.linalg import SparseMatrix, lu_solve_dense, solve_bicgstab, solve_cg
+from twofluid.linalg import Pattern, lu_solve_dense, solve_bicgstab, solve_cg
 
 
 def _random_sparse(rng, n, density=0.2):
@@ -10,16 +10,16 @@ def _random_sparse(rng, n, density=0.2):
     dense[rng.random((n, n)) > density] = 0.0
     np.fill_diagonal(dense, rng.standard_normal(n) + 5.0)
     rows, cols = np.nonzero(dense)
-    return SparseMatrix.from_coo(rows, cols, dense[rows, cols], (n, n)), dense
+    return Pattern(rows, cols, n).assemble(dense[rows, cols]), dense
 
 
 def _identity(n):
     idx = np.arange(n)
-    return SparseMatrix.from_coo(idx, idx, np.ones(n), (n, n))
+    return Pattern(idx, idx, n).assemble(np.ones(n))
 
 
-def test_from_coo_sums_duplicates():
-    A = SparseMatrix.from_coo([0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0], (2, 2))
+def test_pattern_sums_duplicates():
+    A = Pattern([0, 0, 1], [1, 1, 0], 2).assemble([2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
         A.zero_rows([0])  # missing diagonal entry is detected
     assert A.to_dense() == pytest.approx(np.array([[0.0, 5.0], [4.0, 0.0]]))
@@ -89,7 +89,7 @@ def test_cg_identity():
 def test_cg_diagonal():
     n = 5
     idx = np.arange(n)
-    A = SparseMatrix.from_coo(idx, idx, np.arange(1.0, 6.0), (n, n))
+    A = Pattern(idx, idx, n).assemble(np.arange(1.0, 6.0))
     x = solve_cg(A, np.ones(n), tol=1e-14, max_iter=2000)
     assert x == pytest.approx(1.0 / np.arange(1.0, 6.0))
 
@@ -99,7 +99,7 @@ def test_cg_matches_dense_lu():
     B = rng.standard_normal((50, 50))
     dense = B.T @ B + np.eye(50)
     rows, cols = np.nonzero(dense)
-    A = SparseMatrix.from_coo(rows, cols, dense[rows, cols], (50, 50))
+    A = Pattern(rows, cols, 50).assemble(dense[rows, cols])
     b = rng.standard_normal(50)
     x = solve_cg(A, b, tol=1e-12, max_iter=2000)
     assert x == pytest.approx(lu_solve_dense(dense, b), abs=1e-8)
@@ -112,7 +112,7 @@ def test_cg_converges_within_n_iterations_well_conditioned():
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     dense = q @ np.diag(rng.uniform(1.0, 4.0, n)) @ q.T
     rows, cols = np.nonzero(dense)
-    A = SparseMatrix.from_coo(rows, cols, dense[rows, cols], (n, n))
+    A = Pattern(rows, cols, n).assemble(dense[rows, cols])
     b = rng.standard_normal(n)
     x = solve_cg(A, b, tol=1e-12, max_iter=n)
     assert np.linalg.norm(A.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
@@ -123,7 +123,7 @@ def test_cg_nonconvergence_carries_residual():
     B = rng.standard_normal((30, 30))
     dense = B.T @ B + np.eye(30)
     rows, cols = np.nonzero(dense)
-    A = SparseMatrix.from_coo(rows, cols, dense[rows, cols], (30, 30))
+    A = Pattern(rows, cols, 30).assemble(dense[rows, cols])
     with pytest.raises(NonconvergenceError) as exc:
         solve_cg(A, rng.standard_normal(30), tol=1e-14, max_iter=2)
     assert exc.value.residual is not None
@@ -138,7 +138,7 @@ def test_iteration_limit_reports_iterations_performed(solver):
     rows = np.concatenate([i, i[:-1], i[1:]])
     cols = np.concatenate([i, i[1:], i[:-1]])
     vals = np.concatenate([np.full(n, 2.0), np.full(2 * n - 2, -1.0)])
-    A = SparseMatrix.from_coo(rows, cols, vals, (n, n))
+    A = Pattern(rows, cols, n).assemble(vals)
     stats = {}
     with pytest.raises(NonconvergenceError) as exc:
         solver(A, np.ones(n), tol=1e-12, max_iter=3, stats=stats)
@@ -148,7 +148,7 @@ def test_iteration_limit_reports_iterations_performed(solver):
 def test_bicgstab_identity_and_hand_case():
     b = np.array([1.0, 2.0])
     assert solve_bicgstab(_identity(2), b, 1e-10, 2000) == pytest.approx(b)
-    A = SparseMatrix.from_coo([0, 0, 1], [0, 1, 1], [2.0, 1.0, 3.0], (2, 2))
+    A = Pattern([0, 0, 1], [0, 1, 1], 2).assemble([2.0, 1.0, 3.0])
     x = solve_bicgstab(A, np.array([3.0, 3.0]), tol=1e-13,
                        max_iter=2000)
     assert x == pytest.approx([1.0, 1.0])
@@ -159,7 +159,7 @@ def test_bicgstab_matches_dense_lu_on_nonsymmetric():
     n = 60
     dense = rng.standard_normal((n, n)) * 0.2 + np.diag(rng.uniform(3.0, 6.0, n))
     rows, cols = np.nonzero(dense)
-    A = SparseMatrix.from_coo(rows, cols, dense[rows, cols], (n, n))
+    A = Pattern(rows, cols, n).assemble(dense[rows, cols])
     b = rng.standard_normal(n)
     x = solve_bicgstab(A, b, tol=1e-12, max_iter=2000)
     assert x == pytest.approx(lu_solve_dense(dense, b), abs=1e-8)
@@ -183,7 +183,7 @@ def test_bicgstab_restarts_when_the_rhs_lives_on_diagonal_only_rows(
     b = np.zeros(n)
     b[:n_fixed] = diag * np.linspace(1.0, 0.5, n_fixed)
     rows, cols = np.nonzero(dense)
-    A = SparseMatrix.from_coo(rows, cols, dense[rows, cols], (n, n))
+    A = Pattern(rows, cols, n).assemble(dense[rows, cols])
     x = solve_bicgstab(A, b, tol=1e-10, max_iter=2000)
     assert np.linalg.norm(dense @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert x == pytest.approx(lu_solve_dense(dense, b), abs=1e-8)

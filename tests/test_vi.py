@@ -5,13 +5,13 @@ import pytest
 
 from twofluid import vi
 from twofluid.errors import NonconvergenceError
-from twofluid.linalg import SparseMatrix
+from twofluid.linalg import Pattern
 from twofluid.vi import check_vi_conditions, solve_box_vi
 
 
 def _sparse_from_dense(dense):
     rows, cols = np.nonzero(dense)
-    return SparseMatrix.from_coo(rows, cols, dense[rows, cols], dense.shape)
+    return Pattern(rows, cols, dense.shape[0]).assemble(dense[rows, cols])
 
 
 def _identity(n):
@@ -115,7 +115,7 @@ def test_large_reduced_system_uses_iterative_path(monkeypatch):
     cols = np.concatenate([np.arange(n), np.arange(1, n), np.arange(n - 1)])
     vals = np.concatenate([np.full(n, 2.2), np.full(n - 1, -0.6),
                            np.full(n - 1, -1.4)])
-    a = SparseMatrix.from_coo(rows, cols, vals, (n, n))
+    a = Pattern(rows, cols, n).assemble(vals)
     x_star = np.clip(0.5 + 0.8 * np.sin(6 * np.pi * np.linspace(0, 1, n)),
                      0.0, 1.0)
     at_lo, at_hi = x_star == 0.0, x_star == 1.0
