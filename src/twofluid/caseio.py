@@ -290,18 +290,29 @@ def write_snapshot(state, mesh, path):
 
 def read_snapshot(path):
     """Read back a write_snapshot file: (vertices, cells, point_data, meta).
-    A file without write_snapshot's title line raises ValueError naming
-    it."""
+    A file without write_snapshot's title line, one with fewer lines or
+    fields than it declares, or one with a number that does not parse
+    raises ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if len(lines) < 2 or not lines[1].startswith("twofluid snapshot "):
         raise ValueError(f"snapshot '{path}': not a twofluid snapshot file")
+    try:
+        return _parse_snapshot(lines)
+    except IndexError:
+        raise ValueError(f"snapshot '{path}': truncated, fewer lines than "
+                         "its headers declare") from None
+    except ValueError as exc:
+        raise ValueError(f"snapshot '{path}': {exc}") from None
+
+
+def _parse_snapshot(lines):
     meta = {}
     for token in lines[1].split():
         if "=" in token:
             key, val = token.split("=", 1)
             meta[key] = float(val)
-    i = lines.index(next(ln for ln in lines if ln.startswith("POINTS")))
+    i = [k for k, ln in enumerate(lines) if ln.startswith("POINTS")][0]
     npts = int(lines[i].split()[1])
     verts = np.array([[float(v) for v in lines[i + 1 + k].split()[:2]]
                       for k in range(npts)])
@@ -329,6 +340,10 @@ def read_snapshot(path):
             j += 1 + npts
         else:
             j += 1
+    missing = [name for name in ("alpha_g", "pressure", "v_g", "v_l")
+               if name not in data]
+    if missing:
+        raise ValueError(f"truncated, no point data {', '.join(missing)}")
     return verts, cells, data, meta
 
 

@@ -109,8 +109,10 @@ class FunctionSpace:
 
     The vector mass matrix couples only equal components (m6 (x) I2), so
     half the entries of the space's pattern are exact zeros there.
-    `mass_matrix` stores only the same-component entries, masked out of
-    the full CSR matrix (no second pattern): its dense form and its
+    `mass_matrix` stores only the same-component entries: a copy of the
+    full CSR matrix with the cross-component entries zeroed, then
+    `eliminate_zeros()` (no second pattern; the copy keeps that structural
+    op off the pattern's shared index arrays).  Its dense form and its
     matvec equal the full matrix's bit for bit.  `mass_data` keeps the
     full pattern, for sums with the other operators.
     """
@@ -197,11 +199,14 @@ class FunctionSpace:
         self.keps_data = self.pattern.assemble_data(keps.reshape(-1, 144))
         self.g_basis = gbasis.reshape(2, -1, 144)
         self.int_phi6 = det[:, None] * np.einsum("q,qi->i", w, n6)
-        full = self.pattern.matrix(self.mass_data)
-        # dof parity is the component: keep entries whose row and column agree
+        # dof parity is the component: drop entries whose row and column
+        # differ, on a copy (eliminate_zeros is structural)
+        mass = self.pattern.matrix(self.mass_data).copy()
         row_odd = np.repeat(np.arange(self.dof_count) % 2 == 1,
-                            np.diff(full.indptr))
-        self.mass_matrix = full.keep_entries(row_odd == (full.indices % 2 == 1))
+                            np.diff(mass.indptr))
+        mass.data[row_odd != (mass.indices % 2 == 1)] = 0.0
+        mass.eliminate_zeros()
+        self.mass_matrix = mass
         self.keps_matrix = self.pattern.matrix(self.keps_data)
 
     @classmethod
@@ -436,8 +441,8 @@ def velocity_dependent_load(phase, qp, groups, closures):
     b -= eu * closures.pressure_load
     b += closures.gravity_load
     vn = qp.coefficients[phase]
-    b += 0.5 / re * (space.pattern.matrix(closures.g_data[phase]).matvec(vn)
-                     - space.keps_matrix.matvec(vn))
+    b += 0.5 / re * (space.pattern.matrix(closures.g_data[phase]) @ vn
+                     - space.keps_matrix @ vn)
     return b
 
 
@@ -459,7 +464,7 @@ def tentative_velocity_system(phase, dt, groups, closures):
     A = space.pattern.matrix(
         space.mass_data / dt
         + 0.5 / re * (space.keps_data - closures.g_data[phase]))
-    history = space.mass_matrix.matvec(qp.coefficients[phase]) / dt
+    history = space.mass_matrix @ qp.coefficients[phase] / dt
     load = velocity_dependent_load(phase, qp, groups, closures)
     return A, history, load
 
@@ -509,9 +514,9 @@ def assemble_velocity_update(phase, v_star, delta_p, dt, groups):
     eu = groups.eu_l if phase == "liquid" else groups.eu_g
     dp_cell = delta_p.space.p1_cell_gradient(delta_p.coefficients)
     M = space.mass_matrix
-    b = M.matvec(v_star.coefficients)
+    b = M @ v_star.coefficients
     b -= dt * eu * _const_grad_load(space, dp_cell)
-    return M.with_data(M.data.copy()), b
+    return M.copy(), b
 
 
 def assemble_alpha_system(alpha_old, v_g_new, dt):

@@ -43,7 +43,7 @@ import numpy as np
 from . import caseio, fem, post
 from .errors import (SingularSystemError, SolverFailureError,
                      StagnationError, StepFailureError, TwoFluidError)
-from .linalg import solve_bicgstab, solve_cg
+from .linalg import eliminate, solve_bicgstab, solve_cg, zero_rows
 from .mesh import BoundaryTag
 from .physics import make_groups
 from .vi import solve_box_vi
@@ -193,7 +193,7 @@ def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
         A, history, load = fem.tentative_velocity_system(phase, dt, groups,
                                                          closures)
         dofs, values = dirichlet[phase]
-        A.zero_rows(dofs)
+        zero_rows(A, dofs)
         b = history + load
         b[dofs] = values
         vn = closures.qp.coefficients[phase]
@@ -272,7 +272,7 @@ def step(state, dt, cfg, warm=None):
         if outlet.size == 0:
             raise SingularSystemError(
                 "pressure system has no Dirichlet boundary (all-Neumann)")
-        A_p.eliminate(outlet)
+        eliminate(A_p, outlet)
         b_p[outlet] = 0.0
         delta_p = _krylov(solve_cg, stats, "pressure", A_p, b_p, tol=tol,
                           max_iter=10000,
@@ -287,7 +287,7 @@ def step(state, dt, cfg, warm=None):
             M, b = fem.assemble_velocity_update(phase, vstar, dp_field, dt,
                                                 groups)
             dofs, values = dirichlet[phase]
-            M.zero_rows(dofs)
+            zero_rows(M, dofs)
             b[dofs] = values
             new_v[phase] = _krylov(solve_bicgstab, stats, f"update_{phase}",
                                    M, b, tol=tol, max_iter=2000,
@@ -302,8 +302,8 @@ def step(state, dt, cfg, warm=None):
         # but makes the absolute residual tolerances meaningful.  The
         # Dirichlet rows become dt * (alpha = value); A_a and b_a stay
         # unconstrained for the mass accounting.
-        A_s = A_a.with_data(A_a.data * dt)
-        A_s.zero_rows(alpha_nodes, diag_value=dt)
+        A_s = A_a * dt
+        zero_rows(A_s, alpha_nodes, diag_value=dt)
         b_s = b_a * dt
         b_s[alpha_nodes] = alpha_values * dt
         vi_stats = {"iterations": 0}
@@ -354,7 +354,7 @@ def _mass_balance_residual(alpha_old, alpha_new, dt, A_a, b_a,
     linear solve zeroes and the VI does not at the nodes it holds at a
     bound.  The flux is the whole sum less d/dt int(alpha).
     """
-    residual = A_a.matvec(alpha_new.coefficients) - b_a
+    residual = A_a @ alpha_new.coefficients - b_a
     injection = float(residual[dirichlet_rows].sum())
     defect = float(np.delete(residual, dirichlet_rows).sum())
 

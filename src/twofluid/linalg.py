@@ -1,13 +1,19 @@
-"""Compressed-row sparse matrices and the Krylov solvers behind each sub-step.
+"""Sparse matrices, their row constraints, and the Krylov solvers behind
+each sub-step.
 
-The CSR format is owned here: `Pattern` is the one COO -> CSR builder
-(fem builds one per function space), and every `SparseMatrix` carries its
-diagonal slots, kept by `with_data`, `keep_entries` and `submatrix`.
-Row constraints are imposed in place by `zero_rows` and `eliminate`;
-deciding which rows to constrain is the caller's business.
-scipy.sparse is used only as the matrix-vector product backend (zero-copy
-view over the same arrays).  Solver logic, preconditioning and the
-residual contracts are local.
+The matrix type is scipy's `csr_matrix`.  `Pattern` owns the assembly
+order: it is the one COO -> CSR builder (fem builds one per function
+space), and it sums duplicates in a fixed order.  Row constraints are
+imposed in place by `zero_rows` and `eliminate`, which find each row's
+diagonal among that row's own entries; deciding which rows to constrain
+is the caller's business.
+
+Every matrix a `Pattern` returns shares the pattern's `indices` array, so
+only ops that change `data` may run in place on it.  A structural op
+(`eliminate_zeros`, `sort_indices`, a `setdiag` that inserts) would
+silently corrupt every later matrix of the same space; run it on a
+`.copy()`.  Solver logic, preconditioning and the residual contracts are
+local.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from .errors import NonconvergenceError, SingularMatrixError
 
 class Pattern:
     """Static CSR pattern of an n x n matrix assembled from fixed COO
-    positions: the COO-position -> CSR-slot map and each row's diagonal
-    slot (-1 where the pattern has no diagonal entry)."""
+    positions: the COO-position -> CSR-slot map, with column indices
+    sorted within each row."""
 
     def __init__(self, rows, cols, n):
         rows = np.asarray(rows, dtype=np.int64).ravel()
@@ -37,10 +43,6 @@ class Pattern:
         self.indptr = indptr
         self.indices = ucols
         self.slots = slots
-        diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
-        hit = np.searchsorted(uniq, diag_keys)
-        hit[hit >= uniq.size] = uniq.size - 1
-        self.diag_slots = np.where(uniq[hit] == diag_keys, hit, -1)
 
     def assemble_data(self, values):
         """CSR data of COO values given in the pattern's COO order;
@@ -52,87 +54,42 @@ class Pattern:
         return self.matrix(self.assemble_data(values))
 
     def matrix(self, data):
-        return SparseMatrix(self.indptr, self.indices, data, self.diag_slots)
-
-
-class SparseMatrix:
-    """Square CSR matrix that knows the data slot of each row's diagonal
-    entry (-1 where the pattern has none)."""
-
-    def __init__(self, indptr, indices, data, diag_slots):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int32)
-        self.data = np.asarray(data, dtype=float)
-        self.diag_slots = diag_slots
+        """CSR matrix over `data` (not copied) and the pattern's index
+        arrays (shared: no structural op in place)."""
         n = self.indptr.size - 1
-        self.shape = (n, n)
-        # scipy is only the matvec backend: a view over the same data array
-        self._csr = _sp.csr_matrix((self.data, self.indices, self.indptr),
-                                   shape=self.shape)
+        return _sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
-    def matvec(self, x):
-        return self._csr @ x
 
-    def diagonal(self):
-        d = self.data[self.diag_slots]
-        d[self.diag_slots < 0] = 0.0
-        return d
+def zero_rows(A, rows, diag_value=1.0):
+    """Replace the given rows of the CSR matrix A by `diag_value` on the
+    diagonal (in place, data only).
 
-    def to_dense(self):
-        return self._csr.toarray()
+    Every row must store its diagonal entry, else ValueError.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = A.indptr[rows]
+    lens = A.indptr[rows + 1] - starts
+    # flat positions of every entry in the selected rows
+    ends = np.cumsum(lens)
+    pos = np.repeat(starts - (ends - lens), lens) + np.arange(lens.sum())
+    owner = np.repeat(np.arange(rows.size), lens)
+    on_diag = A.indices[pos] == rows[owner]
+    has_diag = np.bincount(owner[on_diag], minlength=rows.size) > 0
+    if not np.all(has_diag):
+        raise ValueError(f"row {rows[np.argmin(has_diag)]} has no "
+                         "diagonal entry")
+    A.data[pos] = 0.0
+    A.data[pos[on_diag]] = diag_value
 
-    def with_data(self, data):
-        """Same sparsity pattern, new values (shares index arrays)."""
-        return SparseMatrix(self.indptr, self.indices, data, self.diag_slots)
 
-    def keep_entries(self, mask):
-        """Same shape, only the stored entries whose flag in the boolean
-        per-entry `mask` is set.  They keep their CSR order; a dropped
-        diagonal entry's slot becomes -1."""
-        # number of surviving entries before each position: its new slot
-        before = np.concatenate(([0], np.cumsum(mask)))
-        diag = self.diag_slots
-        return SparseMatrix(before[self.indptr], self.indices[mask],
-                            self.data[mask],
-                            np.where((diag >= 0) & mask[diag], before[diag],
-                                     -1))
-
-    def submatrix(self, keep):
-        """Rows and columns restricted to the boolean mask `keep`.  The
-        surviving entries keep their CSR order, which is sorted already."""
-        keep = np.asarray(keep, dtype=bool)
-        kept = self.keep_entries(np.repeat(keep, np.diff(self.indptr))
-                                 & keep[self.indices])
-        return SparseMatrix(np.append(kept.indptr[:-1][keep], kept.indptr[-1]),
-                            (np.cumsum(keep) - 1)[kept.indices], kept.data,
-                            kept.diag_slots[keep])
-
-    def zero_rows(self, rows, diag_value=1.0):
-        """Replace the given rows by `diag_value` on the diagonal (in place).
-
-        Every row must contain its diagonal entry in the pattern.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        diag = self.diag_slots[rows]
-        if np.any(diag < 0):
-            raise ValueError(f"row {rows[np.argmax(diag < 0)]} has no "
-                             "diagonal entry")
-        starts = self.indptr[rows]
-        lens = self.indptr[rows + 1] - starts
-        # flat positions of every entry in the selected rows
-        ends = np.cumsum(lens)
-        pos = np.repeat(starts - (ends - lens), lens) + np.arange(lens.sum())
-        self.data[pos] = 0.0
-        self.data[diag] = diag_value
-
-    def eliminate(self, dofs):
-        """Homogeneous symmetric elimination (in place): rows and columns
-        of `dofs` cleared, unit diagonal; the right-hand side must hold
-        zero at `dofs`."""
-        hit = np.zeros(self.shape[1], dtype=bool)
-        hit[dofs] = True
-        self.data[hit[self.indices]] = 0.0
-        self.zero_rows(dofs)
+def eliminate(A, dofs):
+    """Homogeneous symmetric elimination (in place, data only): rows and
+    columns of `dofs` cleared, unit diagonal; the right-hand side must
+    hold zero at `dofs`."""
+    hit = np.zeros(A.shape[1], dtype=bool)
+    hit[dofs] = True
+    A.data[hit[A.indices]] = 0.0
+    zero_rows(A, dofs)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +118,7 @@ def solve_cg(A, b, tol, max_iter, x0=None, stats=None):
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     minv = _jacobi(A)
     target = tol * nb
-    r = b - A.matvec(x)
+    r = b - A @ x
     z = minv * r
     p = z.copy()
     rz = r @ z
@@ -169,7 +126,7 @@ def solve_cg(A, b, tol, max_iter, x0=None, stats=None):
         stats["iterations"] = it
         if np.linalg.norm(r) <= target:
             return x
-        Ap = A.matvec(p)
+        Ap = A @ p
         alpha = rz / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap
@@ -178,7 +135,7 @@ def solve_cg(A, b, tol, max_iter, x0=None, stats=None):
         p = z + (rz_new / rz) * p
         rz = rz_new
     stats["iterations"] = max_iter
-    res = np.linalg.norm(b - A.matvec(x))
+    res = np.linalg.norm(b - A @ x)
     if res <= target:
         return x
     raise NonconvergenceError(
@@ -207,7 +164,7 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None):
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     minv = _jacobi(A)
     target = tol * nb
-    r = b - A.matvec(x)
+    r = b - A @ x
     r0 = r.copy()
     nr0 = np.linalg.norm(r0)
     rho = alpha = omega = 1.0
@@ -217,12 +174,12 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None):
         stats["iterations"] = it
         nr = np.linalg.norm(r)
         if nr <= target:
-            true_r = np.linalg.norm(b - A.matvec(x))
+            true_r = np.linalg.norm(b - A @ x)
             if true_r <= target:
                 return x
         rho_new = r0 @ r
         if abs(rho_new) <= np.finfo(float).eps * nr0 * nr or omega == 0.0:
-            r = b - A.matvec(x)
+            r = b - A @ x
             r0 = r.copy()
             nr0 = np.linalg.norm(r0)
             rho = alpha = omega = 1.0
@@ -235,7 +192,7 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None):
         rho = rho_new
         p = r + beta * (p - omega * v)
         ph = minv * p
-        v = A.matvec(ph)
+        v = A @ ph
         r0v = r0 @ v
         if r0v == 0.0:
             omega = 0.0  # breakdown: restart on the next pass
@@ -247,7 +204,7 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None):
             r = s
             continue
         sh = minv * s
-        t = A.matvec(sh)
+        t = A @ sh
         tt = t @ t
         omega = (t @ s) / tt if tt > 0.0 else 0.0
         x += alpha * ph + omega * sh
@@ -255,7 +212,7 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None):
     else:
         it = max_iter
     stats["iterations"] = it
-    res = np.linalg.norm(b - A.matvec(x))
+    res = np.linalg.norm(b - A @ x)
     if res <= target:
         return x
     raise NonconvergenceError(

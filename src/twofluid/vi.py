@@ -44,9 +44,9 @@ def check_vi_conditions(x, r):
 
 
 def _reduced_solve(a, rhs, inactive, tol, x0):
-    sub = a.submatrix(inactive)
+    sub = a[inactive][:, inactive]
     if sub.shape[0] <= _DENSE_CUTOFF:
-        return lu_solve_dense(sub.to_dense(), rhs)
+        return lu_solve_dense(sub.toarray(), rhs)
     return solve_bicgstab(sub, rhs, tol=tol, max_iter=4000, x0=x0)
 
 
@@ -60,7 +60,7 @@ def solve_box_vi(a, b, x0, tol, max_iter=50, stats=None):
     """
     n = b.size
     x = np.clip(x0, 0.0, 1.0)
-    r = a.matvec(x) - b
+    r = a @ x - b
     seen = set()
     grow = False
     act_lo = np.zeros(n, dtype=bool)
@@ -83,13 +83,13 @@ def solve_box_vi(a, b, x0, tol, max_iter=50, stats=None):
         x_try = np.where(act_lo, 0.0, np.where(act_hi, 1.0, x))
         if np.any(inactive):
             pad = np.where(inactive, 0.0, x_try)
-            rhs = (b - a.matvec(pad))[inactive]
+            rhs = (b - a @ pad)[inactive]
             inner_tol = min(1e-12, tol * 1e-2 / max(1.0, np.linalg.norm(rhs)))
             x_try[inactive] = _reduced_solve(a, rhs, inactive, inner_tol,
                                              x_try[inactive])
         x = np.clip(x_try, 0.0, 1.0)
 
-        r = a.matvec(x) - b
+        r = a @ x - b
         worst = check_vi_conditions(x, r)
         if worst <= tol:
             return x

@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -231,6 +232,21 @@ def test_snapshot_zero_state(tmp_path):
     assert cells.shape == (2, 3)
     assert np.all(data["alpha_g"] == 0.0)
     assert np.all(data["v_l"] == 0.0)
+
+
+def test_every_truncated_snapshot_is_rejected_naming_the_file(tmp_path):
+    cfg = CaseConfig(nx=1, ny=1)
+    mesh = cfg.build_mesh()
+    full = tmp_path / "full.vtk"
+    write_snapshot(initial_state(mesh, cfg), mesh, str(full))
+    lines = full.read_text().splitlines(keepends=True)
+    path = tmp_path / "cut.vtk"
+    # every cut after the title line, from the POINTS header to the last
+    # vector line
+    for keep in range(2, len(lines)):
+        path.write_text("".join(lines[:keep]))
+        with pytest.raises(ValueError, match=re.escape(f"snapshot '{path}'")):
+            read_snapshot(str(path))
 
 
 def test_snapshot_deterministic(tmp_path):

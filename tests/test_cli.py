@@ -151,12 +151,29 @@ def test_convergence_writes_each_mesh_and_compares(tmp_path, capsys):
     assert np.isfinite(float(worst))
 
 
-@pytest.mark.parametrize("name, text", [("series.csv", None),
-                                        ("empty.vtk", "")])
+def _first_30_lines(snapshot):
+    # title and points intact, the file ends inside the CELLS block
+    return "".join(snapshot.splitlines(keepends=True)[:30])
+
+
+def _unparsable_point(snapshot):
+    lines = snapshot.splitlines(keepends=True)
+    lines[6] = "x 0 0\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("series.csv", None),
+    ("empty.vtk", ""),
+    pytest.param("truncated.vtk", _first_30_lines, id="truncated.vtk"),
+    pytest.param("garbled.vtk", _unparsable_point, id="garbled.vtk"),
+])
 def test_analyze_a_file_that_is_not_a_snapshot_exits_2(name, text, tmp_path,
                                                         capsys):
     _run_small(tmp_path)
     path = tmp_path / name
+    if callable(text):
+        text = text((tmp_path / "snap_000000.vtk").read_text())
     if text is not None:
         path.write_text(text)
     capsys.readouterr()

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from twofluid import fem
-from twofluid.caseio import CaseConfig
+from twofluid.caseio import CaseConfig, build_spaces
 from twofluid.errors import OutOfDomainError
 from twofluid.fem import (FunctionSpace, VelocityQP, assemble_alpha_system,
                           assemble_pressure_poisson, assemble_velocity_update,
                           closure_inputs, evaluate_many, supg_tau,
                           tentative_velocity_system)
-from twofluid.linalg import solve_bicgstab, solve_cg
+from twofluid.linalg import (Pattern, eliminate, solve_bicgstab, solve_cg,
+                             zero_rows)
 from twofluid.mesh import BoundaryTag, Mesh, generate_rect_mesh
 from twofluid.physics import make_groups
 
@@ -48,7 +49,7 @@ def pressure_system(state, qp, dt, groups):
     stepper eliminates it."""
     A, b = assemble_pressure_poisson(state, qp, dt, groups)
     outlet = state.p_l.space.boundary_nodes(BoundaryTag.Outlet)
-    A.eliminate(outlet)
+    eliminate(A, outlet)
     b[outlet] = 0.0
     return A, b
 
@@ -62,7 +63,7 @@ def tentative_system(phase, state, dt, groups, dirichlet=None):
     b = history + load
     if dirichlet is not None:
         dofs, values = dirichlet
-        A.zero_rows(dofs)
+        zero_rows(A, dofs)
         b[dofs] = values
     return A, b
 
@@ -114,8 +115,8 @@ def test_vector_mass_and_strain_stiffness_on_reference_cell(symbolic_ops):
     keps = np.einsum("ij,ab->iajb", k6, eye)
     keps = keps + np.einsum("abji->iajb", kd)
     keps12 = keps.reshape(12, 12)
-    assert mass(vec).to_dense() == pytest.approx(m12, abs=1e-14)
-    assert vec.keps_matrix.to_dense() == pytest.approx(keps12, abs=1e-13)
+    assert mass(vec).toarray() == pytest.approx(m12, abs=1e-14)
+    assert vec.keps_matrix.toarray() == pytest.approx(keps12, abs=1e-13)
 
 
 @pytest.mark.parametrize("diagonal", ["right", "left", "alternating"])
@@ -123,22 +124,54 @@ def test_vector_mass_matrix_stores_no_cross_component_entries(diagonal):
     vec = FunctionSpace.vector_p2(generate_rect_mesh(1.0, 2.0, 3, 4, diagonal))
     full = mass(vec)
     M = vec.mass_matrix
-    assert np.array_equal(M.to_dense(), full.to_dense())
+    assert np.array_equal(M.toarray(), full.toarray())
     rows = np.repeat(np.arange(vec.dof_count), np.diff(M.indptr))
     assert np.all(rows % 2 == M.indices % 2)
     assert 2 * M.indptr[-1] == full.indptr[-1]
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.standard_normal(vec.dof_count)
-        assert np.array_equal(M.matvec(x), full.matvec(x))
-    # every diagonal slot survives, so the stepper can constrain rows of M
-    assert np.all(M.diag_slots >= 0)
+        assert np.array_equal(M @ x, full @ x)
+    # every diagonal survives, so the stepper can constrain rows of M
     assert np.array_equal(M.diagonal(), full.diagonal())
     constrained = np.array([0, 5, vec.dof_count - 1])
-    M = M.with_data(M.data.copy())
-    M.zero_rows(constrained, diag_value=2.0)
-    full.zero_rows(constrained, diag_value=2.0)
-    assert np.array_equal(M.to_dense(), full.to_dense())
+    M = M.copy()
+    zero_rows(M, constrained, diag_value=2.0)
+    zero_rows(full, constrained, diag_value=2.0)
+    assert np.array_equal(M.toarray(), full.toarray())
+
+
+def test_constraints_leave_the_shared_patterns_intact():
+    # every matrix of a space shares its pattern's index arrays, so no
+    # structural op may run in place on one
+    spaces = build_spaces(generate_rect_mesh(1.0, 2.0, 3, 4, "alternating"))
+    p1, vec = spaces.p1, spaces.vec
+
+    def fresh(space):
+        cd, nl = space.cell_dofs, space.cell_dofs.shape[1]
+        return Pattern(np.repeat(cd, nl, axis=1), np.tile(cd, nl),
+                       space.dof_count)
+
+    built = {space: fresh(space) for space in (p1, vec)}
+
+    def assert_intact():
+        for space, ref in built.items():
+            pattern = space.pattern
+            assert np.array_equal(pattern.indptr, ref.indptr)
+            assert np.array_equal(pattern.indices, ref.indices)
+            rows = np.repeat(np.arange(space.dof_count),
+                             np.diff(pattern.indptr))
+            same_row = rows[1:] == rows[:-1]
+            assert np.all(np.diff(pattern.indices)[same_row] > 0)
+
+    assert_intact()
+    assert not np.shares_memory(vec.mass_matrix.indices, vec.pattern.indices)
+    zero_rows(vec.pattern.matrix(vec.keps_data.copy()), [0, 5])
+    zero_rows(vec.mass_matrix.copy(), [0, 5])
+    eliminate(vec.pattern.matrix(vec.mass_data.copy()), [1, 4])
+    zero_rows(p1.pattern.matrix(p1.mass_data.copy()), [0, 3], diag_value=2.0)
+    eliminate(p1.pattern.matrix(p1.mass_data.copy()), [2, 7])
+    assert_intact()
 
 
 def test_tentative_velocity_matrix_is_mass_plus_viscous(symbolic_ops):
@@ -154,14 +187,14 @@ def test_tentative_velocity_matrix_is_mass_plus_viscous(symbolic_ops):
     keps12 = (np.einsum("ij,ab->iajb", k6, eye)
               + np.einsum("abji->iajb", kd)).reshape(12, 12)
     expect = m12 / 1.0 + 0.5 / groups.re_l * keps12
-    assert A.to_dense() == pytest.approx(expect, abs=1e-13)
+    assert A.toarray() == pytest.approx(expect, abs=1e-13)
 
 
 def test_p1_mass_row_sums_are_lumped_areas():
     mesh = generate_rect_mesh(2.0, 3.0, 4, 5, "alternating")
     p1 = FunctionSpace.scalar_p1(mesh)
     M = mass(p1)
-    row_sums = M.matvec(np.ones(p1.dof_count))
+    row_sums = M @ np.ones(p1.dof_count)
     # row sums = int phi_i; their total is the domain area
     assert row_sums.sum() == pytest.approx(6.0, rel=1e-12)
     assert np.all(row_sums > 0)
@@ -175,10 +208,10 @@ def test_stiffness_annihilates_constants():
     groups = make_groups(PROPS, SCALES, CFG.c_p)
     K, _ = assemble_pressure_poisson(
         state, VelocityQP(vec.field(), vec.field(), groups), 0.01, groups)
-    assert (np.max(np.abs(K.matvec(np.ones(p1.dof_count))))
+    assert (np.max(np.abs(K @ np.ones(p1.dof_count)))
             < 1e-14 * np.max(np.abs(K.data)))
     const = vec.interpolate(lambda x, y: (0.7, -0.3))
-    assert np.max(np.abs(vec.keps_matrix.matvec(const.coefficients))) < 1e-11
+    assert np.max(np.abs(vec.keps_matrix @ const.coefficients)) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +224,7 @@ def test_gravity_only_rhs():
     _, b = tentative_system("liquid", state, 0.1, groups)
     M = mass(vec)
     grav = vec.interpolate(lambda x, y: (0.0, -1.0 / groups.fr ** 2))
-    assert b == pytest.approx(M.matvec(grav.coefficients), abs=1e-12)
+    assert b == pytest.approx(M @ grav.coefficients, abs=1e-12)
 
 
 def test_hydrostatic_pressure_cancels_gravity():
@@ -216,12 +249,12 @@ def test_drag_load_matches_closed_form():
     _, b = tentative_system("liquid", state, 0.5, groups)
     M = mass(vec)
     grav = vec.interpolate(lambda x, y: (0.0, -1.0 / groups.fr ** 2))
-    b_drag = b - M.matvec(grav.coefficients)
+    b_drag = b - M @ grav.coefficients
     k = drag_exchange_coefficient(0.1, groups)
     coef = (0.02 / 0.98) * k
     drag_field = vec.interpolate(lambda x, y: (0.0, coef * 0.1))
     # constant load integrates to the mass-lumped weights times the vector
-    assert b_drag == pytest.approx(M.matvec(drag_field.coefficients), abs=1e-12)
+    assert b_drag == pytest.approx(M @ drag_field.coefficients, abs=1e-12)
 
 
 def test_gas_drag_sign_and_density_ratio():
@@ -236,9 +269,9 @@ def test_gas_drag_sign_and_density_ratio():
     grav = vec.interpolate(lambda x, y: (0.0, -1.0 / groups.fr ** 2))
     k = drag_exchange_coefficient(0.1, groups)
     vn = state.v_g.coefficients
-    expect = (M.matvec(grav.coefficients) + M.matvec(vn) / 0.5
-              + M.matvec(vec.interpolate(
-                  lambda x, y: (0.0, -groups.rho_ratio * k * 0.1)).coefficients))
+    expect = (M @ grav.coefficients + M @ vn / 0.5
+              + M @ vec.interpolate(
+                  lambda x, y: (0.0, -groups.rho_ratio * k * 0.1)).coefficients)
     assert b == pytest.approx(expect, abs=1e-11)
 
 
@@ -299,7 +332,7 @@ def test_pressure_rhs_linear_field_oracle():
         state, VelocityQP(v_star, v_star, groups), dt, groups)
     # div(sum alpha_q v) = c everywhere; rows, the outlet's included, are
     # -c/dt * int psi_i
-    expect = -c / dt * mass(p1).matvec(np.ones(p1.dof_count))
+    expect = -c / dt * (mass(p1) @ np.ones(p1.dof_count))
     assert b == pytest.approx(expect, rel=1e-12)
 
 
@@ -309,7 +342,7 @@ def test_pressure_matrix_symmetric_and_spd():
     groups = make_groups(PROPS, SCALES, CFG.c_p)
     A, _ = pressure_system(
         state, VelocityQP(vec.field(), vec.field(), groups), 0.01, groups)
-    dense = A.to_dense()
+    dense = A.toarray()
     assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense))
     eigs = np.linalg.eigvalsh(dense)
     assert eigs.min() > 0
@@ -353,7 +386,7 @@ def test_alpha_zero_velocity_is_mass_over_dt():
     dt = 0.02
     A, b = assemble_alpha_system(alpha_old, vec.field(), dt)
     M = mass(p1)
-    assert A.to_dense() == pytest.approx(M.to_dense() / dt, abs=1e-13)
+    assert A.toarray() == pytest.approx(M.toarray() / dt, abs=1e-13)
     x = solve_bicgstab(A, b, tol=1e-13, max_iter=2000)
     assert x == pytest.approx(alpha_old.coefficients, abs=1e-10)
 
@@ -366,7 +399,7 @@ def test_alpha_constant_transported_exactly():
     alpha_old = p1.field(np.full(p1.dof_count, c))
     v = vec.interpolate(lambda x, y: (0.1, 0.9))
     A, b = assemble_alpha_system(alpha_old, v, 0.05)
-    resid = A.matvec(np.full(p1.dof_count, c)) - b
+    resid = A @ np.full(p1.dof_count, c) - b
     assert np.max(np.abs(resid)) < 1e-12
 
 
@@ -437,5 +470,5 @@ def test_alpha_residual_sums_to_the_divergence_integral(diagonal, dt):
     alpha = p1.field(p1.node_coords[:, 0] + 1.0)
     v = vec.interpolate(lambda x, y: (0.0, 1.0 + y))
     A, b = assemble_alpha_system(alpha, v, dt)
-    residual = A.matvec(alpha.coefficients) - b
+    residual = A @ alpha.coefficients - b
     assert abs(residual.sum() - 2.0) <= 1e-11

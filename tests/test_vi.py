@@ -62,7 +62,7 @@ def test_diagonal_projection():
     b = np.array([-0.3, 0.5, 1.2])
     x = solve_box_vi(_identity(3), b, np.zeros(3), 1e-10)
     assert x == pytest.approx([0.0, 0.5, 1.0])
-    r = _identity(3).matvec(x) - b
+    r = _identity(3) @ x - b
     assert r == pytest.approx([0.3, 0.0, -0.2])
     assert check_vi_conditions(x, r) <= 1e-10
 
@@ -90,7 +90,7 @@ def test_matches_exhaustive_qp_oracle(seed):
     oracle = box_qp_minimizer(dense, b)
     assert oracle is not None
     assert np.max(np.abs(x - oracle)) <= 1e-8
-    assert check_vi_conditions(x, a.matvec(x) - b) <= 1e-10
+    assert check_vi_conditions(x, a @ x - b) <= 1e-10
 
 
 def test_unconstrained_consistency():
@@ -124,7 +124,7 @@ def test_large_reduced_system_uses_iterative_path(monkeypatch):
     r_star = np.zeros(n)
     r_star[at_lo] = rng.uniform(0.1, 1.0, np.count_nonzero(at_lo))
     r_star[at_hi] = -rng.uniform(0.1, 1.0, np.count_nonzero(at_hi))
-    b = a.matvec(x_star) - r_star
+    b = a @ x_star - r_star
 
     sizes = []
 
@@ -188,7 +188,7 @@ def test_anti_cycling_fallback_resolves_a_cycling_instance(monkeypatch):
     assert stats["iterations"] == 7
     (oracle,) = kkt_points(CYCLING_A, CYCLING_B)
     assert np.max(np.abs(x - oracle)) <= 1e-10
-    assert check_vi_conditions(x, a.matvec(x) - CYCLING_B) <= 1e-10
+    assert check_vi_conditions(x, a @ x - CYCLING_B) <= 1e-10
 
 
 class _NeverSeen(set):
