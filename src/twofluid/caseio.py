@@ -80,6 +80,9 @@ class CaseConfig:
                                   self.nx, self.ny, self.diagonal)
 
     def validate(self):
+        for name, kind in _FIELD_TYPES.items():
+            if kind == "float" and not np.isfinite(getattr(self, name)):
+                raise ConfigError("must be a finite number", key=name)
         positive = ("rho_g", "rho_l", "mu_g", "mu_l", "d_b", "gravity",
                     "x_scale", "v_scale", "h_ref", "width", "height",
                     "tol_step", "tol_linear", "tol_vi", "alpha_ln_floor",
@@ -290,14 +293,14 @@ def write_snapshot(state, mesh, path):
 
 def read_snapshot(path):
     """Read back a write_snapshot file: (vertices, cells, point_data, meta).
-    A file without write_snapshot's title line, one with fewer lines or
-    fields than it declares, or one with a number that does not parse
-    raises ValueError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if len(lines) < 2 or not lines[1].startswith("twofluid snapshot "):
-        raise ValueError(f"snapshot '{path}': not a twofluid snapshot file")
+    A file that is not UTF-8 text, one without write_snapshot's title
+    line, one with fewer lines or fields than it declares, or one with a
+    number that does not parse raises ValueError naming it."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+        if len(lines) < 2 or not lines[1].startswith("twofluid snapshot "):
+            raise ValueError("not a twofluid snapshot file")
         return _parse_snapshot(lines)
     except IndexError:
         raise ValueError(f"snapshot '{path}': truncated, fewer lines than "

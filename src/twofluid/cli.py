@@ -152,6 +152,8 @@ def _cmd_convergence(args):
     try:
         nxs = [int(v) for v in args.meshes.split(",") if v]
     except ValueError:
+        nxs = []
+    if not nxs:
         print(f"bad --meshes '{args.meshes}'", file=sys.stderr)
         return 1
     aspect = cfg.height / cfg.width

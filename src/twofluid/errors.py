@@ -22,10 +22,6 @@ class SingularMatrixError(TwoFluidError):
     """Dense factorization met a pivot that is zero to machine precision."""
 
 
-class SingularSystemError(TwoFluidError):
-    """A system without any Dirichlet constraint (pure Neumann) was requested."""
-
-
 class OutOfDomainError(TwoFluidError):
     """A point evaluation fell outside every mesh cell."""
 

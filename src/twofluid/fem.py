@@ -36,7 +36,7 @@ import numpy as np
 from . import physics
 from .errors import OutOfDomainError
 from .linalg import Pattern
-from .mesh import BoundaryTag, boundary_facets
+from .mesh import BoundaryTag
 
 # ---------------------------------------------------------------------------
 # quadrature and reference bases
@@ -97,7 +97,12 @@ class FunctionSpace:
 
     Every space has its nodes `node_coords`, the per-cell node and dof
     indices `node_cell_dofs` and `cell_dofs`, the `dof_count`, its CSR
-    `pattern` and the assembled `mass_data`.
+    `pattern` and the assembled `mass_data`.  Its nodes are tagged by the
+    sides of the mesh's bounding box they lie on (`BoundaryTag`: Inlet
+    y = y_min, Outlet y = y_max, WallLeft x = x_min, WallRight x = x_max,
+    to within 1e-12 * max(width, height, 1)), so a corner has two tags.
+    A boundary node off the box gets no tag: only a rectangular outline
+    is tagged all round.
     ScalarP1 adds the reference basis at the quadrature points `n3`, the
     physical basis gradients `grad_p1` (nc, 3, 2), the measure-free
     gradient products `gg` and the integrals of the basis `int_phi`.
@@ -143,8 +148,13 @@ class FunctionSpace:
         else:
             self.dof_count = self.node_coords.shape[0]
             self.cell_dofs = self.node_cell_dofs
-        self._tag_nodes = {tag: self._facet_nodes(boundary_facets(mesh, tag))
-                           for tag in BoundaryTag}
+        (x0, y0), (x1, y1) = mesh.bounds()
+        tol = 1e-12 * max(x1 - x0, y1 - y0, 1.0)
+        x, y = self.node_coords.T
+        offsets = {BoundaryTag.Inlet: y - y0, BoundaryTag.Outlet: y - y1,
+                   BoundaryTag.WallLeft: x - x0, BoundaryTag.WallRight: x - x1}
+        self._tag_nodes = {tag: np.flatnonzero(np.abs(d) <= tol)
+                           for tag, d in offsets.items()}
         cd = self.cell_dofs
         nl = cd.shape[1]
         self.pattern = Pattern(
@@ -227,15 +237,8 @@ class FunctionSpace:
         vals = np.array([fn(x, y) for x, y in self.node_coords], dtype=float)
         return FeField(self, vals.ravel())
 
-    def _facet_nodes(self, rows):
-        mesh = self.mesh
-        nodes = [mesh.facet_vertices[rows].ravel().astype(np.int64)]
-        if self.kind == "VectorP2":
-            nodes.append(mesh.n_vertices + mesh.facet_edges[rows])
-        return np.unique(np.concatenate(nodes))
-
     def boundary_nodes(self, *tags):
-        """Sorted scalar node indices lying on facets carrying any given tag."""
+        """Sorted scalar node indices on the given sides of the bounding box."""
         return np.unique(np.concatenate([self._tag_nodes[t] for t in tags]))
 
     # -- field values at quadrature points -----------------------------------

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import caseio, fem, post
-from .errors import (SingularSystemError, SolverFailureError,
-                     StagnationError, StepFailureError, TwoFluidError)
+from .errors import (SolverFailureError, StagnationError, StepFailureError,
+                     TwoFluidError)
 from .linalg import eliminate, solve_bicgstab, solve_cg, zero_rows
 from .mesh import BoundaryTag
 from .physics import make_groups
@@ -269,9 +269,6 @@ def step(state, dt, cfg, warm=None):
     with _substep("pressure-poisson"):
         A_p, b_p = fem.assemble_pressure_poisson(state, qp_star, dt, groups)
         outlet = p1.boundary_nodes(BoundaryTag.Outlet)
-        if outlet.size == 0:
-            raise SingularSystemError(
-                "pressure system has no Dirichlet boundary (all-Neumann)")
         eliminate(A_p, outlet)
         b_p[outlet] = 0.0
         delta_p = _krylov(solve_cg, stats, "pressure", A_p, b_p, tol=tol,

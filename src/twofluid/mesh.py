@@ -1,16 +1,15 @@
-"""Structured triangulations of rectangular domains with boundary tagging.
+"""Structured triangulations of rectangular domains.
 
 The column geometry is a rectangle spanning x in [-width/2, width/2] and
 y in [0, height]: the inlet is the bottom side, the outlet the top, and
-the two remaining sides are walls.  Cells are counterclockwise vertex
-triples obtained by splitting a structured quad grid along one of its
-diagonals.
+the two remaining sides are walls (`BoundaryTag`; function spaces tag
+their nodes by these sides of the bounding box).  Cells are
+counterclockwise vertex triples obtained by splitting a structured quad
+grid along one of its diagonals.
 
-`Mesh(vertices, cells, grid)` builds its whole topology and geometry in
-the constructor: the cell Jacobian determinants and inverses, the cell
-diameters, one global edge table (which places the P2 midpoint nodes)
-and the boundary facets, i.e. the edges owned by one cell, tagged against
-the bounding box.
+`Mesh(vertices, cells, grid)` builds its geometry in the constructor:
+the cell Jacobian determinants and inverses, the cell diameters, and one
+global edge table, which places the P2 midpoint nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ class BoundaryTag(enum.Enum):
 
 
 class Mesh:
-    """Triangle mesh with tagged boundary facets.
+    """Triangle mesh: geometry, and the edge table that places the P2
+    midpoint nodes.
 
     vertices:       (n_vertices, 2) coordinates
     cells:          (n_cells, 3) vertex indices, counterclockwise
@@ -42,10 +42,6 @@ class Mesh:
                     appearance over the cells
     cell_edges:     (n_cells, 3) edge of each cell; local edge k is
                     opposite local vertex k
-    facet_vertices: (n_facets, 2) boundary edges, directed along their
-                    owner cell's counterclockwise traversal
-    facet_edges:    (n_facets,) edge index of each boundary facet
-    facet_tags:     list of BoundaryTag, one per boundary facet
     """
 
     def __init__(self, vertices, cells, grid=None):
@@ -69,44 +65,17 @@ class Mesh:
         e = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 1], v[:, 0] - v[:, 2]])
         self.cell_diameters = np.linalg.norm(e, axis=-1).max(axis=0)
 
-        # local edge k runs from vertex k+1 to vertex k+2 (mod 3): opposite
-        # vertex k, in counterclockwise direction
+        # local edge k joins vertices k+1 and k+2 (mod 3), opposite vertex k
         tail = self.cells[:, [1, 2, 0]].astype(np.int64)
         head = self.cells[:, [2, 0, 1]].astype(np.int64)
         lo, hi = np.minimum(tail, head).ravel(), np.maximum(tail, head).ravel()
-        _, first, inverse, count = np.unique(
-            lo * self.n_vertices + hi, return_index=True, return_inverse=True,
-            return_counts=True)
+        _, first, inverse = np.unique(
+            lo * self.n_vertices + hi, return_index=True, return_inverse=True)
         order = np.argsort(first)
         number = np.empty_like(order)
         number[order] = np.arange(order.size)
         self.cell_edges = number[inverse.reshape(nc, 3)]
         self.edges = np.column_stack([lo, hi])[first[order]]
-
-        # boundary facets in cell order, edges (0,1), (1,2), (2,0) within
-        # a cell, i.e. local edges 2, 0, 1
-        occurrence = np.arange(3 * nc).reshape(nc, 3)[:, [2, 0, 1]].ravel()
-        occurrence = occurrence[count[inverse[occurrence]] == 1]
-        self.facet_vertices = np.column_stack(
-            [tail.ravel()[occurrence], head.ravel()[occurrence]]).astype(np.int32)
-        self.facet_edges = self.cell_edges.ravel()[occurrence]
-        self.facet_tags = self._tag_facets()
-
-    def _tag_facets(self):
-        """Tag each facet by the bounding-box side it lies on; a facet on
-        none of them (a non-rectangular outline) is an Outlet."""
-        (x0, y0), (x1, y1) = self.bounds()
-        tol = 1e-12 * max(x1 - x0, y1 - y0, 1.0)
-        p = self.vertices[self.facet_vertices]            # (nf, 2, 2)
-
-        def on(axis, level):
-            return np.all(np.abs(p[:, :, axis] - level) <= tol, axis=1)
-
-        kinds = (BoundaryTag.Inlet, BoundaryTag.Outlet, BoundaryTag.WallLeft,
-                 BoundaryTag.WallRight)
-        which = np.select([on(1, y0), on(1, y1), on(0, x0), on(0, x1)],
-                          [0, 1, 2, 3], default=1)
-        return [kinds[k] for k in which]
 
     @property
     def n_vertices(self):
@@ -171,7 +140,3 @@ def generate_rect_mesh(width, height, nx, ny, diagonal):
     grid = {"nx": nx, "ny": ny, "width": width, "height": height}
     return Mesh(vertices, cells, grid)
 
-
-def boundary_facets(mesh, *tags):
-    """Indices of the boundary facets carrying any of the given tags."""
-    return [i for i, t in enumerate(mesh.facet_tags) if t in tags]

@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 from dataclasses import fields
 
@@ -58,7 +59,10 @@ def test_domain_invalid_value_names_key():
     ("ny = 0\n", "ny"),
     ("nx = 0\n", "nx"),
     ("dt_min = 0.1\ndt_max = 0.01\n", "dt_min"),
-], ids=["ny", "nx", "dt_min"])
+    ("diagonal = diag\n", "diagonal"),
+    ("rho_g = 2000\n", "rho_l"),      # the gas may not be the heavy phase
+    ("bounded = maybe\n", "bounded"),
+], ids=["ny", "nx", "dt_min", "diagonal", "rho_l", "bounded"])
 def test_invalid_value_names_the_wrong_key(text, key):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
@@ -70,9 +74,10 @@ def test_invalid_value_names_the_wrong_key(text, key):
 VALID_AT_ZERO = {"c_p", "t_end", "inlet_peak_alpha", "inlet_peak_velocity"}
 
 
-@pytest.mark.parametrize("value", [0, -1])
-@pytest.mark.parametrize("name", [f.name for f in fields(CaseConfig)
-                                  if f.type in ("int", "float")])
+@pytest.mark.parametrize("name, value", [
+    (f.name, value) for f in fields(CaseConfig)
+    for value in (0, -1, math.nan, math.inf)
+    if f.type == "float" or (f.type == "int" and math.isfinite(value))])
 def test_zero_or_negative_numeric_value_is_rejected_naming_its_key(name,
                                                                    value):
     cfg = CaseConfig(**{name: value})

@@ -167,6 +167,7 @@ def _unparsable_point(snapshot):
     ("empty.vtk", ""),
     pytest.param("truncated.vtk", _first_30_lines, id="truncated.vtk"),
     pytest.param("garbled.vtk", _unparsable_point, id="garbled.vtk"),
+    ("binary.vtk", b"\x89PNG\r\n\x1a\n\xff\xfe"),
 ])
 def test_analyze_a_file_that_is_not_a_snapshot_exits_2(name, text, tmp_path,
                                                         capsys):
@@ -174,7 +175,9 @@ def test_analyze_a_file_that_is_not_a_snapshot_exits_2(name, text, tmp_path,
     path = tmp_path / name
     if callable(text):
         text = text((tmp_path / "snap_000000.vtk").read_text())
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     capsys.readouterr()
     assert cli.main(["analyze", str(path), "--out", str(tmp_path)]) == 2
@@ -186,6 +189,8 @@ def test_analyze_a_file_that_is_not_a_snapshot_exits_2(name, text, tmp_path,
     ["analyze", "snap_000000.vtk", "--grid", "bad"],
     ["analyze", "snap_000000.vtk", "--grid", "1x4"],   # below 2x2
     ["analyze", "snap_000000.vtk", "--grid", "1x1"],
+    ["convergence", "--meshes", ","],                   # no mesh at all
+    ["convergence", "--meshes", "2,x"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert cli.main(argv) == 1
@@ -210,7 +215,8 @@ def test_override_error_names_the_key(capsys):
 
 @pytest.mark.parametrize("override, key", [("ny=0", "ny"),
                                            ("dt_min=0.02", "dt_min"),
-                                           ("output_every=0", "output_every")])
+                                           ("output_every=0", "output_every"),
+                                           ("t_end=nan", "t_end")])
 def test_invalid_value_exits_2_naming_its_key(override, key, tmp_path,
                                               capsys):
     argv = ["run", *SMALL, "--set", override, "--t-end", "0.0001",

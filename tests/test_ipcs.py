@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from twofluid import caseio, ipcs
-from twofluid.errors import (NonconvergenceError, SingularSystemError,
-                             StagnationError, StepFailureError)
-from twofluid.mesh import BoundaryTag
+from twofluid.errors import (NonconvergenceError, StagnationError,
+                             StepFailureError)
 
 
 def _config(**overrides):
@@ -109,19 +108,6 @@ def test_inlet_data_ramp_linearly_to_their_full_values():
     ramp = [inlet(f * t0) for f in (0.0, 0.3, 0.6, 0.9, 1.0, 2.0)]
     for (v0, a0), (v1, a1) in zip(ramp, ramp[1:]):
         assert np.all(v0 <= v1) and np.all(a0 <= a1)
-
-
-def test_pressure_step_without_an_outlet_fails_in_pressure_poisson(
-        started, monkeypatch):
-    # a pure-Neumann pressure system is singular: the step refuses it
-    cfg, states, _ = started
-    state = states[-1]
-    monkeypatch.setitem(state.p_l.space._tag_nodes, BoundaryTag.Outlet,
-                        np.empty(0, dtype=np.int64))
-    with pytest.raises(StepFailureError) as exc:
-        ipcs.step(state, 1e-7, cfg)
-    assert exc.value.substep == "pressure-poisson"
-    assert isinstance(exc.value.cause, SingularSystemError)
 
 
 def test_rejected_step_returns_input_state_unchanged(started):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from twofluid.mesh import (BoundaryTag, Mesh, boundary_facets,
-                           generate_rect_mesh)
+from twofluid.fem import FunctionSpace
+from twofluid.mesh import BoundaryTag, Mesh, generate_rect_mesh
 
 REFERENCE_TRIANGLE = ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
 
@@ -46,49 +46,20 @@ def test_all_cells_counterclockwise():
 
 def test_boundary_tags_partition_and_lengths():
     m = generate_rect_mesh(0.05, 0.1, 50, 100, "alternating")
-    inlet = boundary_facets(m, BoundaryTag.Inlet)
-    outlet = boundary_facets(m, BoundaryTag.Outlet)
-    left = boundary_facets(m, BoundaryTag.WallLeft)
-    right = boundary_facets(m, BoundaryTag.WallRight)
-    assert len(inlet) == 50
-    assert len(outlet) == 50
-    assert len(left) == 100
-    assert len(right) == 100
-    assert len(inlet) + len(outlet) + len(left) + len(right) == len(m.facet_tags)
-
-    def lengths(facets):
-        ends = m.vertices[m.facet_vertices[facets]]        # (n, 2, 2)
-        return np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
-
-    assert lengths(outlet).sum() == pytest.approx(0.05, rel=1e-13)
-    perimeter = lengths(slice(None)).sum()
-    assert perimeter == pytest.approx(2 * (0.05 + 0.1), rel=1e-12)
-
-
-def test_boundary_facets_sit_on_their_lines():
-    m = generate_rect_mesh(0.05, 0.1, 50, 100, "alternating")
-    for f in boundary_facets(m, BoundaryTag.WallLeft):
-        u, v = m.facet_vertices[f]
-        assert abs(m.vertices[u, 0] + 0.025) < 1e-15
-        assert abs(m.vertices[v, 0] + 0.025) < 1e-15
-    for f in boundary_facets(m, BoundaryTag.Inlet):
-        u, v = m.facet_vertices[f]
-        assert abs(m.vertices[u, 1]) < 1e-15
-
-
-def test_single_inlet_facet_on_unit_square():
-    m = generate_rect_mesh(1.0, 1.0, 1, 1, "right")
-    inlet = boundary_facets(m, BoundaryTag.Inlet)
-    assert len(inlet) == 1
-    u, v = m.facet_vertices[inlet[0]]
-    assert set(m.vertices[[u, v], 1]) == {0.0}
-
-
-def test_each_facet_has_one_cell_owner():
-    m = generate_rect_mesh(1.0, 2.0, 3, 4, "alternating")
-    owners = np.bincount(m.cell_edges.ravel(), minlength=len(m.edges))
-    assert np.all(owners[m.facet_edges] == 1)
-    assert np.count_nonzero(owners == 1) == len(m.facet_edges)
+    space = FunctionSpace.scalar_p1(m)
+    nodes = {tag: space.boundary_nodes(tag) for tag in BoundaryTag}
+    assert nodes[BoundaryTag.Inlet].size == 51
+    assert nodes[BoundaryTag.Outlet].size == 51
+    assert nodes[BoundaryTag.WallLeft].size == 101
+    assert nodes[BoundaryTag.WallRight].size == 101
+    # the sides cover the perimeter, each corner twice
+    counts = np.bincount(np.concatenate(list(nodes.values())),
+                         minlength=m.n_vertices)
+    assert np.count_nonzero(counts) == 2 * (50 + 100)
+    assert np.count_nonzero(counts == 2) == 4
+    x, y = m.vertices.T
+    assert np.ptp(x[nodes[BoundaryTag.Outlet]]) == pytest.approx(0.05, rel=1e-13)
+    assert np.ptp(y[nodes[BoundaryTag.WallLeft]]) == pytest.approx(0.1, rel=1e-13)
 
 
 def test_alternating_mesh_mirror_symmetric():
@@ -114,7 +85,7 @@ def test_mesh_from_raw_arrays_reference_triangle():
     m = Mesh(*REFERENCE_TRIANGLE)
     assert m.n_cells == 1
     assert m.cell_areas().sum() == pytest.approx(0.5)
-    assert len(m.facet_tags) == 3
+    assert len(m.edges) == 3
 
 
 def test_clockwise_cell_rejected():
@@ -125,22 +96,18 @@ def test_clockwise_cell_rejected():
 def oracle_topology(mesh):
     """Edge table and boundary facets by dict loops over the cells: edges
     numbered by first appearance with local edge k opposite vertex k, and
-    the single-owner edges in counterclockwise traversal order."""
+    the facets, i.e. the edges that a single cell owns."""
     index = {}
+    owners = {}
     cell_edges = np.empty((mesh.n_cells, 3), dtype=np.int64)
     for c, (a, b, d) in enumerate(mesh.cells):
         for k, (u, v) in enumerate(((b, d), (a, d), (a, b))):
-            cell_edges[c, k] = index.setdefault((min(u, v), max(u, v)),
-                                                len(index))
-    owner = {}
-    for a, b, d in mesh.cells:
-        for u, v in ((a, b), (b, d), (d, a)):
             key = (min(u, v), max(u, v))
-            owner[key] = None if key in owner else (u, v)
-    facets = [uv for uv in owner.values() if uv is not None]
-    facet_edges = [index[(min(u, v), max(u, v))] for u, v in facets]
+            cell_edges[c, k] = index.setdefault(key, len(index))
+            owners[key] = owners.get(key, 0) + 1
+    facets = [key for key, n in owners.items() if n == 1]
     return (np.array(list(index)), cell_edges, np.array(facets),
-            np.array(facet_edges))
+            np.array([index[f] for f in facets]))
 
 
 TOPOLOGY_MESHES = {
@@ -154,20 +121,42 @@ TOPOLOGY_MESHES = {
 @pytest.mark.parametrize("name", sorted(TOPOLOGY_MESHES))
 def test_topology_matches_dict_oracle(name):
     m = TOPOLOGY_MESHES[name]()
-    edges, cell_edges, facet_vertices, facet_edges = oracle_topology(m)
+    edges, cell_edges, _, _ = oracle_topology(m)
     assert np.array_equal(m.edges, edges)
     assert np.array_equal(m.cell_edges, cell_edges)
-    assert np.array_equal(m.facet_vertices, facet_vertices)
-    assert np.array_equal(m.facet_edges, facet_edges)
 
 
-@pytest.mark.parametrize("name", sorted(TOPOLOGY_MESHES))
-def test_facet_normals_point_away_from_owner(name):
-    m = TOPOLOGY_MESHES[name]()
-    for (u, v), e in zip(m.facet_vertices, m.facet_edges):
-        (owner,), _ = np.nonzero(m.cell_edges == e)
-        t = m.vertices[v] - m.vertices[u]
-        normal = np.array([t[1], -t[0]])
-        away = 0.5 * (m.vertices[u] + m.vertices[v]) \
-            - m.vertices[m.cells[owner]].mean(axis=0)
-        assert normal @ away > 0
+@pytest.mark.parametrize("kind", ["ScalarP1", "VectorP2"])
+@pytest.mark.parametrize("rule", ["right", "left", "alternating"])
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 4), (4, 3)])
+def test_boundary_nodes_are_the_nodes_of_the_oracle_facets(kind, rule, nx, ny):
+    m = generate_rect_mesh(2.0, 1.0, nx, ny, rule)
+    space = FunctionSpace(kind, m)
+    _, _, facets, facet_edges = oracle_topology(m)
+    (x0, y0), (x1, y1) = m.bounds()
+    sides = {BoundaryTag.Inlet: (1, y0, nx), BoundaryTag.Outlet: (1, y1, nx),
+             BoundaryTag.WallLeft: (0, x0, ny),
+             BoundaryTag.WallRight: (0, x1, ny)}
+    tagged = []
+    for tag, (axis, level, cells) in sides.items():
+        on = np.all(m.vertices[facets][:, :, axis] == level, axis=1)
+        assert np.count_nonzero(on) == cells
+        expected = [facets[on].ravel()]
+        if kind == "VectorP2":
+            expected.append(m.n_vertices + facet_edges[on])
+        nodes = space.boundary_nodes(tag)
+        assert np.array_equal(nodes, np.unique(np.concatenate(expected)))
+        assert nodes.size == (cells + 1 if kind == "ScalarP1" else 2 * cells + 1)
+        tagged.append(nodes)
+    counts = np.bincount(np.concatenate(tagged), minlength=m.n_vertices)
+    corners = [0, nx, ny * (nx + 1), (ny + 1) * (nx + 1) - 1]
+    assert np.array_equal(np.flatnonzero(counts == 2), corners)
+
+
+def test_nodes_off_the_bounding_box_get_no_tag():
+    # the reference triangle's hypotenuse lies on no side of its box
+    space = FunctionSpace("VectorP2", Mesh(*REFERENCE_TRIANGLE))
+    (mid,) = np.flatnonzero(np.all(space.node_coords == 0.5, axis=1))
+    tagged = space.boundary_nodes(*BoundaryTag)
+    assert mid not in tagged
+    assert tagged.size == space.node_coords.shape[0] - 1
