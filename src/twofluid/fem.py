@@ -9,11 +9,19 @@ quadrature approximations on the same points.
 
 A `FunctionSpace` builds everything static in its constructor: the dof
 map (P2 midpoint nodes follow the mesh's edge table), its
-`linalg.Pattern`, the bases and physical gradients at the quadrature
-points, and the mass, strain-stiffness and G-basis operators.  Assembly
-is vectorized over cells: per-step assembly only recomputes values and
-scatters them with bincount, which keeps the accumulation order (and
-therefore the floating-point result) deterministic.
+`linalg.Pattern`, the reference bases at the quadrature points, and the
+mass and strain-stiffness operators.  The VectorP2 pattern is built over
+nodes and widened to the interleaved 2x2-block dof pattern.  On affine
+cells every element quantity is a fixed reference tensor contracted with
+a few per-cell geometry coefficients (the tensor representation of
+Kirby & Logg, ACM TOMS 32, 2006): Keps is det J^-1 (x) J^-1 (16 per
+cell) times a 16 x 144 table, the G(grad ln alpha) matrices are
+det J^-1 g (8 per cell) times an 8 x 144 table, and a P2 field's values
+and gradients at the quadrature points are one GEMM against the
+reference basis followed by each cell's J^-1.  Assembly is vectorized
+over cells: per-step assembly only recomputes values and scatters them
+with bincount, which keeps the accumulation order (and therefore the
+floating-point result) deterministic.
 
 Sub-step systems assembled here.  All four come back unconstrained;
 `ipcs.step` imposes every Dirichlet row, the pressure outlet included.
@@ -106,11 +114,13 @@ class FunctionSpace:
     ScalarP1 adds the reference basis at the quadrature points `n3`, the
     physical basis gradients `grad_p1` (nc, 3, 2), the measure-free
     gradient products `gg` and the integrals of the basis `int_phi`.
-    VectorP2 adds `n6`, the physical gradients `dn6` (nc, nq, 6, 2), the
-    basis at the centroid `n6_centroid`, the strain-stiffness data
-    `keps_data`, the basis `g_basis` of the grad(ln alpha) coupling, the
-    integrals of the basis `int_phi6`, and the assembled `mass_matrix`
-    and `keps_matrix`.
+    VectorP2 adds the reference basis at the quadrature points `n6` and
+    at the centroid `n6_centroid`; `qp_basis` (12, 6 nq), which takes a
+    cell's 12 dofs to the values (q, a) and reference gradients
+    (q, a, k) of the field at the quadrature points; `g_ref` (8, 144),
+    the reference tensor of the grad(ln alpha) coupling; the
+    strain-stiffness data `keps_data`; the integrals of the basis
+    `int_phi6`; and the assembled `mass_matrix` and `keps_matrix`.
 
     The vector mass matrix couples only equal components (m6 (x) I2), so
     half the entries of the space's pattern are exact zeros there.
@@ -138,16 +148,6 @@ class FunctionSpace:
             self.node_coords = np.concatenate([mesh.vertices, mids], axis=0)
         else:
             raise ValueError(f"unknown space kind '{kind}'")
-        if kind == "VectorP2":
-            self.dof_count = 2 * self.node_coords.shape[0]
-            nd = self.node_cell_dofs
-            cd = np.empty((mesh.n_cells, 12), dtype=np.int64)
-            cd[:, 0::2] = 2 * nd
-            cd[:, 1::2] = 2 * nd + 1
-            self.cell_dofs = cd
-        else:
-            self.dof_count = self.node_coords.shape[0]
-            self.cell_dofs = self.node_cell_dofs
         (x0, y0), (x1, y1) = mesh.bounds()
         tol = 1e-12 * max(x1 - x0, y1 - y0, 1.0)
         x, y = self.node_coords.T
@@ -155,15 +155,21 @@ class FunctionSpace:
                    BoundaryTag.WallLeft: x - x0, BoundaryTag.WallRight: x - x1}
         self._tag_nodes = {tag: np.flatnonzero(np.abs(d) <= tol)
                            for tag, d in offsets.items()}
-        cd = self.cell_dofs
-        nl = cd.shape[1]
-        self.pattern = Pattern(
-            np.broadcast_to(cd[:, :, None], (cd.shape[0], nl, nl)),
-            np.broadcast_to(cd[:, None, :], (cd.shape[0], nl, nl)),
-            self.dof_count)
+        nd = self.node_cell_dofs
+        nc, nl = nd.shape
+        pattern = Pattern(np.broadcast_to(nd[:, :, None], (nc, nl, nl)),
+                          np.broadcast_to(nd[:, None, :], (nc, nl, nl)),
+                          self.node_coords.shape[0])
         if kind == "ScalarP1":
+            self.dof_count = self.node_coords.shape[0]
+            self.cell_dofs = nd
+            self.pattern = pattern
             self._build_p1_operators()
         else:
+            self.dof_count = 2 * self.node_coords.shape[0]
+            self.cell_dofs = np.stack([2 * nd, 2 * nd + 1], axis=2).reshape(
+                nc, 2 * nl)
+            self.pattern = pattern.interleaved(nl)
             self._build_p2_operators()
 
     def _build_p1_operators(self):
@@ -180,34 +186,38 @@ class FunctionSpace:
         self.int_phi = det[:, None] * np.einsum("q,qi->i", w, n3)
 
     def _build_p2_operators(self):
-        w, det = self.quad.weights, self.mesh.det
-        n6, dn6 = _p2_basis(self.quad.points)
-        dn6 = np.einsum("qik,cka->cqia", dn6, self.mesh.inv)
-        self.n6 = n6
-        self.dn6 = dn6
-        self.n6_centroid = _p2_basis(np.full((1, 2), 1.0 / 3.0))[0][0]
+        w, det, inv = self.quad.weights, self.mesh.det, self.mesh.inv
+        n6, dn6 = _p2_basis(self.quad.points)       # (q, i), (q, i, k)
+        nq = w.size
         eye2 = np.eye(2)
+        self.n6 = n6
+        self.n6_centroid = _p2_basis(np.full((1, 2), 1.0 / 3.0))[0][0]
+        # cell dofs (i, a) -> values (q, a) and reference gradients
+        # (q, a, k) = d v_a / d xi_k at the quadrature points
+        self.qp_basis = np.concatenate([
+            np.einsum("qi,ab->iaqb", n6, eye2).reshape(12, 2 * nq),
+            np.einsum("qik,ab->iaqbk", dn6, eye2).reshape(12, 4 * nq)],
+            axis=1)
+        # S[k,l,i,j] = int d_k phi_i d_l phi_j over the reference cell;
+        # with d_a phi_i = sum_k d_k phi_i inv[k,a],
+        # Keps[(i,a),(j,b)] = dab <grad_i, grad_j> + int d_a phi_j d_b phi_i
+        # = E[c,(e,f,k,l)] R[(e,f,k,l),(i,a,j,b)], E = det inv[k,e] inv[l,f]
+        s = np.einsum("q,qik,qjl->klij", w, dn6, dn6)
+        r = (np.einsum("ef,ab,klij->efkliajb", eye2, eye2, s)
+             + np.einsum("ea,fb,klji->efkliajb", eye2, eye2, s)
+             ).reshape(16, 144)
+        e = np.einsum("c,cke,clf->cefkl", det, inv, inv).reshape(-1, 16)
+        # G (see closure_inputs) = F[c,(k,e,f)] RG[(k,e,f),(i,a,j,b)] with
+        # F = det inv[k,e] g_f and T[k,i,j] = int phi_i d_k phi_j
+        t = np.einsum("q,qi,qjk->kij", w, n6, dn6)
+        self.g_ref = (np.einsum("ef,ab,kij->kefiajb", eye2, eye2, t)
+                      + np.einsum("ea,fb,kij->kefiajb", eye2, eye2, t)
+                      ).reshape(8, 144)
         m6 = np.einsum("q,qi,qj->ij", w, n6, n6)
         m12 = np.einsum("ij,ab->iajb", m6, eye2).reshape(12, 12)
-        k6 = np.einsum("q,cqia,cqja,c->cij", w, dn6, dn6, det)
-        kd = np.einsum("q,cqia,cqjb,c->cabij", w, dn6, dn6, det)
-        # Keps[(i,a),(j,b)] = dab <grad_i, grad_j> + int d_a phi_j d_b phi_i
-        keps = np.einsum("cij,ab->ciajb", k6, eye2)
-        keps += np.einsum("cabji->ciajb", kd)
-        # T[c,a,i,j] = int phi_i d_a phi_j
-        t_a = np.einsum("q,qi,cqja,c->caij", w, n6, dn6, det)
-        # G is linear in the per-cell gradient g of ln(alpha'):
-        # G_elem[c] = g_x B_x[c] + g_y B_y[c] with
-        # B_k[(i,a),(j,b)] = dab T_k[i,j] + [b == k] T_a[i,j]
-        gbasis = np.zeros((2, t_a.shape[0], 6, 2, 6, 2))
-        for k in range(2):
-            for a in range(2):
-                gbasis[k][:, :, a, :, a] += t_a[:, k]
-                gbasis[k][:, :, a, :, k] += t_a[:, a]
         self.mass_data = self.pattern.assemble_data(
             np.einsum("ij,c->cij", m12, det))
-        self.keps_data = self.pattern.assemble_data(keps.reshape(-1, 144))
-        self.g_basis = gbasis.reshape(2, -1, 144)
+        self.keps_data = self.pattern.assemble_data(e @ r)
         self.int_phi6 = det[:, None] * np.einsum("q,qi->i", w, n6)
         # dof parity is the component: drop entries whose row and column
         # differ, on a copy (eliminate_zeros is structural)
@@ -273,25 +283,18 @@ class FeField:
 # ---------------------------------------------------------------------------
 # helpers shared by the assembly routines
 
-def _vec_nodes(space, coeffs):
-    """(nc, 6, 2) nodal values of a VectorP2 coefficient vector."""
-    nd = space.node_cell_dofs
-    out = np.empty((nd.shape[0], 6, 2))
-    out[:, :, 0] = coeffs[2 * nd]
-    out[:, :, 1] = coeffs[2 * nd + 1]
-    return out
-
-
-def _vec_at_qp(space, nodes):
-    """v[c,q,a] at quadrature points from (nc, 6, 2) nodal values."""
-    # (1, q, i) @ (c, i, a) -> (c, q, a)
-    return np.matmul(space.n6[None, :, :], nodes)
-
-
-def _vec_grad_at_qp(space, nodes):
-    """dv[c,q,a,k] = d v_a / d x_k at quadrature points."""
-    # (c, 1, a, i) @ (c, q, i, k) -> (c, q, a, k)
-    return np.matmul(nodes.transpose(0, 2, 1)[:, None, :, :], space.dn6)
+def _vec_at_qp(space, coeffs):
+    """Values v[c,q,a] and gradients dv[c,q,a,k] = d v_a / d x_k at the
+    quadrature points of a VectorP2 coefficient vector: one GEMM against
+    the reference basis, then each cell's inverse Jacobian."""
+    nc, nq = space.cell_dofs.shape[0], space.quad.weights.size
+    ref = coeffs[space.cell_dofs] @ space.qp_basis
+    dref = ref[:, 2 * nq:].reshape(nc, nq, 2, 2)
+    inv = space.mesh.inv[:, None, None]
+    # 2x2 products as explicit two-term sums (see velocity_dependent_load)
+    dv = (dref[..., 0, None] * inv[..., 0, :]
+          + dref[..., 1, None] * inv[..., 1, :])
+    return ref[:, :2 * nq].reshape(nc, nq, 2).copy(), dv
 
 
 class VelocityQP:
@@ -308,12 +311,8 @@ class VelocityQP:
         self.space = space
         self.coefficients = {"liquid": v_l.coefficients,
                              "gas": v_g.coefficients}
-        nl = _vec_nodes(space, v_l.coefficients)
-        ng = _vec_nodes(space, v_g.coefficients)
-        self.v_l = _vec_at_qp(space, nl)
-        self.v_g = _vec_at_qp(space, ng)
-        self.dv_l = _vec_grad_at_qp(space, nl)
-        self.dv_g = _vec_grad_at_qp(space, ng)
+        self.v_l, self.dv_l = _vec_at_qp(space, v_l.coefficients)
+        self.v_g, self.dv_g = _vec_at_qp(space, v_g.coefficients)
         self.vr = self.v_g - self.v_l
         self.vr_norm = np.linalg.norm(self.vr, axis=2)
         self.kdrag = physics.drag_exchange_coefficient(self.vr_norm, groups)
@@ -344,7 +343,7 @@ def supg_tau(space, v_field, guard=1e-10):
     """Per-cell streamline weight tau = h / (2 |v|) (pure-advection factor
     z = 1); zero where the centroid speed falls below `guard`."""
     vs = v_field.space
-    nodes = _vec_nodes(vs, v_field.coefficients)
+    nodes = v_field.coefficients[vs.cell_dofs].reshape(-1, 6, 2)
     vc = np.einsum("i,cia->ca", vs.n6_centroid, nodes)
     speed = np.linalg.norm(vc, axis=1)
     h = space.mesh.cell_diameters
@@ -387,15 +386,16 @@ def closure_inputs(state, groups, alpha_ln_floor):
     the same floor bounds the liquid fraction in the drag ratio."""
     space = state.v_l.space
     p1 = state.alpha_g.space
-    gb = space.g_basis
+    det_inv = space.mesh.det[:, None, None, None] * space.mesh.inv[..., None]
     grad_ln = {}
     g_data = {}
     for phase, alpha in (("liquid", state.alpha_l), ("gas", state.alpha_g)):
         g = p1.p1_cell_gradient(
             np.log(np.maximum(alpha.coefficients, alpha_ln_floor)))
         grad_ln[phase] = g
-        g_data[phase] = space.pattern.assemble_data(
-            np.einsum("ck,kce->ce", g, gb))
+        # the 8 coefficients det inv[k,e] g_f of the reference tensor g_ref
+        coef = (det_inv * g[:, None, None, :]).reshape(-1, 8)
+        g_data[phase] = space.pattern.assemble_data(coef @ space.g_ref)
     alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
     alpha_l_qp = p1.p1_at_qp(state.alpha_l.coefficients)
     grav = np.zeros((space.mesh.n_cells, 2))
@@ -534,9 +534,7 @@ def assemble_alpha_system(alpha_old, v_g_new, dt):
     space = v_g_new.space
     w, n3, det, gp1 = p1.quad.weights, p1.n3, p1.mesh.det, p1.grad_p1
 
-    nodes = _vec_nodes(space, v_g_new.coefficients)
-    v_qp = _vec_at_qp(space, nodes)
-    dvq = _vec_grad_at_qp(space, nodes)
+    v_qp, dvq = _vec_at_qp(space, v_g_new.coefficients)
     divv = dvq[:, :, 0, 0] + dvq[:, :, 1, 1]
     tau = supg_tau(p1, v_g_new)
     aold_qp = p1.p1_at_qp(alpha_old.coefficients)

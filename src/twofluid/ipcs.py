@@ -77,8 +77,8 @@ class StepReport:
 def adapt_dt(error, tol_step, dt, dt_min, dt_max):
     """Embedded-pair controller: accept iff error <= tol_step and rescale
     dt by 0.9 sqrt(tol/error) clamped to [0.2, 2.0] and [dt_min, dt_max]."""
-    if error < 0:
-        raise ValueError("error must be nonnegative")
+    if not 0 <= error < np.inf:
+        raise ValueError(f"error must be finite and nonnegative, got {error}")
     accept = error <= tol_step
     factor = min(max(0.9 * np.sqrt(tol_step / max(error, 1e-16)), 0.2), 2.0)
     dt_next = dt * factor
@@ -240,8 +240,8 @@ def step(state, dt, cfg, warm=None):
     increment's rate dP/dt under "delta_p_rate", written on accepted
     steps.  A cached rate of another size (another mesh) is ignored and
     overwritten."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     scales = cfg.scales()
     groups = make_groups(cfg.props(), scales, cfg.c_p)
     p1 = state.alpha_g.space

@@ -2,8 +2,9 @@
 each sub-step.
 
 The matrix type is scipy's `csr_matrix`.  `Pattern` owns the assembly
-order: it is the one COO -> CSR builder (fem builds one per function
-space), and it sums duplicates in a fixed order.  Row constraints are
+order: it is the one COO -> CSR builder (fem builds one over the nodes
+of each function space and widens the VectorP2 one to 2x2 blocks), and
+it sums duplicates in a fixed order.  Row constraints are
 imposed in place by `zero_rows` and `eliminate`, which find each row's
 diagonal among that row's own entries; deciding which rows to constrain
 is the caller's business.
@@ -43,6 +44,37 @@ class Pattern:
         self.indptr = indptr
         self.indices = ucols
         self.slots = slots
+
+    def interleaved(self, local):
+        """Pattern of the 2x2-block matrix with unknowns interleaved:
+        entry (r, s) becomes the block of rows 2r + a, columns 2s + b.
+        This pattern's COO positions must run over (k, i, j) with
+        i, j < `local`; the result's run over (k, i, a, j, b), and it
+        equals the pattern built from those positions directly."""
+        lens = np.diff(self.indptr)
+        rows = np.repeat(np.arange(lens.size), lens)
+        out = Pattern.__new__(Pattern)
+        out.nnz = 4 * self.nnz
+        row_lens = np.repeat(2 * lens, 2)
+        out.indptr = np.concatenate([[0], np.cumsum(row_lens)])
+        # rows 2r and 2r + 1 both hold the pairs 2s, 2s + 1 of row r's
+        # columns s, which start at 2 indptr[r]
+        pairs = (2 * self.indices[:, None]
+                 + np.arange(2, dtype=self.indices.dtype)).ravel()
+        shift = out.indptr[:-1] - 2 * np.repeat(self.indptr[:-1], 2)
+        out.indices = pairs[np.arange(out.nnz) - np.repeat(shift, row_lens)]
+        # so entry t of row r opens its block at 2 (indptr[r] + t) in row
+        # 2r, which starts at 4 indptr[r], and 2 lens[r] further on in
+        # row 2r + 1
+        first = 2 * (self.indptr[rows] + np.arange(self.nnz))
+        at = first[self.slots].reshape(-1, local, local)
+        step = 2 * lens[rows][self.slots].reshape(at.shape)
+        slots = np.empty((at.shape[0], local, 2, local, 2), dtype=np.int64)
+        slots[:, :, 0, :, 0] = at
+        slots[:, :, 1, :, 0] = at + step
+        slots[..., 1] = slots[..., 0] + 1
+        out.slots = slots.ravel()
+        return out
 
     def assemble_data(self, values):
         """CSR data of COO values given in the pattern's COO order;

@@ -114,28 +114,18 @@ def generate_rect_mesh(width, height, nx, ny, diagonal):
     xv, yv = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    cells = np.empty((2 * nx * ny, 3), dtype=np.int32)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
-            if diagonal == "right":
-                right = True
-            elif diagonal == "left":
-                right = False
-            else:
-                right = (i + j) % 2 == 0
-            if right:
-                cells[k] = (ll, lr, ur)
-                cells[k + 1] = (ll, ur, ul)
-            else:
-                cells[k] = (ll, lr, ul)
-                cells[k + 1] = (lr, ur, ul)
-            k += 2
+    # quad (i, j) = k = j*nx + i holds cells 2k and 2k + 1
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    ll = j * (nx + 1) + i
+    lr, ul = ll + 1, ll + nx + 1
+    ur = ul + 1
+    if diagonal == "alternating":
+        right = (i + j) % 2 == 0
+    else:
+        right = diagonal == "right"
+    cells = np.stack([ll, lr, np.where(right, ur, ul),
+                      np.where(right, ll, lr), ur, ul], axis=1)
+    cells = cells.reshape(-1, 3).astype(np.int32)
 
     grid = {"nx": nx, "ny": ny, "width": width, "height": height}
     return Mesh(vertices, cells, grid)

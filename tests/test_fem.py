@@ -119,6 +119,103 @@ def test_vector_mass_and_strain_stiffness_on_reference_cell(symbolic_ops):
     assert vec.keps_matrix.toarray() == pytest.approx(keps12, abs=1e-13)
 
 
+# A sheared, scaled cell (non-symmetric inverse Jacobian) and its mirror
+# in x = 0, reordered to stay counterclockwise: `alternating` meshes hold
+# both orientations.
+MAPPED_CELLS = {
+    "sheared": [(0.25, 0.5), (1.75, 0.75), (0.75, 1.5)],
+    "mirrored": [(-0.25, 0.5), (-0.75, 1.5), (-1.75, 0.75)],
+}
+GRAD_LN_ALPHA = (0.75, -0.5)
+
+
+def sympy_mapped_operators(vertices, g):
+    """Mass, Keps and G(g) element matrices (12 x 12, dofs (i, a)) of one
+    physical cell, integrated exactly from the P2 basis written in (x, y)
+    through its barycentric coordinates."""
+    import sympy as sp
+
+    x, y, xi, eta = sp.symbols("x y xi eta")
+    v = [[sp.nsimplify(c) for c in p] for p in vertices]
+    g = [sp.nsimplify(c) for c in g]
+    corners = sp.Matrix([[1, p[0], p[1]] for p in v])
+    coef = corners.inv()                   # column k: lambda_k coefficients
+    lam = [coef[0, k] + coef[1, k] * x + coef[2, k] * y for k in range(3)]
+    phi = [l * (2 * l - 1) for l in lam]
+    phi += [4 * lam[i] * lam[j] for i, j in ((1, 2), (0, 2), (0, 1))]
+    to_ref = {c: v[0][k] + xi * (v[1][k] - v[0][k]) + eta * (v[2][k] - v[0][k])
+              for k, c in enumerate((x, y))}
+    det = ((v[1][0] - v[0][0]) * (v[2][1] - v[0][1])
+           - (v[2][0] - v[0][0]) * (v[1][1] - v[0][1]))
+    grad = [[sp.expand(sp.diff(p, c).subs(to_ref, simultaneous=True))
+             for c in (x, y)] for p in phi]
+    phi = [sp.expand(p.subs(to_ref, simultaneous=True)) for p in phi]
+
+    def integrate(expr):
+        # int over the reference cell of xi^p eta^q is p! q! / (p + q + 2)!
+        poly = sp.Poly(sp.expand(expr), xi, eta)
+        return float(det * sum(
+            c * sp.factorial(p) * sp.factorial(q) / sp.factorial(p + q + 2)
+            for (p, q), c in poly.terms()))
+
+    # m[i,j] = int phi_i phi_j, t[i,j,a] = int phi_i d_a phi_j,
+    # d[i,j,a,b] = int d_a phi_i d_b phi_j
+    m = np.array([[integrate(phi[i] * phi[j]) for j in range(6)]
+                  for i in range(6)])
+    t = np.array([[[integrate(phi[i] * grad[j][a]) for a in range(2)]
+                   for j in range(6)] for i in range(6)])
+    d = np.array([[[[integrate(grad[i][a] * grad[j][b]) for b in range(2)]
+                    for a in range(2)] for j in range(6)] for i in range(6)])
+    eye = np.eye(2)
+    g = np.array([float(c) for c in g])
+    m12 = np.einsum("ij,ab->iajb", m, eye)
+    # Keps[(i,a),(j,b)] = dab <grad phi_i, grad phi_j>
+    #                     + int d_a phi_j d_b phi_i
+    keps = (np.einsum("ijee,ab->iajb", d, eye)
+            + np.einsum("jiab->iajb", d))
+    # G[(i,a),(j,b)] = int phi_i [(g . grad phi_j) dab + g_b d_a phi_j]
+    gmat = (np.einsum("ije,e,ab->iajb", t, g, eye)
+            + np.einsum("ija,b->iajb", t, g))
+    return m12.reshape(12, 12), keps.reshape(12, 12), gmat.reshape(12, 12)
+
+
+@pytest.mark.parametrize("cell", sorted(MAPPED_CELLS))
+def test_element_matrices_on_a_mapped_cell(cell):
+    vertices = MAPPED_CELLS[cell]
+    m12, keps12, g12 = sympy_mapped_operators(vertices, GRAD_LN_ALPHA)
+    mesh = Mesh(vertices, [(0, 1, 2)])
+    state, p1, vec = make_state(mesh)
+    # alpha_l = exp(g . x) / max: ln alpha_l is linear, with gradient g
+    ln_alpha = p1.node_coords @ np.array(GRAD_LN_ALPHA)
+    state.alpha_l = p1.field(np.exp(ln_alpha - ln_alpha.max()))
+    state.alpha_g = p1.field(1.0 - state.alpha_l.coefficients)
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
+    g_data = closure_inputs(state, groups, 1e-5).g_data["liquid"]
+    assert mass(vec).toarray() == pytest.approx(m12, abs=1e-14)
+    assert vec.keps_matrix.toarray() == pytest.approx(keps12, abs=1e-13)
+    assert vec.pattern.matrix(g_data).toarray() == pytest.approx(
+        g12, abs=1e-13)
+
+
+@pytest.mark.parametrize("cell", sorted(MAPPED_CELLS))
+def test_quadratic_field_at_the_quadrature_points_of_a_mapped_cell(cell):
+    vertices = np.array(MAPPED_CELLS[cell])
+    mesh = Mesh(vertices, [(0, 1, 2)])
+    vec = FunctionSpace.vector_p2(mesh)
+    field = vec.interpolate(
+        lambda x, y: (x * x - 2.0 * x * y + 3.0 * y, y * y + x * y - x))
+    qp = VelocityQP(field, field, make_groups(PROPS, SCALES, CFG.c_p))
+    xi, eta = fem.QuadratureRule.degree4().points.T
+    x, y = (np.outer(1.0 - xi - eta, vertices[0]) + np.outer(xi, vertices[1])
+            + np.outer(eta, vertices[2])).T
+    values = np.stack([x * x - 2.0 * x * y + 3.0 * y,
+                       y * y + x * y - x], axis=1)
+    grads = np.stack([np.stack([2.0 * x - 2.0 * y, -2.0 * x + 3.0], axis=1),
+                      np.stack([y - 1.0, 2.0 * y + x], axis=1)], axis=1)
+    assert qp.v_l[0] == pytest.approx(values, abs=1e-13)
+    assert qp.dv_l[0] == pytest.approx(grads, abs=1e-13)
+
+
 @pytest.mark.parametrize("diagonal", ["right", "left", "alternating"])
 def test_vector_mass_matrix_stores_no_cross_component_entries(diagonal):
     vec = FunctionSpace.vector_p2(generate_rect_mesh(1.0, 2.0, 3, 4, diagonal))
@@ -143,35 +240,39 @@ def test_vector_mass_matrix_stores_no_cross_component_entries(diagonal):
 
 def test_constraints_leave_the_shared_patterns_intact():
     # every matrix of a space shares its pattern's index arrays, so no
-    # structural op may run in place on one
-    spaces = build_spaces(generate_rect_mesh(1.0, 2.0, 3, 4, "alternating"))
-    p1, vec = spaces.p1, spaces.vec
-
+    # structural op may run in place on one; each space's pattern equals
+    # the one built from its dof-level COO positions, entry for entry
     def fresh(space):
         cd, nl = space.cell_dofs, space.cell_dofs.shape[1]
         return Pattern(np.repeat(cd, nl, axis=1), np.tile(cd, nl),
                        space.dof_count)
 
-    built = {space: fresh(space) for space in (p1, vec)}
+    for diagonal in ("right", "left", "alternating"):
+        spaces = build_spaces(generate_rect_mesh(1.0, 2.0, 3, 4, diagonal))
+        p1, vec = spaces.p1, spaces.vec
+        built = {space: fresh(space) for space in (p1, vec)}
 
-    def assert_intact():
-        for space, ref in built.items():
-            pattern = space.pattern
-            assert np.array_equal(pattern.indptr, ref.indptr)
-            assert np.array_equal(pattern.indices, ref.indices)
-            rows = np.repeat(np.arange(space.dof_count),
-                             np.diff(pattern.indptr))
-            same_row = rows[1:] == rows[:-1]
-            assert np.all(np.diff(pattern.indices)[same_row] > 0)
+        def assert_intact():
+            for space, ref in built.items():
+                pattern = space.pattern
+                assert np.array_equal(pattern.indptr, ref.indptr)
+                assert np.array_equal(pattern.indices, ref.indices)
+                assert np.array_equal(pattern.slots, ref.slots)
+                rows = np.repeat(np.arange(space.dof_count),
+                                 np.diff(pattern.indptr))
+                same_row = rows[1:] == rows[:-1]
+                assert np.all(np.diff(pattern.indices)[same_row] > 0)
 
-    assert_intact()
-    assert not np.shares_memory(vec.mass_matrix.indices, vec.pattern.indices)
-    zero_rows(vec.pattern.matrix(vec.keps_data.copy()), [0, 5])
-    zero_rows(vec.mass_matrix.copy(), [0, 5])
-    eliminate(vec.pattern.matrix(vec.mass_data.copy()), [1, 4])
-    zero_rows(p1.pattern.matrix(p1.mass_data.copy()), [0, 3], diag_value=2.0)
-    eliminate(p1.pattern.matrix(p1.mass_data.copy()), [2, 7])
-    assert_intact()
+        assert_intact()
+        assert not np.shares_memory(vec.mass_matrix.indices,
+                                    vec.pattern.indices)
+        zero_rows(vec.pattern.matrix(vec.keps_data.copy()), [0, 5])
+        zero_rows(vec.mass_matrix.copy(), [0, 5])
+        eliminate(vec.pattern.matrix(vec.mass_data.copy()), [1, 4])
+        zero_rows(p1.pattern.matrix(p1.mass_data.copy()), [0, 3],
+                  diag_value=2.0)
+        eliminate(p1.pattern.matrix(p1.mass_data.copy()), [2, 7])
+        assert_intact()
 
 
 def test_tentative_velocity_matrix_is_mass_plus_viscous(symbolic_ops):

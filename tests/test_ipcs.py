@@ -187,6 +187,19 @@ def test_adapt_dt_clamps_and_stagnates():
         ipcs.adapt_dt(1.0, 1e-4, 1e-8, 1e-8, 1e-2)
 
 
+@pytest.mark.parametrize("error", [-1e-3, np.nan, np.inf])
+def test_adapt_dt_rejects_a_negative_or_non_finite_error(error):
+    with pytest.raises(ValueError, match="error must be"):
+        ipcs.adapt_dt(error, 1e-4, 1e-3, 1e-9, 1e-2)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_step_rejects_a_nonpositive_or_non_finite_dt(started, dt):
+    _, states, _ = started
+    with pytest.raises(ValueError, match="dt must be"):
+        ipcs.step(states[-1], dt, _config())
+
+
 def test_step_raises_stagnation_below_dt_min(started):
     _, states, _ = started
     cfg = _config(tol_step=1e-14, dt_min=1e-6)

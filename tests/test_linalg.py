@@ -27,6 +27,24 @@ def test_pattern_sums_duplicates():
     assert np.array_equal(A.diagonal(), [0.0, 0.0])
 
 
+def test_interleaved_pattern_equals_the_coo_build():
+    # 40 "cells" of 4 distinct nodes each out of 25 (nodes 23 and 24 in
+    # none): the node pattern widened to 2x2 blocks equals the pattern
+    # built from the interleaved dof positions (k, i, a, j, b)
+    rng = np.random.default_rng(3)
+    nodes = np.array([rng.choice(23, 4, replace=False) for _ in range(40)])
+    k, nl = nodes.shape
+    node = Pattern(np.repeat(nodes, nl, axis=1), np.tile(nodes, nl), 25)
+    dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=2).reshape(k, 2 * nl)
+    ref = Pattern(np.repeat(dofs, 2 * nl, axis=1), np.tile(dofs, 2 * nl), 50)
+    out = node.interleaved(nl)
+    assert out.nnz == ref.nnz
+    for name in ("indptr", "indices", "slots"):
+        got, want = getattr(out, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_csr_invariants():
     rng = np.random.default_rng(0)
     A, dense = _random_sparse(rng, 30)

@@ -38,6 +38,37 @@ def test_unknown_diagonal_rejected():
         generate_rect_mesh(1.0, 1.0, 2, 2, "diag")
 
 
+def oracle_cells(nx, ny, diagonal):
+    """Cells of generate_rect_mesh by a loop over the quads: quad (i, j)
+    holds cells 2*(j*nx + i) and the next one, which point location
+    relies on."""
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    cells = []
+    for j in range(ny):
+        for i in range(nx):
+            ll, lr = vid(i, j), vid(i + 1, j)
+            ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
+            if diagonal == "alternating":
+                right = (i + j) % 2 == 0
+            else:
+                right = diagonal == "right"
+            if right:
+                cells += [(ll, lr, ur), (ll, ur, ul)]
+            else:
+                cells += [(ll, lr, ul), (lr, ur, ul)]
+    return np.array(cells, dtype=np.int32)
+
+
+@pytest.mark.parametrize("rule", ["right", "left", "alternating"])
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 4), (4, 3), (5, 2)])
+def test_cells_match_the_quad_loop_oracle(rule, nx, ny):
+    m = generate_rect_mesh(2.0, 1.0, nx, ny, rule)
+    assert m.cells.dtype == np.int32
+    assert np.array_equal(m.cells, oracle_cells(nx, ny, rule))
+
+
 def test_all_cells_counterclockwise():
     for rule in ("right", "left", "alternating"):
         m = generate_rect_mesh(2.0, 3.0, 4, 5, rule)
