@@ -106,8 +106,8 @@ class CaseConfig:
             raise ConfigError("must lie in [0, 1]", key="inlet_peak_alpha")
         if not 0.0 < self.slip_alpha_floor < 1.0:
             raise ConfigError("must lie in (0, 1)", key="slip_alpha_floor")
-        if self.rho_l < self.rho_g:
-            raise ConfigError("liquid must be the heavy phase", key="rho_l")
+        if self.rho_l <= self.rho_g:
+            raise ConfigError("must exceed rho_g", key="rho_l")
         return self
 
 
@@ -294,8 +294,9 @@ def write_snapshot(state, mesh, path):
 def read_snapshot(path):
     """Read back a write_snapshot file: (vertices, cells, point_data, meta).
     A file that is not UTF-8 text, one without write_snapshot's title
-    line, one with fewer lines or fields than it declares, or one with a
-    number that does not parse raises ValueError naming it."""
+    line, one with fewer lines or fields than it declares, one with a
+    number that does not parse (nx, ny must be integers), a non-finite
+    point or point value, or a cell on a missing point raises ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -314,7 +315,7 @@ def _parse_snapshot(lines):
     for token in lines[1].split():
         if "=" in token:
             key, val = token.split("=", 1)
-            meta[key] = float(val)
+            meta[key] = int(val) if key in ("nx", "ny") else float(val)
     i = [k for k, ln in enumerate(lines) if ln.startswith("POINTS")][0]
     npts = int(lines[i].split()[1])
     verts = np.array([[float(v) for v in lines[i + 1 + k].split()[:2]]
@@ -347,6 +348,10 @@ def _parse_snapshot(lines):
                if name not in data]
     if missing:
         raise ValueError(f"truncated, no point data {', '.join(missing)}")
+    if not all(np.all(np.isfinite(v)) for v in (verts, *data.values())):
+        raise ValueError("a point or point value is not finite")
+    if not np.all((cells >= 0) & (cells < npts)):
+        raise ValueError("a cell refers to a point that does not exist")
     return verts, cells, data, meta
 
 

@@ -103,7 +103,7 @@ def _cmd_analyze(args):
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    grid_nx, grid_ny = int(meta.get("nx", 0)), int(meta.get("ny", 0))
+    grid_nx, grid_ny = meta.get("nx", 0), meta.get("ny", 0)
     if grid_nx < 1 or grid_ny < 1 or len(cells) != 2 * grid_nx * grid_ny:
         print(f"snapshot '{args.snapshot}': header grid nx={grid_nx} "
               f"ny={grid_ny} does not describe its {len(cells)} cells",

@@ -10,7 +10,7 @@ quadrature approximations on the same points.
 A `FunctionSpace` builds everything static in its constructor: the dof
 map (P2 midpoint nodes follow the mesh's edge table), its
 `linalg.Pattern`, the reference bases at the quadrature points, and the
-mass and strain-stiffness operators.  The VectorP2 pattern is built over
+mass and strain-stiffness data.  The VectorP2 pattern is built over
 nodes and widened to the interleaved 2x2-block dof pattern.  On affine
 cells every element quantity is a fixed reference tensor contracted with
 a few per-cell geometry coefficients (the tensor representation of
@@ -18,16 +18,17 @@ Kirby & Logg, ACM TOMS 32, 2006): Keps is det J^-1 (x) J^-1 (16 per
 cell) times a 16 x 144 table, the G(grad ln alpha) matrices are
 det J^-1 g (8 per cell) times an 8 x 144 table, and a P2 field's values
 and gradients at the quadrature points are one GEMM against the
-reference basis followed by each cell's J^-1.  Assembly is vectorized
-over cells: per-step assembly only recomputes values and scatters them
-with bincount, which keeps the accumulation order (and therefore the
-floating-point result) deterministic.
+reference basis followed by each cell's J^-1.  `closure_inputs` forms
+each phase's viscous operator W_q = (Keps - G)/(2 Re_q) once per step.
+Assembly is vectorized over cells: per-step assembly only recomputes
+values and scatters them with bincount, which keeps the accumulation
+order (and therefore the floating-point result) deterministic.
 
 Sub-step systems assembled here.  All four come back unconstrained;
 `ipcs.step` imposes every Dirichlet row, the pressure outlet included.
 
-  tentative velocity   [M/dt + (1/2Re)(Keps - G(ln alpha))] v* = explicit
-                       convection / drag / pressure / gravity loads
+  tentative velocity   [M/dt + W_q] v* = M v(n)/dt + c_q - W_q v(n)
+                       + convection / drag / interfacial pressure loads
   pressure Poisson     < sum_q Eu_q alpha_q grad dP, grad phi >  (SPD
                        once the outlet dP = 0 is imposed symmetrically)
   velocity update      mass solve against the pressure-increment gradient
@@ -120,7 +121,7 @@ class FunctionSpace:
     (q, a, k) of the field at the quadrature points; `g_ref` (8, 144),
     the reference tensor of the grad(ln alpha) coupling; the
     strain-stiffness data `keps_data`; the integrals of the basis
-    `int_phi6`; and the assembled `mass_matrix` and `keps_matrix`.
+    `int_phi6`; and the assembled `mass_matrix`.
 
     The vector mass matrix couples only equal components (m6 (x) I2), so
     half the entries of the space's pattern are exact zeros there.
@@ -227,7 +228,6 @@ class FunctionSpace:
         mass.data[row_odd != (mass.indices % 2 == 1)] = 0.0
         mass.eliminate_zeros()
         self.mass_matrix = mass
-        self.keps_matrix = self.pattern.matrix(self.keps_data)
 
     @classmethod
     def scalar_p1(cls, mesh):
@@ -358,25 +358,24 @@ def supg_tau(space, v_field, guard=1e-10):
 
 @dataclass
 class ClosureInputs:
-    """Level-n inputs of both phases' tentative-velocity assembly, built
+    """Level-n operands of both phases' tentative-velocity assembly, built
     once per step by `closure_inputs` and shared by the tentative solves
     and the Heun re-solve.
 
-    qp holds the level-n velocities at the quadrature points; g_data maps
-    each phase to the CSR data of its G(grad ln alpha_q) matrix;
-    grad_ln_alpha_l is the per-cell gradient of the thresholded
+    qp holds the level-n velocities at the quadrature points; viscous
+    maps each phase to its CSR viscous operator W_q = (Keps - G(grad ln
+    alpha_q))/(2 Re_q), implicit in the tentative matrix and explicit in
+    the load; constant_load maps each phase to c_q = <g - Eu_q grad P(n),
+    phi>; grad_ln_alpha_l is the per-cell gradient of the thresholded
     ln alpha_l, standing in for grad(alpha_l)/alpha_l; drag_ratio_l is the
-    liquid drag ratio alpha_g / max(alpha_l, floor) at the quadrature
-    points; pressure_load and gravity_load are the loads of grad P and of
-    gravity.
+    liquid drag ratio alpha_g / max(alpha_l, floor) at the quadrature points.
     """
 
     qp: VelocityQP
-    g_data: dict
+    viscous: dict
+    constant_load: dict
     grad_ln_alpha_l: np.ndarray
     drag_ratio_l: np.ndarray
-    pressure_load: np.ndarray
-    gravity_load: np.ndarray
 
 
 def closure_inputs(state, groups, alpha_ln_floor):
@@ -387,42 +386,42 @@ def closure_inputs(state, groups, alpha_ln_floor):
     space = state.v_l.space
     p1 = state.alpha_g.space
     det_inv = space.mesh.det[:, None, None, None] * space.mesh.inv[..., None]
+    grad_p = p1.p1_cell_gradient(state.p_l.coefficients)
+    gravity = np.array([0.0, -1.0 / groups.fr ** 2])
     grad_ln = {}
-    g_data = {}
-    for phase, alpha in (("liquid", state.alpha_l), ("gas", state.alpha_g)):
+    viscous = {}
+    constant_load = {}
+    for phase, alpha, re, eu in (
+            ("liquid", state.alpha_l, groups.re_l, groups.eu_l),
+            ("gas", state.alpha_g, groups.re_g, groups.eu_g)):
         g = p1.p1_cell_gradient(
             np.log(np.maximum(alpha.coefficients, alpha_ln_floor)))
         grad_ln[phase] = g
         # the 8 coefficients det inv[k,e] g_f of the reference tensor g_ref
         coef = (det_inv * g[:, None, None, :]).reshape(-1, 8)
-        g_data[phase] = space.pattern.assemble_data(coef @ space.g_ref)
+        viscous[phase] = space.pattern.matrix(0.5 / re * (
+            space.keps_data - space.pattern.assemble_data(coef @ space.g_ref)))
+        constant_load[phase] = _const_grad_load(space, gravity - eu * grad_p)
     alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
     alpha_l_qp = p1.p1_at_qp(state.alpha_l.coefficients)
-    grav = np.zeros((space.mesh.n_cells, 2))
-    grav[:, 1] = -1.0 / groups.fr ** 2
     return ClosureInputs(
         qp=VelocityQP(state.v_l, state.v_g, groups),
-        g_data=g_data,
+        viscous=viscous,
+        constant_load=constant_load,
         grad_ln_alpha_l=grad_ln["liquid"],
-        drag_ratio_l=alpha_g_qp / np.maximum(alpha_l_qp, alpha_ln_floor),
-        pressure_load=_const_grad_load(
-            space, p1.p1_cell_gradient(state.p_l.coefficients)),
-        gravity_load=_const_grad_load(space, grav))
+        drag_ratio_l=alpha_g_qp / np.maximum(alpha_l_qp, alpha_ln_floor))
 
 
 def velocity_dependent_load(phase, qp, groups, closures):
     """All velocity-dependent right-hand-side terms of one phase's
     tentative system at the velocities sampled in `qp`: convection, drag
-    and interfacial pressure, the level-n pressure-gradient and gravity
-    loads, and the explicit half of the viscous terms."""
-    liquid = phase == "liquid"
+    and interfacial pressure, then the phase's constant load c_q and the
+    explicit half of the viscous terms, -W_q v, both from `closures`."""
     space = qp.space
-    if liquid:
-        eu, re = groups.eu_l, groups.re_l
+    if phase == "liquid":
         ratio_signed = closures.drag_ratio_l
         cp_liquid, cp_gas = groups.c_p, 0.0
     else:
-        eu, re = groups.eu_g, groups.re_g
         ratio_signed = np.broadcast_to(-groups.rho_ratio, qp.kdrag.shape)
         cp_liquid, cp_gas = 0.0, 2.0 * groups.c_p * groups.rho_ratio
 
@@ -441,19 +440,16 @@ def velocity_dependent_load(phase, qp, groups, closures):
         f_qp = f_qp + cp_gas * (vr[..., 0, None] * dvr[..., 0, :]
                                 + vr[..., 1, None] * dvr[..., 1, :])
     b = _load_vector(space, f_qp)
-    b -= eu * closures.pressure_load
-    b += closures.gravity_load
-    vn = qp.coefficients[phase]
-    b += 0.5 / re * (space.pattern.matrix(closures.g_data[phase]) @ vn
-                     - space.keps_matrix @ vn)
+    b += closures.constant_load[phase]
+    b -= closures.viscous[phase] @ qp.coefficients[phase]
     return b
 
 
 def tentative_velocity_system(phase, dt, groups, closures):
     """Pieces of one phase's tentative solve, with the half-implicit
-    viscous terms (the grad(ln alpha) . tau coupling included) in
+    viscous operator W_q of `closures` in
 
-        A = M/dt + (1/2Re)(Keps - G),
+        A = M/dt + W_q,
 
     the mass history term M v(n)/dt and the level-n velocity-dependent
     load, all without boundary constraints.  b = history + load; the Heun
@@ -463,10 +459,8 @@ def tentative_velocity_system(phase, dt, groups, closures):
         raise ValueError(f"unknown phase '{phase}'")
     qp = closures.qp
     space = qp.space
-    re = groups.re_l if phase == "liquid" else groups.re_g
     A = space.pattern.matrix(
-        space.mass_data / dt
-        + 0.5 / re * (space.keps_data - closures.g_data[phase]))
+        space.mass_data / dt + closures.viscous[phase].data)
     history = space.mass_matrix @ qp.coefficients[phase] / dt
     load = velocity_dependent_load(phase, qp, groups, closures)
     return A, history, load

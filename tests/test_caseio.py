@@ -61,8 +61,9 @@ def test_domain_invalid_value_names_key():
     ("dt_min = 0.1\ndt_max = 0.01\n", "dt_min"),
     ("diagonal = diag\n", "diagonal"),
     ("rho_g = 2000\n", "rho_l"),      # the gas may not be the heavy phase
+    ("rho_g = 1000\n", "rho_l"),      # nor as heavy as the liquid
     ("bounded = maybe\n", "bounded"),
-], ids=["ny", "nx", "dt_min", "diagonal", "rho_l", "bounded"])
+], ids=["ny", "nx", "dt_min", "diagonal", "rho_l", "rho_l_equal", "bounded"])
 def test_invalid_value_names_the_wrong_key(text, key):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
@@ -114,7 +115,8 @@ def _ordered(cfg):
 
 
 def _valid_configs():
-    """Every field drawn from its valid range; floats of any magnitude."""
+    """Every field drawn from its valid range; floats of any magnitude,
+    with two distinct densities."""
     positive = st.floats(min_value=0.0, exclude_min=True,
                          allow_infinity=False)
     special = {
@@ -133,7 +135,8 @@ def _valid_configs():
     by_type = {"float": positive, "bool": st.booleans()}
     return st.builds(CaseConfig, **{
         f.name: special.get(f.name, by_type.get(f.type))
-        for f in fields(CaseConfig)}).map(_ordered)
+        for f in fields(CaseConfig)}).filter(
+            lambda cfg: cfg.rho_g != cfg.rho_l).map(_ordered)
 
 
 @given(_valid_configs())

@@ -162,12 +162,45 @@ def _unparsable_point(snapshot):
     return "".join(lines)
 
 
+def _title_nx(value):
+    def edit(snapshot):
+        assert " nx=2 " in snapshot
+        return snapshot.replace(" nx=2 ", f" nx={value} ", 1)
+    return edit
+
+
+def _nan_alpha(snapshot):
+    # the first lookup table is alpha_g's
+    lines = snapshot.splitlines(keepends=True)
+    lines[lines.index("LOOKUP_TABLE default\n") + 1] = "nan\n"
+    return "".join(lines)
+
+
+def _nan_point(snapshot):
+    lines = snapshot.splitlines(keepends=True)
+    lines[6] = "nan 0 0\n"
+    return "".join(lines)
+
+
+def _cell_on_a_missing_point(snapshot):
+    lines = snapshot.splitlines(keepends=True)
+    first_cell = [ln.startswith("CELLS ") for ln in lines].index(True) + 1
+    lines[first_cell] = "3 0 1 999\n"
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("name, text", [
     ("series.csv", None),
     ("empty.vtk", ""),
     pytest.param("truncated.vtk", _first_30_lines, id="truncated.vtk"),
     pytest.param("garbled.vtk", _unparsable_point, id="garbled.vtk"),
     ("binary.vtk", b"\x89PNG\r\n\x1a\n\xff\xfe"),
+    *(pytest.param(f"nx_{value}.vtk", _title_nx(value), id=f"nx={value}")
+      for value in ("nan", "inf", "1e400", "2.5")),
+    pytest.param("nan_alpha.vtk", _nan_alpha, id="nan_alpha.vtk"),
+    pytest.param("nan_point.vtk", _nan_point, id="nan_point.vtk"),
+    pytest.param("missing_point.vtk", _cell_on_a_missing_point,
+                 id="missing_point.vtk"),
 ])
 def test_analyze_a_file_that_is_not_a_snapshot_exits_2(name, text, tmp_path,
                                                         capsys):
@@ -199,6 +232,7 @@ def test_usage_errors_exit_1(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["run", "--set", "nx=0"],
     ["run", "--config", "no-such-file.cfg"],
+    ["terminal-velocity", "--set", "rho_g=1000"],   # no buoyancy
 ])
 def test_configuration_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

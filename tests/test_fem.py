@@ -107,16 +107,26 @@ def test_quadrature_weights_sum_to_reference_area():
     assert rule.weights.sum() == pytest.approx(0.5, abs=1e-15)
 
 
+def viscous_operator(state, groups, phase="liquid"):
+    """The phase's viscous operator W_q = (Keps - G)/(2 Re_q) as the
+    stepper builds it, in `closure_inputs`."""
+    return closure_inputs(state, groups, 1e-5).viscous[phase]
+
+
 def test_vector_mass_and_strain_stiffness_on_reference_cell(symbolic_ops):
+    # with uniform alpha, G = 0 and W_l = Keps/(2 Re_l)
     m6, k6, kd = symbolic_ops
-    _, _, vec = reference_triangle_spaces()
+    mesh, _, _ = reference_triangle_spaces()
+    state, _, vec = make_state(mesh, alpha_g=0.3)
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
     eye = np.eye(2)
     m12 = np.einsum("ij,ab->iajb", m6, eye).reshape(12, 12)
     keps = np.einsum("ij,ab->iajb", k6, eye)
     keps = keps + np.einsum("abji->iajb", kd)
     keps12 = keps.reshape(12, 12)
     assert mass(vec).toarray() == pytest.approx(m12, abs=1e-14)
-    assert vec.keps_matrix.toarray() == pytest.approx(keps12, abs=1e-13)
+    w = viscous_operator(state, groups).toarray()
+    assert 2.0 * groups.re_l * w == pytest.approx(keps12, abs=1e-13)
 
 
 # A sheared, scaled cell (non-symmetric inverse Jacobian) and its mirror
@@ -190,11 +200,9 @@ def test_element_matrices_on_a_mapped_cell(cell):
     state.alpha_l = p1.field(np.exp(ln_alpha - ln_alpha.max()))
     state.alpha_g = p1.field(1.0 - state.alpha_l.coefficients)
     groups = make_groups(PROPS, SCALES, CFG.c_p)
-    g_data = closure_inputs(state, groups, 1e-5).g_data["liquid"]
     assert mass(vec).toarray() == pytest.approx(m12, abs=1e-14)
-    assert vec.keps_matrix.toarray() == pytest.approx(keps12, abs=1e-13)
-    assert vec.pattern.matrix(g_data).toarray() == pytest.approx(
-        g12, abs=1e-13)
+    w = viscous_operator(state, groups).toarray()
+    assert 2.0 * groups.re_l * w == pytest.approx(keps12 - g12, abs=1e-13)
 
 
 @pytest.mark.parametrize("cell", sorted(MAPPED_CELLS))
@@ -311,8 +319,30 @@ def test_stiffness_annihilates_constants():
         state, VelocityQP(vec.field(), vec.field(), groups), 0.01, groups)
     assert (np.max(np.abs(K @ np.ones(p1.dof_count)))
             < 1e-14 * np.max(np.abs(K.data)))
+    # with uniform alpha, G = 0 and W_l = Keps/(2 Re_l)
     const = vec.interpolate(lambda x, y: (0.7, -0.3))
-    assert np.max(np.abs(vec.keps_matrix @ const.coefficients)) < 1e-11
+    w = viscous_operator(state, groups)
+    assert (np.max(np.abs(w @ const.coefficients))
+            < 1e-11 / (2.0 * groups.re_l))
+
+
+@pytest.mark.parametrize("phase", ["liquid", "gas"])
+def test_viscous_operator_annihilates_constants_for_varying_alpha(phase):
+    # Keps and G(g) both act on gradients of the field, so W_q v = 0 for
+    # a constant v, whatever the grad ln alpha_q in G
+    mesh = generate_rect_mesh(1.0, 2.0, 5, 7, "alternating")
+    state, p1, vec = make_state(mesh)
+    x, y = p1.node_coords.T
+    state.alpha_g = p1.field(0.05 + 0.4 * x * x * (1.0 + np.sin(3.0 * y)))
+    state.alpha_l = p1.field(1.0 - state.alpha_g.coefficients)
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
+    w = viscous_operator(state, groups, phase)
+    re = groups.re_l if phase == "liquid" else groups.re_g
+    g_only = 2.0 * re * w - vec.pattern.matrix(vec.keps_data)
+    assert np.max(np.abs(g_only.data)) > 1e-2     # G is far from zero
+    const = vec.interpolate(lambda x, y: (0.7, -0.3))
+    assert (np.max(np.abs(w @ const.coefficients))
+            < 1e-11 / (2.0 * re))
 
 
 # ---------------------------------------------------------------------------
