@@ -16,8 +16,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .fem import FunctionSpace
-from .mesh import generate_rect_mesh
+from .mesh import DIAGONALS, generate_rect_mesh
 from .physics import FluidProperties, Scales
+
+ALPHA_SCHEMES = ("vi", "linear")   # the box VI, or no bounds (comparator)
 
 
 @dataclass
@@ -41,8 +43,8 @@ class CaseConfig:
     nx: int = 50
     ny: int = 100
     diagonal: str = "alternating"
-    # solver switches and tolerances
-    bounded: bool = True
+    # phase-fraction update (one of ALPHA_SCHEMES) and tolerances
+    alpha_scheme: str = "vi"
     tol_step: float = 1e-4
     tol_linear: float = 1e-10
     tol_vi: float = 1e-10
@@ -100,8 +102,11 @@ class CaseConfig:
                                   key=name)
         if self.dt_min > self.dt_max:
             raise ConfigError("must not exceed dt_max", key="dt_min")
-        if self.diagonal not in ("right", "left", "alternating"):
-            raise ConfigError(f"unknown rule '{self.diagonal}'", key="diagonal")
+        for name, known in (("diagonal", DIAGONALS),
+                            ("alpha_scheme", ALPHA_SCHEMES)):
+            if getattr(self, name) not in known:
+                raise ConfigError(f"expected one of {', '.join(known)}, got "
+                                  f"'{getattr(self, name)}'", key=name)
         if not 0.0 <= self.inlet_peak_alpha <= 1.0:
             raise ConfigError("must lie in [0, 1]", key="inlet_peak_alpha")
         if not 0.0 < self.slip_alpha_floor < 1.0:
@@ -114,24 +119,17 @@ class CaseConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(CaseConfig)}
 
 
-def _parse_bool(raw):
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
 # field type -> (parser, what a parse error says was expected)
-_PARSERS = {"bool": (_parse_bool, "a boolean"), "int": (int, "an integer"),
-            "float": (float, "a number"), "str": (str, "text")}
+_PARSERS = {"int": (int, "an integer"), "float": (float, "a number"),
+            "str": (str, "text")}
 
 
 def _assign(cfg, key, raw, line=None):
     """Parse the text `raw` as the value of config key `key` and set it.
     Errors name the key, and the line when the text is a config file's."""
     key = key.strip()
+    if key == "bounded":    # the switch that alpha_scheme replaced
+        raise ConfigError("unknown key 'bounded', use alpha_scheme", line=line)
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown key '{key}'", line=line)
     parse, expected = _PARSERS[_FIELD_TYPES[key]]
@@ -175,9 +173,7 @@ def dump_config(cfg):
     lines = []
     for f in fields(CaseConfig):
         value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             value = repr(value)
         elif isinstance(value, str) and (
                 "#" in value or value != value.strip()
@@ -332,15 +328,13 @@ def _parse_snapshot(lines):
             j += 1
             continue
         if parts[0] == "SCALARS":
-            name = parts[1]
-            vals = np.array([float(lines[j + 2 + k]) for k in range(npts)])
-            data[name] = vals
+            data[parts[1]] = np.array([float(lines[j + 2 + k])
+                                       for k in range(npts)])
             j += 2 + npts
         elif parts[0] == "VECTORS":
-            name = parts[1]
-            vals = np.array([[float(v) for v in lines[j + 1 + k].split()[:2]]
-                             for k in range(npts)])
-            data[name] = vals
+            data[parts[1]] = np.array(
+                [[float(v) for v in lines[j + 1 + k].split()[:2]]
+                 for k in range(npts)])
             j += 1 + npts
         else:
             j += 1

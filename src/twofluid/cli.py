@@ -32,11 +32,11 @@ def _build_parser():
     run_p.add_argument("--config", help="path to a case.cfg file")
     run_p.add_argument("--out", help="output directory override")
     run_p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="K=V", help="config override (repeatable)")
+                       metavar="K=V",
+                       help="config override (repeatable), e.g. "
+                            "alpha_scheme=linear for the unbounded update")
     run_p.add_argument("--t-end", type=float, dest="t_end",
                        help="end time in seconds")
-    run_p.add_argument("--unbounded", action="store_true",
-                       help="replace the VI update with a plain linear solve")
     run_p.add_argument("--quiet", action="store_true")
 
     an_p = sub.add_parser("analyze", help="spectral analysis of a snapshot")
@@ -72,8 +72,6 @@ def _load(args):
         cfg.t_end = args.t_end
     if getattr(args, "out", None):
         cfg.output_dir = args.out
-    if getattr(args, "unbounded", False):
-        cfg.bounded = False
     return cfg.validate()
 
 
@@ -100,20 +98,11 @@ def _cmd_analyze(args):
         return 1
     try:
         verts, cells, data, meta = caseio.read_snapshot(args.snapshot)
+        m = _grid_mesh(args.snapshot, verts, cells, meta)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    grid_nx, grid_ny = meta.get("nx", 0), meta.get("ny", 0)
-    if grid_nx < 1 or grid_ny < 1 or len(cells) != 2 * grid_nx * grid_ny:
-        print(f"snapshot '{args.snapshot}': header grid nx={grid_nx} "
-              f"ny={grid_ny} does not describe its {len(cells)} cells",
-              file=sys.stderr)
-        return 2
-    (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
-    m = meshmod.Mesh(verts, cells, {"nx": grid_nx, "ny": grid_ny,
-                                    "width": x1 - x0, "height": y1 - y0})
-    p1 = fem.FunctionSpace.scalar_p1(m)
-    alpha = p1.field(data["alpha_g"])
+    alpha = fem.FunctionSpace.scalar_p1(m).field(data["alpha_g"])
     grid = post.sample_to_grid(alpha, nx, ny)
     psd = post.power_spectrum_2d(grid)
     radii, power, counts = post.radial_average(psd)
@@ -132,6 +121,23 @@ def _cmd_analyze(args):
     print(f"holdup on grid = {grid.mean():.6g}")
     print(f"wrote {radial_path} and {hist_path}")
     return 0
+
+
+def _grid_mesh(path, verts, cells, meta):
+    """Mesh of snapshot `path`, whose points and cells must be those of
+    generate_rect_mesh on its header's grid, which point location needs."""
+    nx, ny = meta.get("nx", 0), meta.get("ny", 0)
+    if nx >= 1 and ny >= 1 and verts.shape == ((nx + 1) * (ny + 1), 2):
+        (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
+        for rule in meshmod.DIAGONALS if x1 > x0 and y1 > y0 else ():
+            ref = meshmod.generate_rect_mesh(x1 - x0, y1 - y0, nx, ny, rule)
+            if np.array_equal(cells, ref.cells) and np.allclose(
+                    verts - ((x0 + x1) / 2, y0), ref.vertices, rtol=0.0,
+                    atol=1e-9 * max(x1 - x0, y1 - y0)):
+                return meshmod.Mesh(verts, cells, ref.grid)
+    raise ValueError(f"snapshot '{path}': header grid nx={nx} ny={ny} does "
+                     f"not describe its {len(verts)} points and "
+                     f"{len(cells)} cells")
 
 
 def _cmd_terminal_velocity(args):
@@ -178,11 +184,8 @@ def _cmd_convergence(args):
         t_common = np.linspace(0.0, cfg.t_end, 201)
         interps = [np.interp(t_common, t, h) for _, t, h in curves]
         peak = max(h.max() for _, _, h in curves)
-        worst = 0.0
-        for i in range(len(interps)):
-            for j in range(i + 1, len(interps)):
-                worst = max(worst,
-                            float(np.abs(interps[i] - interps[j]).max()))
+        # the widest pair at each time is the highest curve and the lowest
+        worst = float(np.ptp(interps, axis=0).max())
         print(f"peak holdup = {peak:.6g}")
         print(f"max pairwise holdup deviation = {worst:.6g} "
               f"({worst / peak * 100 if peak else 0:.2f}% of peak)")

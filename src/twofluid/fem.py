@@ -33,7 +33,7 @@ Sub-step systems assembled here.  All four come back unconstrained;
                        once the outlet dP = 0 is imposed symmetrically)
   velocity update      mass solve against the pressure-increment gradient
   phase fraction       implicit advection with SUPG test functions,
-                       handed to the VI solver in bounded mode
+                       solved by the scheme cfg.alpha_scheme names
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ from .mesh import BoundaryTag
 class QuadratureRule:
     """Reference-triangle rule: points (nq, 2) in (xi, eta), weights sum 1/2."""
 
-    def __init__(self, points, weights, degree):
+    def __init__(self, points, weights):
         self.points = np.asarray(points, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.degree = degree
 
     @classmethod
     def degree4(cls):
@@ -66,7 +65,7 @@ class QuadratureRule:
         wb = 0.109951743655322 / 2.0
         pts = [(a, a), (1.0 - 2.0 * a, a), (a, 1.0 - 2.0 * a),
                (b, b), (1.0 - 2.0 * b, b), (b, 1.0 - 2.0 * b)]
-        return cls(pts, [wa, wa, wa, wb, wb, wb], degree=4)
+        return cls(pts, [wa, wa, wa, wb, wb, wb])
 
 
 def _p1_basis(points):

@@ -1,5 +1,5 @@
 """Four-step incremental pressure-correction time stepping for the
-two-fluid column, with adaptive step control and the bounded (box-VI)
+two-fluid column, with adaptive step control and a choice of
 phase-fraction update.
 
 One step advances the scaled state (alpha_g, alpha_l, v_g, v_l, P_l) by
@@ -9,10 +9,10 @@ One step advances the scaled state (alpha_g, alpha_l, v_g, v_l, P_l) by
   2. a pressure-increment Poisson solve from the mixture incompressibility
      constraint div(sum_q alpha_q v_q) = 0,
   3. velocity correction with the increment gradient,
-  4. implicit SUPG advection of the gas fraction, solved either as a box
-     variational inequality (bounded mode, 0 <= alpha <= 1 imposed
-     implicitly) or as a plain linear system (unbounded comparator);
-     alpha_l := 1 - alpha_g afterwards.
+  4. implicit SUPG advection of the gas fraction (`_alpha_update`) by the
+     scheme cfg.alpha_scheme names: "vi", a box variational inequality
+     imposing 0 <= alpha <= 1, or "linear", the same system solved without
+     bounds as the comparator; alpha_l := 1 - alpha_g afterwards.
 
 The step imposes every Dirichlet row itself, in the unconstrained
 systems that `fem` assembles: velocity and gas-fraction rows by row
@@ -293,41 +293,43 @@ def step(state, dt, cfg, warm=None):
     v_g_new = vec.field(new_v["gas"])
 
     with _substep("alpha-update"):
-        A_a, b_a = fem.assemble_alpha_system(state.alpha_g, v_g_new, dt)
-        # scale the system by dt for the solvers: rows become O(mass).
-        # Positive scaling leaves bounds and complementarity signs intact
-        # but makes the absolute residual tolerances meaningful.  The
-        # Dirichlet rows become dt * (alpha = value); A_a and b_a stay
-        # unconstrained for the mass accounting.
-        A_s = A_a * dt
-        zero_rows(A_s, alpha_nodes, diag_value=dt)
-        b_s = b_a * dt
-        b_s[alpha_nodes] = alpha_values * dt
-        vi_stats = {"iterations": 0}
-        if cfg.bounded:
-            alpha_new = solve_box_vi(A_s, b_s, state.alpha_g.coefficients,
-                                     tol=cfg.tol_vi, stats=vi_stats)
-        else:
-            alpha_new = _krylov(solve_bicgstab, stats, "alpha", A_s, b_s,
-                                tol=tol, max_iter=5000,
-                                x0=state.alpha_g.coefficients)
+        alpha_new, vi_iterations, defect = _alpha_update(
+            state.alpha_g, v_g_new, dt, alpha_nodes, alpha_values, cfg, stats)
 
-    alpha_g_new = p1.field(alpha_new)
-    alpha_l_new = p1.field(1.0 - alpha_new)
-    new_state = State(alpha_g_new, alpha_l_new, v_g_new, v_l_new,
+    new_state = State(p1.field(alpha_new), p1.field(1.0 - alpha_new),
+                      v_g_new, v_l_new,
                       p1.field(state.p_l.coefficients + delta_p),
                       state.t_tilde + dt)
+    return new_state, StepReport(
+        dt, error, True, dt_next, linear_iterations=stats,
+        vi_iterations=vi_iterations, min_alpha_g=float(alpha_new.min()),
+        max_alpha_g=float(alpha_new.max()), mass_balance_residual=defect)
 
-    report = StepReport(
-        dt_used=dt, local_error_estimate=error, accepted=True,
-        dt_next=dt_next, linear_iterations=stats,
-        vi_iterations=vi_stats["iterations"],
-        min_alpha_g=float(alpha_new.min()),
-        max_alpha_g=float(alpha_new.max()),
-        mass_balance_residual=_mass_balance_residual(
-            state.alpha_g, alpha_g_new, dt, A_a, b_a, alpha_nodes),
-    )
-    return new_state, report
+
+def _alpha_update(alpha_old, v_g_new, dt, nodes, values, cfg, stats):
+    """New gas fraction with Dirichlet data (nodes, values) by cfg's scheme:
+    "vi" solves the box VI, "linear" BiCGStab, recorded as stats["alpha"].
+    Returns (coefficients, VI iterations, mass-balance defect)."""
+    A_a, b_a = fem.assemble_alpha_system(alpha_old, v_g_new, dt)
+    # scale the system by dt for the solvers: rows become O(mass).
+    # Positive scaling leaves bounds and complementarity signs intact
+    # but makes the absolute residual tolerances meaningful.  The
+    # Dirichlet rows become dt * (alpha = value); A_a and b_a stay
+    # unconstrained for the mass accounting.
+    A_s = A_a * dt
+    zero_rows(A_s, nodes, diag_value=dt)
+    b_s = b_a * dt
+    b_s[nodes] = values * dt
+    vi_stats = {"iterations": 0}
+    if cfg.alpha_scheme == "vi":
+        alpha_new = solve_box_vi(A_s, b_s, alpha_old.coefficients,
+                                 tol=cfg.tol_vi, stats=vi_stats)
+    else:
+        alpha_new = _krylov(solve_bicgstab, stats, "alpha", A_s, b_s,
+                            tol=cfg.tol_linear, max_iter=5000,
+                            x0=alpha_old.coefficients)
+    defect = _mass_balance_residual(alpha_old, alpha_new, dt, A_a, b_a, nodes)
+    return alpha_new, vi_stats["iterations"], defect
 
 
 def _mass_balance_residual(alpha_old, alpha_new, dt, A_a, b_a,
@@ -351,14 +353,14 @@ def _mass_balance_residual(alpha_old, alpha_new, dt, A_a, b_a,
     linear solve zeroes and the VI does not at the nodes it holds at a
     bound.  The flux is the whole sum less d/dt int(alpha).
     """
-    residual = A_a @ alpha_new.coefficients - b_a
+    residual = A_a @ alpha_new - b_a
     injection = float(residual[dirichlet_rows].sum())
     defect = float(np.delete(residual, dirichlet_rows).sum())
 
     lumped = alpha_old.space.int_phi
     cells = alpha_old.space.mesh.cells
     int_old = float(np.sum(lumped * alpha_old.coefficients[cells]))
-    int_new = float(np.sum(lumped * alpha_new.coefficients[cells]))
+    int_new = float(np.sum(lumped * alpha_new[cells]))
     ddt = (int_new - int_old) / dt
     flux = float(residual.sum()) - ddt
 

@@ -18,6 +18,8 @@ import enum
 
 import numpy as np
 
+DIAGONALS = ("right", "left", "alternating")   # generate_rect_mesh's rules
+
 
 class BoundaryTag(enum.Enum):
     Inlet = "inlet"
@@ -106,7 +108,7 @@ def generate_rect_mesh(width, height, nx, ny, diagonal):
         raise ValueError(f"need nx, ny >= 1, got nx={nx}, ny={ny}")
     if width <= 0 or height <= 0:
         raise ValueError(f"need positive dimensions, got {width} x {height}")
-    if diagonal not in ("right", "left", "alternating"):
+    if diagonal not in DIAGONALS:
         raise ValueError(f"unknown diagonal rule '{diagonal}'")
 
     xs = np.linspace(-width / 2.0, width / 2.0, nx + 1)

@@ -37,10 +37,9 @@ def check_vi_conditions(x, r):
     at_lo = x <= 1e-13
     at_hi = x >= 1.0 - 1e-13
     interior = ~(at_lo | at_hi)
-    lo_v = float(np.max(-r[at_lo])) if np.any(at_lo) else 0.0
-    hi_v = float(np.max(r[at_hi])) if np.any(at_hi) else 0.0
-    in_v = float(np.max(np.abs(r[interior]))) if np.any(interior) else 0.0
-    return max(lo_v, hi_v, in_v, 0.0)
+    return float(max(np.max(-r[at_lo], initial=0.0),
+                     np.max(r[at_hi], initial=0.0),
+                     np.max(np.abs(r[interior]), initial=0.0)))
 
 
 def _reduced_solve(a, rhs, inactive, tol, x0):

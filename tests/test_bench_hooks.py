@@ -39,8 +39,8 @@ def test_tracer_wraps_every_hook_and_matches_step_reports():
     tracer.install()
     try:
         reports = (_attempts(caseio.CaseConfig(nx=4, ny=8), 6)
-                   + _attempts(caseio.CaseConfig(nx=4, ny=8, bounded=False),
-                               6))
+                   + _attempts(caseio.CaseConfig(nx=4, ny=8,
+                                                 alpha_scheme="linear"), 6))
     finally:
         tracer.uninstall()
     for owner, attr, fn in originals:
@@ -64,6 +64,6 @@ def test_tracer_wraps_every_hook_and_matches_step_reports():
             key.split("_")[0] for key in report.linear_iterations]
         vi = [c[ATTRS]["iters"] for c in below
               if c[NAME] == "vi.solve_box_vi"]
-        bounded = report.accepted and "alpha" not in report.linear_iterations
-        assert vi == ([report.vi_iterations] if bounded else [])
+        by_vi = report.accepted and "alpha" not in report.linear_iterations
+        assert vi == ([report.vi_iterations] if by_vi else [])
     assert any(s[NAME] == "vi.reduced.lu" for s in spans)

@@ -14,7 +14,7 @@ from twofluid.caseio import (CaseConfig, SeriesWriter, apply_overrides,
                              inlet_profiles, parse_config, read_snapshot,
                              write_snapshot)
 from twofluid.errors import ConfigError
-from twofluid.mesh import generate_rect_mesh
+from twofluid.mesh import DIAGONALS, generate_rect_mesh
 
 
 def test_empty_document_gives_reference_defaults():
@@ -28,17 +28,17 @@ def test_empty_document_gives_reference_defaults():
     assert cfg.inlet_peak_alpha == 0.026
     assert cfg.inlet_ramp_time == 0.625
     assert cfg.c_p == 0.25
-    assert cfg.bounded is True
+    assert cfg.alpha_scheme == "vi"
 
 
-def test_parse_sections_comments_and_bool():
+def test_parse_sections_and_comments():
     cfg = parse_config("""
 [solver]
-bounded = false   # comparator run
+alpha_scheme = linear   # comparator run
 nx = 10
 tol_step = 2e-4
 """)
-    assert cfg.bounded is False
+    assert cfg.alpha_scheme == "linear"
     assert cfg.nx == 10
     assert cfg.tol_step == 2e-4
 
@@ -62,8 +62,9 @@ def test_domain_invalid_value_names_key():
     ("diagonal = diag\n", "diagonal"),
     ("rho_g = 2000\n", "rho_l"),      # the gas may not be the heavy phase
     ("rho_g = 1000\n", "rho_l"),      # nor as heavy as the liquid
-    ("bounded = maybe\n", "bounded"),
-], ids=["ny", "nx", "dt_min", "diagonal", "rho_l", "rho_l_equal", "bounded"])
+    ("alpha_scheme = fct\n", "alpha_scheme"),
+], ids=["ny", "nx", "dt_min", "diagonal", "rho_l", "rho_l_equal",
+        "alpha_scheme"])
 def test_invalid_value_names_the_wrong_key(text, key):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
@@ -90,6 +91,13 @@ def test_zero_or_negative_numeric_value_is_rejected_naming_its_key(name,
     assert exc.value.key == name
 
 
+def test_the_replaced_bounded_key_points_to_alpha_scheme():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("nx = 4\nbounded = false\n")
+    assert str(exc.value).startswith("line 2: unknown key 'bounded'")
+    assert "alpha_scheme" in str(exc.value)
+
+
 def test_malformed_line_reports_position():
     with pytest.raises(ConfigError) as exc:
         parse_config("rho_l 1000\n")
@@ -97,8 +105,8 @@ def test_malformed_line_reports_position():
 
 
 def test_dump_round_trips():
-    cfg = CaseConfig(nx=13, bounded=False, tol_vi=3e-11, diagonal="left",
-                     output_dir="elsewhere")
+    cfg = CaseConfig(nx=13, alpha_scheme="linear", tol_vi=3e-11,
+                     diagonal="left", output_dir="elsewhere")
     assert parse_config(dump_config(cfg)) == cfg
 
 
@@ -129,12 +137,12 @@ def _valid_configs():
                                       exclude_min=True, exclude_max=True),
         "nx": st.integers(1, 10 ** 6),
         "ny": st.integers(1, 10 ** 6),
-        "diagonal": st.sampled_from(("right", "left", "alternating")),
+        "diagonal": st.sampled_from(DIAGONALS),
+        "alpha_scheme": st.sampled_from(caseio.ALPHA_SCHEMES),
         "output_dir": st.text().filter(_carriable),
     }
-    by_type = {"float": positive, "bool": st.booleans()}
     return st.builds(CaseConfig, **{
-        f.name: special.get(f.name, by_type.get(f.type))
+        f.name: special.get(f.name, positive)
         for f in fields(CaseConfig)}).filter(
             lambda cfg: cfg.rho_g != cfg.rho_l).map(_ordered)
 
@@ -154,8 +162,8 @@ def test_dump_rejects_text_the_format_cannot_carry(output_dir):
 
 
 def test_overrides():
-    cfg = apply_overrides(CaseConfig(), ["nx=8", "bounded=false"])
-    assert cfg.nx == 8 and cfg.bounded is False
+    cfg = apply_overrides(CaseConfig(), ["nx=8", "alpha_scheme=linear"])
+    assert cfg.nx == 8 and cfg.alpha_scheme == "linear"
     with pytest.raises(ConfigError):
         apply_overrides(CaseConfig(), ["nonsense"])
     with pytest.raises(ConfigError):

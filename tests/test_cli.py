@@ -47,8 +47,8 @@ def test_run_prints_the_final_holdup_of_the_series(tmp_path, capsys):
 
 
 def test_unbounded_run_exits_0(tmp_path, capsys):
-    argv = ["run", *SMALL, "--t-end", "0.0001", "--unbounded",
-            "--out", str(tmp_path), "--quiet"]
+    argv = ["run", *SMALL, "--t-end", "0.0001", "--set",
+            "alpha_scheme=linear", "--out", str(tmp_path), "--quiet"]
     assert cli.main(argv) == 0
     assert "finished t = 0.0001 s" in capsys.readouterr().out
 
@@ -59,7 +59,7 @@ def test_unbounded_3x6_run_exits_0(tmp_path, capsys):
     # residual turns orthogonal to the residual without r0 . r reaching
     # 0, and the unrestarted recurrence stalled in the fifth attempt
     argv = ["run", "--set", "nx=3", "--set", "ny=6", "--t-end", "0.0001",
-            "--unbounded", "--out", str(tmp_path), "--quiet"]
+            "--set", "alpha_scheme=linear", "--out", str(tmp_path), "--quiet"]
     assert cli.main(argv) == 0
     assert "finished t = 0.0001 s" in capsys.readouterr().out
 
@@ -134,13 +134,16 @@ def test_analyze_needs_the_grid_in_the_snapshot_header(tmp_path, capsys):
 
 
 def test_convergence_writes_each_mesh_and_compares(tmp_path, capsys):
-    argv = ["convergence", "--meshes", "2,4", "--t-end", "0.0001",
+    argv = ["convergence", "--meshes", "2,3,4", "--t-end", "0.0001",
             "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    for cells in (16, 64):                       # 2 x 4 and 4 x 8 quads
+    curves = []
+    for cells in (16, 36, 64):              # 2 x 4, 3 x 6 and 4 x 8 quads
         rows = (tmp_path / f"holdup_{cells}.csv").read_text().splitlines()
         assert rows[0] == "t_seconds,holdup"
         assert len(rows) > 2
+        curves.append(np.array([[float(v) for v in row.split(",")]
+                                for row in rows[1:]]).T)
     out = capsys.readouterr().out
     peak = float(re.search(r"peak holdup = (\S+)", out).group(1))
     worst, share = re.search(
@@ -148,7 +151,13 @@ def test_convergence_writes_each_mesh_and_compares(tmp_path, capsys):
         out).groups()
     assert peak > 0.0
     assert float(share) == pytest.approx(float(worst) / peak * 100, abs=0.01)
-    assert np.isfinite(float(worst))
+    # the deviation of every pair of curves, the worst one printed
+    t_common = np.linspace(0.0, 0.0001, 201)
+    interps = [np.interp(t_common, t, h) for t, h in curves]
+    pairs = [float(np.abs(a - b).max())
+             for i, a in enumerate(interps) for b in interps[i + 1:]]
+    assert min(pairs) < max(pairs)
+    assert worst == f"{max(pairs):.6g}"
 
 
 def _first_30_lines(snapshot):
@@ -182,6 +191,29 @@ def _nan_point(snapshot):
     return "".join(lines)
 
 
+def _clockwise_cell(snapshot):
+    lines = snapshot.splitlines(keepends=True)
+    first_cell = [ln.startswith("CELLS ") for ln in lines].index(True) + 1
+    _, a, b, c = lines[first_cell].split()
+    lines[first_cell] = f"3 {b} {a} {c}\n"
+    return "".join(lines)
+
+
+def _moved_interior_point(snapshot):
+    # point 4 of the 2x4 grid is (0, 0.5), inside the column
+    lines = snapshot.splitlines(keepends=True)
+    first_point = [ln.startswith("POINTS ") for ln in lines].index(True) + 1
+    assert lines[first_point + 4] == "0 0.5 0\n"
+    lines[first_point + 4] = "0.3 0.9 0\n"
+    return "".join(lines)
+
+
+def _swapped_title_grid(snapshot):
+    # 3 x 5 points and 16 cells either way
+    assert " nx=2 ny=4" in snapshot
+    return snapshot.replace(" nx=2 ny=4", " nx=4 ny=2", 1)
+
+
 def _cell_on_a_missing_point(snapshot):
     lines = snapshot.splitlines(keepends=True)
     first_cell = [ln.startswith("CELLS ") for ln in lines].index(True) + 1
@@ -201,6 +233,11 @@ def _cell_on_a_missing_point(snapshot):
     pytest.param("nan_point.vtk", _nan_point, id="nan_point.vtk"),
     pytest.param("missing_point.vtk", _cell_on_a_missing_point,
                  id="missing_point.vtk"),
+    pytest.param("clockwise.vtk", _clockwise_cell, id="clockwise.vtk"),
+    pytest.param("moved_point.vtk", _moved_interior_point,
+                 id="moved_point.vtk"),
+    pytest.param("swapped_grid.vtk", _swapped_title_grid,
+                 id="swapped_grid.vtk"),
 ])
 def test_analyze_a_file_that_is_not_a_snapshot_exits_2(name, text, tmp_path,
                                                         capsys):
@@ -224,6 +261,7 @@ def test_analyze_a_file_that_is_not_a_snapshot_exits_2(name, text, tmp_path,
     ["analyze", "snap_000000.vtk", "--grid", "1x1"],
     ["convergence", "--meshes", ","],                   # no mesh at all
     ["convergence", "--meshes", "2,x"],
+    ["run", "--unbounded"],          # replaced by --set alpha_scheme=linear
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert cli.main(argv) == 1
@@ -250,13 +288,24 @@ def test_override_error_names_the_key(capsys):
 @pytest.mark.parametrize("override, key", [("ny=0", "ny"),
                                            ("dt_min=0.02", "dt_min"),
                                            ("output_every=0", "output_every"),
-                                           ("t_end=nan", "t_end")])
+                                           ("t_end=nan", "t_end"),
+                                           ("alpha_scheme=fct",
+                                            "alpha_scheme")])
 def test_invalid_value_exits_2_naming_its_key(override, key, tmp_path,
                                               capsys):
     argv = ["run", *SMALL, "--set", override, "--t-end", "0.0001",
             "--out", str(tmp_path)]
     assert cli.main(argv) == 2
-    assert f"key '{key}'" in capsys.readouterr().err
+    assert f"key '{key}': " in capsys.readouterr().err
+
+
+def test_the_replaced_bounded_key_exits_2_naming_alpha_scheme(tmp_path,
+                                                              capsys):
+    argv = ["run", *SMALL, "--set", "bounded=false", "--t-end", "0.0001",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'bounded'" in err and "alpha_scheme" in err
 
 
 def test_stagnating_run_exits_3(tmp_path, capsys):

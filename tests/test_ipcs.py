@@ -54,7 +54,7 @@ def test_steps_keep_alpha_bounded_and_complementary(started):
 def test_unbounded_steps_balance_gas_to_roundoff():
     # a linear solve zeroes every free row, so the defect of the balance
     # read off the alpha residual is roundoff on every accepted step
-    cfg = _config(bounded=False)
+    cfg = _config(alpha_scheme="linear")
     state = caseio.initial_state(cfg.build_mesh(), cfg)
     dt, warm, defects = cfg.dt_init, {}, []
     for _ in range(60):

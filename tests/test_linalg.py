@@ -162,9 +162,10 @@ def test_bicgstab_restarts_when_the_rhs_lives_on_diagonal_only_rows(
         diag, convection):
     # The first rows hold only their diagonal (Dirichlet rows imposed by
     # row replacement) and carry the whole right-hand side, as in the
-    # first alpha updates of an unbounded run.  The shadow residual r0 = b
-    # then leaves the Krylov space after one step and r0 . r decays to
-    # roundoff without reaching 0; the recurrence must restart there.
+    # first alpha updates of an alpha_scheme = linear run.  The shadow
+    # residual r0 = b then leaves the Krylov space after one step and
+    # r0 . r decays to roundoff without reaching 0; the recurrence must
+    # restart there.
     n, n_fixed = 100, 4
     dense = (np.diag(np.full(n, 2.0))
              + np.diag(np.full(n - 1, -1.0 - convection), -1)
