@@ -24,8 +24,11 @@ the tentative solve as its predictor, so the extra cost per phase is one
 more velocity-dependent load evaluation and one warm-started BiCGStab
 solve of the same tentative system.
 
-The solver policy lives here: this module picks each sub-step's solver,
-tolerance, iteration cap and warm start; `linalg` and `vi` take them.
+This module picks each sub-step's solver, tolerance, iteration cap and
+warm start; `linalg` takes them.  The box VI keeps its inner policy in
+`vi`: the 50-iteration active-set cap, the dense-LU cutoff
+(`_DENSE_CUTOFF`) for reduced systems, the 4000-iteration cap of the
+reduced BiCGStab and the rule that sets its tolerance from tol_vi.
 Warm starts that carry across steps (the tentative velocities and the
 pressure increment) are cached as rates of change per unit dt, so that a
 guess scales with the step it starts (cf. Fischer, CMAME 163, 1998, on
@@ -41,8 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import caseio, fem, post
-from .errors import (SolverFailureError, StagnationError, StepFailureError,
-                     TwoFluidError)
+from .errors import (ConfigError, SolverFailureError, StagnationError,
+                     StepFailureError, TwoFluidError)
 from .linalg import eliminate, solve_bicgstab, solve_cg, zero_rows
 from .mesh import BoundaryTag
 from .physics import make_groups
@@ -92,17 +95,9 @@ def adapt_dt(error, tol_step, dt, dt_min, dt_max):
 # ---------------------------------------------------------------------------
 # boundary conditions (applied at each sub-step at the new time level)
 
-def _last_wins(dofs, values):
-    """Sorted unique dofs of the concatenated entries, each taking the
-    value of its last entry."""
-    dofs = np.concatenate(dofs)[::-1]
-    values = np.concatenate(values)[::-1]
-    unique, last = np.unique(dofs, return_index=True)
-    return unique, values[last]
-
-
 def velocity_dirichlet(space, cfg, t_seconds, phase):
-    """(dofs, values) velocity constraints at time t for one phase.
+    """(dofs, values) velocity constraints at time t for one phase, dofs
+    sorted.
 
     gas:    inlet ramped gaussian profile, free-slip walls (normal
             component only), zero tangential velocity at the outlet
@@ -112,33 +107,33 @@ def velocity_dirichlet(space, cfg, t_seconds, phase):
     Values are the full-ramp values times the ramp factor min(t/t0, 1).
     """
     inlet = space.boundary_nodes(BoundaryTag.Inlet)
-    outlet = space.boundary_nodes(BoundaryTag.Outlet)
-    walls = space.boundary_nodes(BoundaryTag.WallLeft, BoundaryTag.WallRight)
+    fixed = np.zeros(space.dof_count, dtype=bool)
+    full = np.zeros(space.dof_count)
+    fixed[2 * space.boundary_nodes(*BoundaryTag)] = True
+    fixed[2 * inlet + 1] = True
     if phase == "gas":
         x_m = space.node_coords[inlet, 0] * cfg.x_scale
-        v_y, _ = caseio.inlet_profiles(x_m, cfg)
-        inlet_y = v_y / cfg.v_scale
+        full[2 * inlet + 1] = caseio.inlet_profiles(x_m, cfg)[0] / cfg.v_scale
     else:
-        inlet_y = np.zeros(inlet.size)
-    dofs = [2 * inlet, 2 * inlet + 1, 2 * outlet, 2 * walls]
-    values = [np.zeros(inlet.size), inlet_y, np.zeros(outlet.size),
-              np.zeros(walls.size)]
-    if phase == "liquid":
-        dofs.append(2 * walls + 1)
-        values.append(np.zeros(walls.size))
-    dofs, full = _last_wins(dofs, values)
-    return dofs, full * min(t_seconds / cfg.inlet_ramp_time, 1.0)
+        walls = space.boundary_nodes(BoundaryTag.WallLeft,
+                                     BoundaryTag.WallRight)
+        fixed[2 * walls + 1] = True
+    dofs = np.flatnonzero(fixed)
+    return dofs, full[dofs] * min(t_seconds / cfg.inlet_ramp_time, 1.0)
 
 
 def alpha_dirichlet(space, cfg, t_seconds):
-    """(nodes, values) gas-fraction constraints: ramped gaussian at the
-    inlet, zero at the walls (the liquid wets the walls)."""
+    """(nodes, values) gas-fraction constraints, nodes sorted: ramped
+    gaussian at the inlet, zero at the walls, the inlet corners included
+    (the liquid wets the walls)."""
     inlet = space.boundary_nodes(BoundaryTag.Inlet)
     walls = space.boundary_nodes(BoundaryTag.WallLeft, BoundaryTag.WallRight)
-    x_m = space.node_coords[inlet, 0] * cfg.x_scale
-    _, a_in = caseio.inlet_profiles(x_m, cfg)
-    nodes, full = _last_wins([inlet, walls], [a_in, np.zeros(walls.size)])
-    return nodes, full * min(t_seconds / cfg.inlet_ramp_time, 1.0)
+    full = np.zeros(space.dof_count)
+    full[inlet] = caseio.inlet_profiles(
+        space.node_coords[inlet, 0] * cfg.x_scale, cfg)[1]
+    full[walls] = 0.0               # after the inlet: the corners take 0
+    nodes = np.union1d(inlet, walls)
+    return nodes, full[nodes] * min(t_seconds / cfg.inlet_ramp_time, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +151,8 @@ def _substep(label):
 
 def _from_rate(warm, key, dt, size):
     """dt times the rate cached as warm[key], or None when the cache holds
-    no rate of this size (no cache, a first step, another mesh)."""
-    rate = None if warm is None else warm.get(key)
+    no rate of this size (a first step, another mesh)."""
+    rate = warm.get(key)
     return None if rate is None or rate.size != size else rate * dt
 
 
@@ -202,8 +197,7 @@ def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
         v_star[phase] = _krylov(
             solve_bicgstab, stats, f"tentative_{phase}", A, b, tol=tol,
             max_iter=5000, x0=vn if step_guess is None else vn + step_guess)
-        if warm is not None:
-            warm[key] = (v_star[phase] - vn) / dt
+        warm[key] = (v_star[phase] - vn) / dt
         systems[phase] = (A, history, load)
 
     vsl = vec.field(v_star["liquid"])
@@ -233,15 +227,17 @@ def step(state, dt, cfg, warm=None):
     rejection the returned state is the input state and only dt_next in
     the report is meaningful.
 
-    `warm` is an optional cross-step cache of solver starting guesses,
-    stored as rates so that they scale with the next dt: each phase's
-    tentative rate (v* - v(n))/dt under "tentative_rate_liquid" and
+    `warm` is the cross-step cache of solver starting guesses, stored as
+    rates so that they scale with the next dt: each phase's tentative
+    rate (v* - v(n))/dt under "tentative_rate_liquid" and
     "tentative_rate_gas", written on every attempt, and the pressure
     increment's rate dP/dt under "delta_p_rate", written on accepted
-    steps.  A cached rate of another size (another mesh) is ignored and
-    overwritten."""
+    steps.  Without one the step starts a fresh cache, so it cold-starts
+    and its rates are dropped.  A cached rate of another size (another
+    mesh) is ignored and overwritten."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
+    warm = {} if warm is None else warm
     scales = cfg.scales()
     groups = make_groups(cfg.props(), scales, cfg.c_p)
     p1 = state.alpha_g.space
@@ -274,8 +270,7 @@ def step(state, dt, cfg, warm=None):
         delta_p = _krylov(solve_cg, stats, "pressure", A_p, b_p, tol=tol,
                           max_iter=10000,
                           x0=_from_rate(warm, "delta_p_rate", dt, b_p.size))
-        if warm is not None:
-            warm["delta_p_rate"] = delta_p / dt
+        warm["delta_p_rate"] = delta_p / dt
     dp_field = p1.field(delta_p)
 
     new_v = {}
@@ -324,10 +319,13 @@ def _alpha_update(alpha_old, v_g_new, dt, nodes, values, cfg, stats):
     if cfg.alpha_scheme == "vi":
         alpha_new = solve_box_vi(A_s, b_s, alpha_old.coefficients,
                                  tol=cfg.tol_vi, stats=vi_stats)
-    else:
+    elif cfg.alpha_scheme == "linear":
         alpha_new = _krylov(solve_bicgstab, stats, "alpha", A_s, b_s,
                             tol=cfg.tol_linear, max_iter=5000,
                             x0=alpha_old.coefficients)
+    else:
+        raise ConfigError(f"unknown scheme {cfg.alpha_scheme!r}",
+                          key="alpha_scheme")
     defect = _mass_balance_residual(alpha_old, alpha_new, dt, A_a, b_a, nodes)
     return alpha_new, vi_stats["iterations"], defect
 

@@ -8,6 +8,9 @@ import numpy as np
 from .fem import evaluate_many
 from .physics import bubble_reynolds
 
+PSD_BINS = 30
+PSD_FLOOR = 1e-30
+
 
 def gas_holdup(alpha_g, mesh):
     """Domain average of the gas fraction by exact P1 integration."""
@@ -86,18 +89,15 @@ def radial_average(psd):
     return radii, sums[present] / counts[present], counts[present]
 
 
-def psd_histogram(psd, bins=30, floor=1e-30):
-    """Log-spaced histogram of PSD values strictly above `floor` (near-zero
-    densities are omitted, mirroring how such spectra are reported).
+def psd_histogram(psd):
+    """Log-spaced histogram, in PSD_BINS bins, of PSD values strictly above
+    PSD_FLOOR (near-zero densities are omitted, mirroring how such spectra
+    are reported).
 
     Returns (edges, counts); empty input gives (empty, empty).
     """
-    if bins < 1:
-        raise ValueError("need at least one bin")
-    if floor < 0:
-        raise ValueError("floor must be nonnegative")
     vals = np.asarray(psd, dtype=float).ravel()
-    vals = vals[vals > floor]
+    vals = vals[vals > PSD_FLOOR]
     if vals.size == 0:
         return np.empty(0), np.empty(0, dtype=int)
     lo, hi = vals.min(), vals.max()
@@ -105,7 +105,7 @@ def psd_histogram(psd, bins=30, floor=1e-30):
         edges = np.array([lo * 0.999, hi * 1.001]) if lo > 0 else \
             np.array([-0.5, 0.5])
     else:
-        edges = np.logspace(np.log10(lo), np.log10(hi), bins + 1)
+        edges = np.logspace(np.log10(lo), np.log10(hi), PSD_BINS + 1)
         edges[0] *= 1.0 - 1e-12
         edges[-1] *= 1.0 + 1e-12
     counts, edges = np.histogram(vals, bins=edges)

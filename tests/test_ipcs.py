@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from twofluid import caseio, ipcs
-from twofluid.errors import (NonconvergenceError, StagnationError,
-                             StepFailureError)
+from twofluid.errors import (ConfigError, NonconvergenceError,
+                             StagnationError, StepFailureError)
+from twofluid.mesh import DIAGONALS
 
 
 def _config(**overrides):
@@ -108,6 +109,58 @@ def test_inlet_data_ramp_linearly_to_their_full_values():
     ramp = [inlet(f * t0) for f in (0.0, 0.3, 0.6, 0.9, 1.0, 2.0)]
     for (v0, a0), (v1, a1) in zip(ramp, ramp[1:]):
         assert np.all(v0 <= v1) and np.all(a0 <= a1)
+
+
+@pytest.mark.parametrize("diagonal", DIAGONALS)
+@pytest.mark.parametrize("nx, ny", [(1, 1), (3, 4), (10, 20)])
+def test_boundary_tables_match_the_sides_of_the_box(nx, ny, diagonal):
+    cfg = caseio.CaseConfig(nx=nx, ny=ny, diagonal=diagonal)
+    spaces = caseio.build_spaces(cfg.build_mesh())
+    t_seconds = 0.5 * cfg.inlet_ramp_time               # ramp factor 1/2
+
+    def sides(space):
+        """Node sets of the inlet, the outlet and both walls, and the
+        inlet's gaussian shape, read off the node coordinates."""
+        (x0, y0), (x1, y1) = space.mesh.bounds()
+        x, y = space.node_coords.T
+        inlet = np.flatnonzero(y == y0)
+        shape = np.exp(-(x[inlet] * cfg.x_scale / cfg.inlet_half_width) ** 2
+                       / (2.0 * cfg.inlet_sigma ** 2))
+        return (inlet, np.flatnonzero(y == y1),
+                np.flatnonzero((x == x0) | (x == x1)), shape)
+
+    inlet, outlet, walls, shape = sides(spaces.p1)
+    corners = np.intersect1d(inlet, walls)
+    assert corners.size == 2
+    nodes, values = ipcs.alpha_dirichlet(spaces.p1, cfg, t_seconds)
+    assert np.array_equal(nodes, np.union1d(inlet, walls))
+    alpha = dict(zip(nodes.tolist(), values.tolist()))
+    # the walls win over the sparger profile at the inlet corners
+    assert all(alpha[n] == 0.0 for n in walls)
+    for n, s in zip(inlet, shape):
+        if n not in corners:
+            assert alpha[n] == pytest.approx(0.5 * cfg.inlet_peak_alpha * s,
+                                             rel=1e-13)
+
+    inlet, outlet, walls, shape = sides(spaces.vec)
+    everywhere = np.concatenate([inlet, outlet, walls])
+    for phase in ("gas", "liquid"):
+        dofs, values = ipcs.velocity_dirichlet(spaces.vec, cfg, t_seconds,
+                                               phase)
+        y_fixed = np.concatenate([inlet, walls] if phase == "liquid"
+                                 else [inlet])
+        # x on all four sides, y at the inlet (and the liquid's walls)
+        assert np.array_equal(dofs, np.union1d(2 * everywhere,
+                                               2 * y_fixed + 1))
+        v = dict(zip(dofs.tolist(), values.tolist()))
+        if phase == "liquid":
+            assert not values.any()
+            continue
+        for n, s in zip(inlet, shape):
+            assert v[2 * n + 1] == pytest.approx(
+                0.5 * cfg.inlet_peak_velocity / cfg.v_scale * s, rel=1e-13)
+            assert v[2 * n + 1] > 0.0
+        assert not any(v[d] for d in dofs if d not in 2 * inlet + 1)
 
 
 def test_rejected_step_returns_input_state_unchanged(started):
@@ -258,6 +311,17 @@ def test_step_failure_names_the_sub_step(started, monkeypatch):
                 ipcs.step(states[-1], 1e-7, cfg)
         assert exc.value.substep == substep, (name, failing_call)
         assert exc.value.cause is cause
+
+
+def test_step_rejects_an_unknown_alpha_scheme(started):
+    # `step` does not validate its config; the alpha update must not fall
+    # back to some scheme for a name it does not know
+    _, states, _ = started
+    with pytest.raises(StepFailureError) as exc:
+        ipcs.step(states[-1], 1e-7, _config(alpha_scheme="fct"))
+    assert exc.value.substep == "alpha-update"
+    assert isinstance(exc.value.cause, ConfigError)
+    assert exc.value.cause.key == "alpha_scheme"
 
 
 def _snapshot_index(path):

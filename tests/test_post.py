@@ -192,17 +192,11 @@ def test_radial_average_gaussian_matches_analytic():
 
 def test_histogram_counts_and_floor():
     vals = np.concatenate([np.logspace(-3, 0, 50), [1e-40] * 7])
-    edges, counts = psd_histogram(vals, bins=12)
+    edges, counts = psd_histogram(vals)
     assert counts.sum() == 50       # near-zero densities omitted
-    assert edges.size == 13
-    edges, counts = psd_histogram(vals, bins=12, floor=0.0)
-    assert counts.sum() == 57       # floor 0 keeps every positive value
-    edges, counts = psd_histogram(np.full(5, 1e-35), bins=4)
+    assert edges.size == 31         # 30 bins
+    # the 1e-30 floor is exclusive: a density at it is omitted
+    edges, counts = psd_histogram(np.concatenate([vals, [1e-30, 2e-30]]))
+    assert counts.sum() == 51
+    edges, counts = psd_histogram(np.full(5, 1e-35))
     assert counts.size == 0
-
-
-def test_histogram_validation():
-    with pytest.raises(ValueError):
-        psd_histogram(np.ones(3), bins=0)
-    with pytest.raises(ValueError):
-        psd_histogram(np.ones(3), floor=-1.0)
