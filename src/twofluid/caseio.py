@@ -3,8 +3,9 @@
 Configuration is flat "key = value" text; '#' starts a comment and
 bracketed section headers are allowed but purely cosmetic.  All physical
 keys are dimensional (SI); the dt_* controller keys are dimensionless
-(they bound the scaled step of the adaptive controller).  Unknown keys
-are rejected.
+(they bound the scaled step of the adaptive controller).  The reference
+scales are derived, not keys (`CaseConfig.scales`).  Unknown keys are
+rejected; the error for a replaced key names its replacement.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class CaseConfig:
     mu_l: float = 5e-3
     d_b: float = 1e-3
     gravity: float = 9.81
-    # reference scales (SI)
-    x_scale: float = 0.05
-    v_scale: float = 0.0616
-    h_ref: float = 0.1
     # interfacial pressure coefficient (0.25 uniform bubbles; 0 disables)
     c_p: float = 0.25
     # rectangular column geometry (m) and resolution
@@ -66,6 +63,11 @@ class CaseConfig:
     output_every: float = 0.05
     output_dir: str = "out"
 
+    # the reference scales (m, m/s, m), read-only: each is a case value
+    x_scale = property(lambda self: self.width)
+    v_scale = property(lambda self: self.inlet_peak_velocity)
+    h_ref = property(lambda self: self.height)
+
     def props(self):
         p = FluidProperties(rho_g=self.rho_g, rho_l=self.rho_l, mu_g=self.mu_g,
                             mu_l=self.mu_l, d_b=self.d_b, g=self.gravity)
@@ -86,14 +88,14 @@ class CaseConfig:
             if kind == "float" and not np.isfinite(getattr(self, name)):
                 raise ConfigError("must be a finite number", key=name)
         positive = ("rho_g", "rho_l", "mu_g", "mu_l", "d_b", "gravity",
-                    "x_scale", "v_scale", "h_ref", "width", "height",
-                    "tol_step", "tol_linear", "tol_vi", "alpha_ln_floor",
-                    "dt_init", "dt_min", "dt_max", "inlet_ramp_time",
-                    "inlet_sigma", "inlet_half_width", "output_every")
+                    "width", "height", "tol_step", "tol_linear", "tol_vi",
+                    "alpha_ln_floor", "dt_init", "dt_min", "dt_max",
+                    "inlet_peak_velocity", "inlet_ramp_time", "inlet_sigma",
+                    "inlet_half_width", "output_every")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError("must be positive", key=name)
-        for name in ("c_p", "t_end", "inlet_peak_velocity"):
+        for name in ("c_p", "t_end"):
             if getattr(self, name) < 0:
                 raise ConfigError("must be nonnegative", key=name)
         for name in ("nx", "ny"):
@@ -118,6 +120,10 @@ class CaseConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(CaseConfig)}
 
+# removed key -> the key that replaced it
+_REPLACED_KEYS = {"bounded": "alpha_scheme", "x_scale": "width",
+                  "v_scale": "inlet_peak_velocity", "h_ref": "height"}
+
 
 # field type -> (parser, what a parse error says was expected)
 _PARSERS = {"int": (int, "an integer"), "float": (float, "a number"),
@@ -128,10 +134,10 @@ def _assign(cfg, key, raw, line=None):
     """Parse the text `raw` as the value of config key `key` and set it.
     Errors name the key, and the line when the text is a config file's."""
     key = key.strip()
-    if key == "bounded":    # the switch that alpha_scheme replaced
-        raise ConfigError("unknown key 'bounded', use alpha_scheme", line=line)
     if key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown key '{key}'", line=line)
+        hint = (f", use {_REPLACED_KEYS[key]}" if key in _REPLACED_KEYS
+                else "")
+        raise ConfigError(f"unknown key '{key}'{hint}", line=line)
     parse, expected = _PARSERS[_FIELD_TYPES[key]]
     raw = raw.strip()
     try:

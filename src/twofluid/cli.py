@@ -6,6 +6,9 @@ Subcommands:
   terminal-velocity  print the correlation and force-balance terminal speeds
   convergence        repeat the run over a mesh list and compare holdups
 
+run, terminal-velocity and convergence take the case from --config and
+--set K=V alone, t_end and output_dir included (`--set t_end=0.5`).
+
 Exit codes: 0 success, 1 usage, 2 configuration error, 3 solver failure.
 """
 
@@ -27,16 +30,14 @@ def _build_parser():
         prog="twofluid",
         description="Phase-bounded two-fluid column solver")
     sub = parser.add_subparsers(dest="command", required=True)
+    case = argparse.ArgumentParser(add_help=False)
+    case.add_argument("--config", help="path to a case.cfg file")
+    case.add_argument("--set", dest="overrides", action="append", default=[],
+                      metavar="K=V",
+                      help="config override (repeatable), e.g. t_end=0.5")
 
-    run_p = sub.add_parser("run", help="advance a case to t_end")
-    run_p.add_argument("--config", help="path to a case.cfg file")
-    run_p.add_argument("--out", help="output directory override")
-    run_p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="K=V",
-                       help="config override (repeatable), e.g. "
-                            "alpha_scheme=linear for the unbounded update")
-    run_p.add_argument("--t-end", type=float, dest="t_end",
-                       help="end time in seconds")
+    run_p = sub.add_parser("run", parents=[case],
+                           help="advance a case to t_end")
     run_p.add_argument("--quiet", action="store_true")
 
     an_p = sub.add_parser("analyze", help="spectral analysis of a snapshot")
@@ -45,34 +46,20 @@ def _build_parser():
                       help="resampling grid (default 64x128)")
     an_p.add_argument("--out", default=".", help="output directory")
 
-    tv_p = sub.add_parser("terminal-velocity",
-                          help="correlation vs force-balance rise speed")
-    tv_p.add_argument("--config", help="path to a case.cfg file")
-    tv_p.add_argument("--set", dest="overrides", action="append", default=[],
-                      metavar="K=V")
+    sub.add_parser("terminal-velocity", parents=[case],
+                   help="correlation vs force-balance rise speed")
 
-    cv_p = sub.add_parser("convergence", help="holdup comparison over meshes")
-    cv_p.add_argument("--config", help="path to a case.cfg file")
+    cv_p = sub.add_parser("convergence", parents=[case],
+                          help="holdup comparison over meshes")
     cv_p.add_argument("--meshes", default="25,50",
                       help="comma list of cell counts across the width")
-    cv_p.add_argument("--t-end", type=float, dest="t_end", default=None)
-    cv_p.add_argument("--out", help="output directory override")
-    cv_p.add_argument("--set", dest="overrides", action="append", default=[],
-                      metavar="K=V")
     return parser
 
 
 def _load(args):
-    if getattr(args, "config", None):
-        cfg = caseio.load_config(args.config)
-    else:
-        cfg = caseio.CaseConfig()
-    caseio.apply_overrides(cfg, getattr(args, "overrides", []))
-    if getattr(args, "t_end", None) is not None:
-        cfg.t_end = args.t_end
-    if getattr(args, "out", None):
-        cfg.output_dir = args.out
-    return cfg.validate()
+    cfg = (caseio.load_config(args.config) if args.config
+           else caseio.CaseConfig())
+    return caseio.apply_overrides(cfg, args.overrides)
 
 
 def _cmd_run(args):
@@ -170,7 +157,6 @@ def _cmd_convergence(args):
         run_cfg = dataclasses.replace(
             cfg, nx=nx, ny=ny,
             output_dir=os.path.join(cfg.output_dir, f"mesh_{cells}"))
-        run_cfg.validate()
         print(f"running {nx} x {ny} ({cells} cells) ...")
         result = ipcs.run(run_cfg)
         path = os.path.join(cfg.output_dir, f"holdup_{cells}.csv")

@@ -47,6 +47,9 @@ from .errors import OutOfDomainError
 from .linalg import Pattern
 from .mesh import BoundaryTag
 
+_SUPG_GUARD = 1e-10     # centroid speed below which supg_tau is zero
+_LOCATE_TOL = 1e-10     # _locate's bounds slack, share of the larger extent
+
 # ---------------------------------------------------------------------------
 # quadrature and reference bases
 
@@ -338,16 +341,16 @@ def _const_grad_load(space, vec_cell):
                        minlength=space.dof_count)
 
 
-def supg_tau(space, v_field, guard=1e-10):
+def supg_tau(space, v_field):
     """Per-cell streamline weight tau = h / (2 |v|) (pure-advection factor
-    z = 1); zero where the centroid speed falls below `guard`."""
+    z = 1); zero where the centroid speed falls below `_SUPG_GUARD`."""
     vs = v_field.space
     nodes = v_field.coefficients[vs.cell_dofs].reshape(-1, 6, 2)
     vc = np.einsum("i,cia->ca", vs.n6_centroid, nodes)
     speed = np.linalg.norm(vc, axis=1)
     h = space.mesh.cell_diameters
     tau = np.zeros_like(speed)
-    ok = speed >= guard
+    ok = speed >= _SUPG_GUARD
     tau[ok] = h[ok] / (2.0 * speed[ok])
     return tau
 
@@ -486,10 +489,9 @@ def assemble_pressure_poisson(state, qp, dt, groups):
     A = p1.pattern.assemble(p1.gg * cell_coef[:, None, None])
 
     div = np.zeros((p1.mesh.n_cells, w.size))
-    for alpha, v_qp, dvq in ((state.alpha_l, qp.v_l, qp.dv_l),
-                             (state.alpha_g, qp.v_g, qp.dv_g)):
-        ga = p1.p1_cell_gradient(alpha.coefficients)
-        a_qp = p1.p1_at_qp(alpha.coefficients)
+    for a, a_qp, v_qp, dvq in ((state.alpha_l, alpha_l_qp, qp.v_l, qp.dv_l),
+                               (state.alpha_g, alpha_g_qp, qp.v_g, qp.dv_g)):
+        ga = p1.p1_cell_gradient(a.coefficients)
         div += np.matmul(v_qp, ga[:, :, None])[:, :, 0]
         div += a_qp * (dvq[:, :, 0, 0] + dvq[:, :, 1, 1])
     wn3 = w[:, None] * p1.n3                 # (q, i)
@@ -550,14 +552,14 @@ def assemble_alpha_system(alpha_old, v_g_new, dt):
 # ---------------------------------------------------------------------------
 # point evaluation
 
-def _locate(mesh, points, tol=1e-10):
+def _locate(mesh, points):
     """Containing cell and barycentric coordinates for each point, by
     direct indexing into the structured grid of `mesh.grid`."""
     if mesh.grid is None:
         raise ValueError("point location needs a mesh with grid metadata")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     lo, hi = mesh.bounds()
-    pad = tol * max(hi[0] - lo[0], hi[1] - lo[1])
+    pad = _LOCATE_TOL * max(hi[0] - lo[0], hi[1] - lo[1])
     outside = ((points[:, 0] < lo[0] - pad) | (points[:, 0] > hi[0] + pad)
                | (points[:, 1] < lo[1] - pad) | (points[:, 1] > hi[1] + pad))
     if np.any(outside):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError
+from .errors import BracketError, ConfigError
 
 
 @dataclass
@@ -37,8 +37,8 @@ class Scales:
     """Reference scales used to nondimensionalize the governing equations.
 
     Pressure scale is hydrostatic, P_s = rho_l * g_s * h_ref, with P_0 = 0.
-    The time scale is x_s / v_s.  `CaseConfig.scales` holds the reference
-    values.
+    The time scale is x_s / v_s.  `CaseConfig.scales` derives them from
+    the case: column width, peak inlet gas speed, gravity, column height.
     """
 
     x_s: float            # m (column width)
@@ -150,10 +150,14 @@ def clift_terminal_reynolds(props: FluidProperties):
         log10 Re_T = -1.7095 + 1.33438 log10 N_D - 0.11591 (log10 N_D)^2,
         N_D = 4 rho_l (rho_l - rho_g) g d_b^3 / (3 mu_l^2),
 
-    valid for rigid spheres in the intermediate regime.  Returns
-    (Re_T, v_T) with v_T = Re_T mu_l / (rho_l d_b)."""
+    the 73 < N_D <= 580 branch of Clift, Grace & Weber (1978), Table 5.3,
+    for rigid spheres; an N_D outside that range raises ConfigError.
+    Returns (Re_T, v_T) with v_T = Re_T mu_l / (rho_l d_b)."""
     drho = props.rho_l - props.rho_g
     n_d = 4.0 * props.rho_l * drho * props.g * props.d_b ** 3 / (3.0 * props.mu_l ** 2)
+    if not 73.0 < n_d <= 580.0:
+        raise ConfigError(f"the Clift correlation holds for 73 < N_D <= 580, "
+                          f"these fluid properties give N_D = {n_d:.4g}")
     logn = np.log10(n_d)
     log_re = -1.7095 + 1.33438 * logn - 0.11591 * logn ** 2
     re_t = 10.0 ** log_re

@@ -28,6 +28,7 @@ from .errors import NonconvergenceError
 from .linalg import lu_solve_dense, solve_bicgstab
 
 _DENSE_CUTOFF = 400  # reduced systems up to this size go through dense LU
+_MAX_ITER = 50       # active-set iterations before NonconvergenceError
 
 
 def check_vi_conditions(x, r):
@@ -49,7 +50,7 @@ def _reduced_solve(a, rhs, inactive, tol, x0):
     return solve_bicgstab(sub, rhs, tol=tol, max_iter=4000, x0=x0)
 
 
-def solve_box_vi(a, b, x0, tol, max_iter=50, stats=None):
+def solve_box_vi(a, b, x0, tol, stats=None):
     """Reduced-space active-set solve of the affine VI on [0, 1]^n,
     started from x0 clipped to the box.
 
@@ -68,7 +69,7 @@ def solve_box_vi(a, b, x0, tol, max_iter=50, stats=None):
     if stats is None:
         stats = {}
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         stats["iterations"] = iterations
         new_lo = (x <= 0.0) & (r >= 0.0)
         new_hi = (x >= 1.0) & (r <= 0.0)
@@ -99,6 +100,6 @@ def solve_box_vi(a, b, x0, tol, max_iter=50, stats=None):
         seen.add(signature)
 
     raise NonconvergenceError(
-        f"box VI solve did not converge in {max_iter} iterations "
+        f"box VI solve did not converge in {_MAX_ITER} iterations "
         f"(worst complementarity violation {worst:.3e})",
         residual=worst, iterations=iterations)

@@ -72,8 +72,8 @@ def test_invalid_value_names_the_wrong_key(text, key):
 
 
 # the numeric values that stay valid at 0 (no gas at the inlet, no
-# interfacial pressure, a run that only writes its start, no inlet flow)
-VALID_AT_ZERO = {"c_p", "t_end", "inlet_peak_alpha", "inlet_peak_velocity"}
+# interfacial pressure, a run that only writes its start)
+VALID_AT_ZERO = {"c_p", "t_end", "inlet_peak_alpha"}
 
 
 @pytest.mark.parametrize("name, value", [
@@ -96,6 +96,17 @@ def test_the_replaced_bounded_key_points_to_alpha_scheme():
         parse_config("nx = 4\nbounded = false\n")
     assert str(exc.value).startswith("line 2: unknown key 'bounded'")
     assert "alpha_scheme" in str(exc.value)
+
+
+def test_scales_are_the_case_values():
+    cfg = CaseConfig(width=0.1, height=0.3, inlet_peak_velocity=0.2,
+                     gravity=9.0)
+    s = cfg.scales()
+    assert (s.x_s, s.v_s, s.g_s, s.h_ref) == (0.1, 0.2, 9.0, 0.3)
+    assert (cfg.x_scale, cfg.v_scale, cfg.h_ref) == (0.1, 0.2, 0.3)
+    # the scaled column is one width wide, whatever the width
+    lo, hi = cfg.build_mesh().bounds()
+    assert hi - lo == pytest.approx([1.0, 3.0], rel=1e-15)
 
 
 def test_malformed_line_reports_position():
@@ -130,8 +141,6 @@ def _valid_configs():
     special = {
         "c_p": st.floats(min_value=0.0, allow_infinity=False),
         "t_end": st.floats(min_value=0.0, allow_infinity=False),
-        "inlet_peak_velocity": st.floats(min_value=0.0,
-                                         allow_infinity=False),
         "inlet_peak_alpha": st.floats(min_value=0.0, max_value=1.0),
         "slip_alpha_floor": st.floats(min_value=0.0, max_value=1.0,
                                       exclude_min=True, exclude_max=True),
@@ -236,7 +245,7 @@ def test_snapshot_round_trip(tmp_path):
 
 
 def test_snapshot_zero_state(tmp_path):
-    cfg = CaseConfig(nx=1, ny=1, h_ref=0.1)
+    cfg = CaseConfig(nx=1, ny=1, height=0.1)
     mesh = generate_rect_mesh(1.0, 1.0, 1, 1, "right")
     spaces = build_spaces(mesh)
     state = initial_state(mesh, cfg, spaces)

@@ -18,7 +18,8 @@ def test_terminal_velocity_exits_0(capsys):
 
 
 def _run_small(out):
-    argv = ["run", *SMALL, "--t-end", "0.0001", "--out", str(out), "--quiet"]
+    argv = ["run", *SMALL, "--set", "t_end=0.0001",
+            "--set", f"output_dir={out}", "--quiet"]
     assert cli.main(argv) == 0
 
 
@@ -47,8 +48,9 @@ def test_run_prints_the_final_holdup_of_the_series(tmp_path, capsys):
 
 
 def test_unbounded_run_exits_0(tmp_path, capsys):
-    argv = ["run", *SMALL, "--t-end", "0.0001", "--set",
-            "alpha_scheme=linear", "--out", str(tmp_path), "--quiet"]
+    argv = ["run", *SMALL, "--set", "t_end=0.0001", "--set",
+            "alpha_scheme=linear", "--set", f"output_dir={tmp_path}",
+            "--quiet"]
     assert cli.main(argv) == 0
     assert "finished t = 0.0001 s" in capsys.readouterr().out
 
@@ -58,8 +60,9 @@ def test_unbounded_3x6_run_exits_0(tmp_path, capsys):
     # inlet rows, which hold only their diagonal: BiCGStab's shadow
     # residual turns orthogonal to the residual without r0 . r reaching
     # 0, and the unrestarted recurrence stalled in the fifth attempt
-    argv = ["run", "--set", "nx=3", "--set", "ny=6", "--t-end", "0.0001",
-            "--set", "alpha_scheme=linear", "--out", str(tmp_path), "--quiet"]
+    argv = ["run", "--set", "nx=3", "--set", "ny=6", "--set", "t_end=0.0001",
+            "--set", "alpha_scheme=linear", "--set", f"output_dir={tmp_path}",
+            "--quiet"]
     assert cli.main(argv) == 0
     assert "finished t = 0.0001 s" in capsys.readouterr().out
 
@@ -81,7 +84,8 @@ def test_bad_value_in_a_config_file_exits_2_naming_line_and_key(tmp_path,
                                                                 capsys):
     path = tmp_path / "case.cfg"
     path.write_text("[mesh]\nny = 4\nnx = abc\n", encoding="utf-8")
-    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    argv = ["run", "--config", str(path),
+            "--set", f"output_dir={tmp_path / 'out'}"]
     assert cli.main(argv) == 2
     assert "line 3: key 'nx'" in capsys.readouterr().err
 
@@ -134,8 +138,8 @@ def test_analyze_needs_the_grid_in_the_snapshot_header(tmp_path, capsys):
 
 
 def test_convergence_writes_each_mesh_and_compares(tmp_path, capsys):
-    argv = ["convergence", "--meshes", "2,3,4", "--t-end", "0.0001",
-            "--out", str(tmp_path)]
+    argv = ["convergence", "--meshes", "2,3,4", "--set", "t_end=0.0001",
+            "--set", f"output_dir={tmp_path}"]
     assert cli.main(argv) == 0
     curves = []
     for cells in (16, 36, 64):              # 2 x 4, 3 x 6 and 4 x 8 quads
@@ -262,6 +266,10 @@ def test_analyze_a_file_that_is_not_a_snapshot_exits_2(name, text, tmp_path,
     ["convergence", "--meshes", ","],                   # no mesh at all
     ["convergence", "--meshes", "2,x"],
     ["run", "--unbounded"],          # replaced by --set alpha_scheme=linear
+    ["run", "--t-end", "1"],         # replaced by --set t_end=1
+    ["run", "--out", "d"],           # replaced by --set output_dir=d
+    ["convergence", "--t-end", "1"],
+    ["convergence", "--out", "d"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert cli.main(argv) == 1
@@ -293,24 +301,48 @@ def test_override_error_names_the_key(capsys):
                                             "alpha_scheme")])
 def test_invalid_value_exits_2_naming_its_key(override, key, tmp_path,
                                               capsys):
-    argv = ["run", *SMALL, "--set", override, "--t-end", "0.0001",
-            "--out", str(tmp_path)]
+    argv = ["run", *SMALL, "--set", "t_end=0.0001",
+            "--set", f"output_dir={tmp_path}", "--set", override]
     assert cli.main(argv) == 2
     assert f"key '{key}': " in capsys.readouterr().err
 
 
 def test_the_replaced_bounded_key_exits_2_naming_alpha_scheme(tmp_path,
                                                               capsys):
-    argv = ["run", *SMALL, "--set", "bounded=false", "--t-end", "0.0001",
-            "--out", str(tmp_path)]
+    argv = ["run", *SMALL, "--set", "bounded=false", "--set", "t_end=0.0001",
+            "--set", f"output_dir={tmp_path}"]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "unknown key 'bounded'" in err and "alpha_scheme" in err
 
 
+@pytest.mark.parametrize("key, replacement", [
+    ("bounded", "alpha_scheme"), ("x_scale", "width"),
+    ("v_scale", "inlet_peak_velocity"), ("h_ref", "height")])
+def test_a_replaced_key_exits_2_naming_its_replacement(key, replacement,
+                                                       tmp_path, capsys):
+    path = tmp_path / "case.cfg"
+    path.write_text(f"nx = 2\n{key} = 0.05\n", encoding="utf-8")
+    for argv in (["run", "--set", f"{key}=0.05"],
+                 ["run", "--config", str(path)]):
+        assert cli.main(argv) == 2
+        assert (f"unknown key '{key}', use {replacement}"
+                in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("d_b, n_d", [("5e-4", "64.75"), ("5e-3", "6.475e+04"),
+                                      ("0.5", "6.475e+10")])
+def test_terminal_velocity_outside_the_clift_range_exits_2(d_b, n_d, capsys):
+    # the correlation is the 73 < N_D <= 580 branch of Clift, Grace and
+    # Weber; at d_b = 0.5 m it gave a relative difference of 2.6e8 %
+    assert cli.main(["terminal-velocity", "--set", f"d_b={d_b}"]) == 2
+    err = capsys.readouterr().err
+    assert "73 < N_D <= 580" in err and f"N_D = {n_d}" in err
+
+
 def test_stagnating_run_exits_3(tmp_path, capsys):
     argv = ["run", *SMALL, "--set", "tol_step=1e-14", "--set", "dt_min=1e-5",
-            "--t-end", "0.002", "--out", str(tmp_path)]
+            "--set", "t_end=0.002", "--set", f"output_dir={tmp_path}"]
     assert cli.main(argv) == 3
     # the second attempt stagnates, from the start time
     assert ("solver failure in step attempt 1 from t = 0 s: step control "

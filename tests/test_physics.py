@@ -37,8 +37,8 @@ def test_group_arithmetic(groups):
 
 def test_equal_density_unit_euler():
     # v_s^2 = P_s / rho makes both Euler numbers one
-    cfg = CaseConfig(rho_g=1000.0, v_scale=np.sqrt(9.81 * 0.1), gravity=9.81,
-                     h_ref=0.1)
+    cfg = CaseConfig(rho_g=1000.0, inlet_peak_velocity=np.sqrt(9.81 * 0.1),
+                     gravity=9.81, height=0.1)
     g = make_groups(cfg.props(), cfg.scales(), cfg.c_p)
     assert g.eu_l == pytest.approx(1.0)
     assert g.eu_g == pytest.approx(1.0)
