@@ -6,17 +6,19 @@ keys are dimensional (SI); the dt_* controller keys are dimensionless
 (they bound the scaled step of the adaptive controller).  The reference
 scales are derived, not keys (`CaseConfig.scales`).  Unknown keys are
 rejected; the error for a replaced key names its replacement.
+`parse_config` alone turns case text (a file, then --set overrides) into
+a case, validated once, so a key is judged the same wherever it is set.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
-from .fem import FunctionSpace
+from .fem import FeField, FunctionSpace
 from .mesh import DIAGONALS, generate_rect_mesh
 from .physics import FluidProperties, Scales
 
@@ -148,8 +150,11 @@ def _assign(cfg, key, raw, line=None):
     setattr(cfg, key, value)
 
 
-def parse_config(text):
-    """Parse configuration text into a validated CaseConfig."""
+def parse_config(text, overrides=()):
+    """Case text to a validated CaseConfig, in one pass: the lines of the
+    config file `text` (errors name the line and the key), then each
+    'key=value' string of `overrides` in order (CLI --set; errors name
+    the key), then one validate, so the case is judged as a whole."""
     cfg = CaseConfig()
     for lineno, line in enumerate(io.StringIO(text), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -162,12 +167,12 @@ def parse_config(text):
                               line=lineno)
         key, raw = stripped.split("=", 1)
         _assign(cfg, key, raw, lineno)
+    for pair in overrides:
+        if "=" not in pair:
+            raise ConfigError(f"override '{pair}' is not key=value")
+        key, raw = pair.split("=", 1)
+        _assign(cfg, key, raw)
     return cfg.validate()
-
-
-def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
 
 
 def dump_config(cfg):
@@ -188,16 +193,6 @@ def dump_config(cfg):
                               key=f.name)
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def apply_overrides(cfg, pairs):
-    """Apply 'key=value' override strings (CLI --set) onto a config."""
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override '{pair}' is not key=value")
-        key, raw = pair.split("=", 1)
-        _assign(cfg, key, raw)
-    return cfg.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +224,21 @@ def build_spaces(mesh):
                     FunctionSpace.vector_p2(mesh))
 
 
+@dataclass
+class State:
+    """Scaled solution fields at one time level."""
+
+    alpha_g: FeField
+    alpha_l: FeField
+    v_g: FeField
+    v_l: FeField
+    p_l: FeField
+    t_tilde: float
+
+
 def initial_state(mesh, cfg, spaces=None):
     """Quiescent start: no gas, zero velocities, hydrostatic liquid pressure
     P(y) = rho_l g (h_ref - y), nondimensionalized by rho_l g h_ref."""
-    from .ipcs import State  # deferred: ipcs imports this module
-
     if spaces is None:
         spaces = build_spaces(mesh)
     p1, vec = spaces.p1, spaces.vec

@@ -7,7 +7,9 @@ Subcommands:
   convergence        repeat the run over a mesh list and compare holdups
 
 run, terminal-velocity and convergence take the case from --config and
---set K=V alone, t_end and output_dir included (`--set t_end=0.5`).
+--set K=V alone (`--set t_end=0.5`); `caseio.parse_config` validates it
+once, after the file and every --set (a later one wins).  argparse
+reports every usage error, --grid and --meshes included.
 
 Exit codes: 0 success, 1 usage, 2 configuration error, 3 solver failure.
 """
@@ -26,6 +28,19 @@ from .errors import ConfigError, SolverFailureError, TwoFluidError
 
 
 def _build_parser():
+    # argparse reports a ValueError from a type converter as a usage error
+    def grid(text):
+        nx, ny = (int(v) for v in text.lower().split("x"))
+        if nx < 2 or ny < 2:
+            raise ValueError(text)
+        return nx, ny
+
+    def meshes(text):
+        nxs = [int(v) for v in text.split(",") if v]
+        if not nxs:
+            raise ValueError(text)
+        return nxs
+
     parser = argparse.ArgumentParser(
         prog="twofluid",
         description="Phase-bounded two-fluid column solver")
@@ -42,8 +57,8 @@ def _build_parser():
 
     an_p = sub.add_parser("analyze", help="spectral analysis of a snapshot")
     an_p.add_argument("snapshot", help="snap_XXXXXX.vtk file")
-    an_p.add_argument("--grid", default="64x128", metavar="NXxNY",
-                      help="resampling grid (default 64x128)")
+    an_p.add_argument("--grid", type=grid, default="64x128", metavar="NXxNY",
+                      help="resampling grid, NX, NY >= 2 (default 64x128)")
     an_p.add_argument("--out", default=".", help="output directory")
 
     sub.add_parser("terminal-velocity", parents=[case],
@@ -51,15 +66,17 @@ def _build_parser():
 
     cv_p = sub.add_parser("convergence", parents=[case],
                           help="holdup comparison over meshes")
-    cv_p.add_argument("--meshes", default="25,50",
+    cv_p.add_argument("--meshes", type=meshes, default="25,50",
                       help="comma list of cell counts across the width")
     return parser
 
 
 def _load(args):
-    cfg = (caseio.load_config(args.config) if args.config
-           else caseio.CaseConfig())
-    return caseio.apply_overrides(cfg, args.overrides)
+    text = ""
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return caseio.parse_config(text, args.overrides)
 
 
 def _cmd_run(args):
@@ -76,21 +93,13 @@ def _cmd_run(args):
 
 def _cmd_analyze(args):
     try:
-        nx, ny = (int(v) for v in args.grid.lower().split("x"))
-    except ValueError:
-        nx = ny = 0
-    if nx < 2 or ny < 2:
-        print(f"bad --grid '{args.grid}', expected NXxNY with NX, NY >= 2",
-              file=sys.stderr)
-        return 1
-    try:
         verts, cells, data, meta = caseio.read_snapshot(args.snapshot)
         m = _grid_mesh(args.snapshot, verts, cells, meta)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
     alpha = fem.FunctionSpace.scalar_p1(m).field(data["alpha_g"])
-    grid = post.sample_to_grid(alpha, nx, ny)
+    grid = post.sample_to_grid(alpha, *args.grid)
     psd = post.power_spectrum_2d(grid)
     radii, power, counts = post.radial_average(psd)
     edges, hist = post.psd_histogram(psd)
@@ -142,16 +151,9 @@ def _cmd_terminal_velocity(args):
 
 def _cmd_convergence(args):
     cfg = _load(args)
-    try:
-        nxs = [int(v) for v in args.meshes.split(",") if v]
-    except ValueError:
-        nxs = []
-    if not nxs:
-        print(f"bad --meshes '{args.meshes}'", file=sys.stderr)
-        return 1
     aspect = cfg.height / cfg.width
     curves = []
-    for nx in nxs:
+    for nx in args.meshes:
         ny = max(1, round(nx * aspect))
         cells = 2 * nx * ny
         run_cfg = dataclasses.replace(

@@ -26,9 +26,10 @@ solve of the same tentative system.
 
 This module picks each sub-step's solver, tolerance, iteration cap and
 warm start; `linalg` takes them.  The box VI keeps its inner policy in
-`vi`: the 50-iteration active-set cap, the dense-LU cutoff
-(`_DENSE_CUTOFF`) for reduced systems, the 4000-iteration cap of the
-reduced BiCGStab and the rule that sets its tolerance from tol_vi.
+`vi`: the active-set iteration cap (`_MAX_ITER`), the dense-LU cutoff
+(`_DENSE_CUTOFF`) for reduced systems, and the iteration cap
+(`_reduced_solve`) and tolerance rule (from tol_vi) of the reduced
+BiCGStab.
 Warm starts that carry across steps (the tentative velocities and the
 pressure increment) are cached as rates of change per unit dt, so that a
 guess scales with the step it starts (cf. Fischer, CMAME 163, 1998, on
@@ -44,24 +45,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import caseio, fem, post
+from .caseio import State
 from .errors import (ConfigError, SolverFailureError, StagnationError,
                      StepFailureError, TwoFluidError)
 from .linalg import eliminate, solve_bicgstab, solve_cg, zero_rows
 from .mesh import BoundaryTag
 from .physics import make_groups
 from .vi import solve_box_vi
-
-
-@dataclass
-class State:
-    """Scaled solution fields at one time level."""
-
-    alpha_g: fem.FeField
-    alpha_l: fem.FeField
-    v_g: fem.FeField
-    v_l: fem.FeField
-    p_l: fem.FeField
-    t_tilde: float
 
 
 @dataclass

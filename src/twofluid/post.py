@@ -102,8 +102,7 @@ def psd_histogram(psd):
         return np.empty(0), np.empty(0, dtype=int)
     lo, hi = vals.min(), vals.max()
     if lo == hi:
-        edges = np.array([lo * 0.999, hi * 1.001]) if lo > 0 else \
-            np.array([-0.5, 0.5])
+        edges = np.array([lo * 0.999, hi * 1.001])
     else:
         edges = np.logspace(np.log10(lo), np.log10(hi), PSD_BINS + 1)
         edges[0] *= 1.0 - 1e-12

@@ -12,8 +12,9 @@ Ito & Kunisch, SIAM J. Optim. 13, 2002): estimate the active bounds from
 the current iterate and residual signs, solve the unconstrained system
 restricted to the inactive indices, project back onto the box, repeat.
 For an affine F each iteration is exact on its active-set guess, so the
-loop terminates once the guess stops changing; a monotone growth fallback
-guards against cycling between guesses.
+loop stops once the guess stops changing.  After a guess repeats, the
+active set may only grow; that does not guarantee termination (most
+cycling test problems still fail), and `_MAX_ITER` bounds the loop.
 
 A reduced system too large for dense LU is solved by BiCGStab started
 from the current iterate on the inactive indices, which changes little

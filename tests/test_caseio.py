@@ -9,10 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twofluid import caseio
-from twofluid.caseio import (CaseConfig, SeriesWriter, apply_overrides,
-                             build_spaces, dump_config, initial_state,
-                             inlet_profiles, parse_config, read_snapshot,
-                             write_snapshot)
+from twofluid.caseio import (CaseConfig, SeriesWriter, build_spaces,
+                             dump_config, initial_state, inlet_profiles,
+                             parse_config, read_snapshot, write_snapshot)
 from twofluid.errors import ConfigError
 from twofluid.mesh import DIAGONALS, generate_rect_mesh
 
@@ -171,12 +170,12 @@ def test_dump_rejects_text_the_format_cannot_carry(output_dir):
 
 
 def test_overrides():
-    cfg = apply_overrides(CaseConfig(), ["nx=8", "alpha_scheme=linear"])
+    cfg = parse_config("", ["nx=8", "alpha_scheme=linear"])
     assert cfg.nx == 8 and cfg.alpha_scheme == "linear"
     with pytest.raises(ConfigError):
-        apply_overrides(CaseConfig(), ["nonsense"])
+        parse_config("", ["nonsense"])
     with pytest.raises(ConfigError):
-        apply_overrides(CaseConfig(), ["no_such_key=1"])
+        parse_config("", ["no_such_key=1"])
 
 
 def test_inlet_profile_values():

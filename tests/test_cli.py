@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import twofluid
-from twofluid import caseio, cli, fem, post
+from twofluid import caseio, cli, fem, mesh, post
 
 SMALL = ["--set", "nx=2", "--set", "ny=4"]
 
@@ -17,14 +17,15 @@ def test_terminal_velocity_exits_0(capsys):
     assert "Clift correlation" in capsys.readouterr().out
 
 
-def _run_small(out):
+def _run_small(out, *overrides):
     argv = ["run", *SMALL, "--set", "t_end=0.0001",
-            "--set", f"output_dir={out}", "--quiet"]
+            "--set", f"output_dir={out}", *overrides, "--quiet"]
     assert cli.main(argv) == 0
 
 
-def test_short_run_exits_0(tmp_path, capsys):
-    _run_small(tmp_path)
+@pytest.mark.parametrize("diagonal", mesh.DIAGONALS)
+def test_short_run_exits_0(diagonal, tmp_path, capsys):
+    _run_small(tmp_path, "--set", f"diagonal={diagonal}")
     out = capsys.readouterr().out
     # one series row per accepted step after the t = 0 row, and the last
     # snapshot is named by the accepted-step count
@@ -78,6 +79,37 @@ def test_run_reads_its_case_from_a_config_file(tmp_path, capsys):
     first = (out / "snap_000000.vtk").read_text().splitlines()[1]
     assert first.endswith(" nx=2 ny=4")
     assert (out / "series.csv").exists()
+
+
+def test_an_override_makes_a_config_file_valid(tmp_path, capsys):
+    # the case is validated once, after the file and every --set; at
+    # t_end = 0 the run writes its start only
+    path = tmp_path / "case.cfg"
+    path.write_text("dt_min = 0.05\n", encoding="utf-8")
+    argv = ["run", "--config", str(path), *SMALL, "--set", "dt_max=0.1",
+            "--set", "t_end=0", "--set", f"output_dir={tmp_path}", "--quiet"]
+    assert cli.main(argv) == 0
+    assert "finished t = 0.0000 s after 0 accepted steps" in (
+        capsys.readouterr().out)
+
+
+def test_an_override_can_make_a_valid_config_file_invalid(tmp_path, capsys):
+    path = tmp_path / "case.cfg"
+    path.write_text("nx = 2\nny = 4\n", encoding="utf-8")
+    argv = ["run", "--config", str(path), "--set", "dt_max=1e-10",
+            "--set", f"output_dir={tmp_path}"]
+    assert cli.main(argv) == 2
+    assert "key 'dt_min': " in capsys.readouterr().err
+
+
+def test_a_later_override_of_a_key_wins(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", "--set", "nx=7", *SMALL, "--set", "t_end=1",
+            "--set", "t_end=0.0001", "--set", f"output_dir={out}", "--quiet"]
+    assert cli.main(argv) == 0
+    assert "finished t = 0.0001 s" in capsys.readouterr().out
+    first = (out / "snap_000000.vtk").read_text().splitlines()[1]
+    assert first.endswith(" nx=2 ny=4")
 
 
 def test_bad_value_in_a_config_file_exits_2_naming_line_and_key(tmp_path,
@@ -273,6 +305,25 @@ def test_analyze_a_file_that_is_not_a_snapshot_exits_2(name, text, tmp_path,
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert cli.main(argv) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "snap_000000.vtk", "--grid", "1x4"],
+     "argument --grid: invalid grid value: '1x4'"),
+    (["convergence", "--meshes", ","],
+     "argument --meshes: invalid meshes value: ','"),
+], ids=["grid", "meshes"])
+def test_a_bad_grid_or_mesh_list_is_reported_by_argparse(argv, message,
+                                                         capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: twofluid ") and message in err
+
+
+def test_the_grid_and_mesh_defaults_are_converted():
+    parser = cli._build_parser()
+    assert parser.parse_args(["analyze", "s.vtk"]).grid == (64, 128)
+    assert parser.parse_args(["convergence"]).meshes == [25, 50]
 
 
 @pytest.mark.parametrize("argv", [

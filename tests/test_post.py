@@ -200,3 +200,10 @@ def test_histogram_counts_and_floor():
     assert counts.sum() == 51
     edges, counts = psd_histogram(np.full(5, 1e-35))
     assert counts.size == 0
+
+
+def test_histogram_of_a_constant_psd_is_one_bin_around_it():
+    edges, counts = psd_histogram(np.concatenate([np.full(6, 2.5e-3),
+                                                  [0.0, 1e-40]]))
+    assert list(counts) == [6]
+    assert edges.tolist() == [2.5e-3 * 0.999, 2.5e-3 * 1.001]
