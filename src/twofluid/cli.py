@@ -37,7 +37,7 @@ def _build_parser():
 
     def meshes(text):
         nxs = [int(v) for v in text.split(",") if v]
-        if not nxs:
+        if not nxs or min(nxs) < 1:
             raise ValueError(text)
         return nxs
 

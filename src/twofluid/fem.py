@@ -30,8 +30,10 @@ Sub-step systems assembled here.  All four come back unconstrained;
   tentative velocity   [M/dt + W_q] v* = M v(n)/dt + c_q - W_q v(n)
                        + convection / drag / interfacial pressure loads
   pressure Poisson     < sum_q Eu_q alpha_q grad dP, grad phi >  (SPD
-                       once the outlet dP = 0 is imposed symmetrically)
-  velocity update      mass solve against the pressure-increment gradient
+                       once the outlet dP = 0 is held)
+  velocity update      the load of the correction's mass solve
+                       M (v(n+1) - v*) = - dt Eu_q < grad dP, phi >,
+                       solved on the space's shared `mass_matrix`
   phase fraction       implicit advection with SUPG test functions,
                        solved by the scheme cfg.alpha_scheme names
 """
@@ -131,8 +133,9 @@ class FunctionSpace:
     full CSR matrix with the cross-component entries zeroed, then
     `eliminate_zeros()` (no second pattern; the copy keeps that structural
     op off the pattern's shared index arrays).  Its dense form and its
-    matvec equal the full matrix's bit for bit.  `mass_data` keeps the
-    full pattern, for sums with the other operators.
+    matvec equal the full matrix's bit for bit.  Steps share it unedited
+    (the velocity update's CG holds its Dirichlet dofs).  `mass_data`
+    keeps the full pattern, for sums with the other operators.
     """
 
     def __init__(self, kind, mesh):
@@ -502,19 +505,15 @@ def assemble_pressure_poisson(state, qp, dt, groups):
     return A, b
 
 
-def assemble_velocity_update(phase, v_star, delta_p, dt, groups):
-    """Mass system M v(n+1) = M v* - dt Eu_q < grad dP, phi >, without
-    boundary constraints.  M is a copy of the space's `mass_matrix`, so it
-    stores no cross-component entries."""
+def assemble_velocity_update(phase, space, delta_p, dt, groups):
+    """Load - dt Eu_q < grad dP, phi > of the velocity correction's mass
+    system M (v(n+1) - v*) = load over the VectorP2 `space`, without
+    boundary constraints; M is the space's `mass_matrix`."""
     if phase not in ("liquid", "gas"):
         raise ValueError(f"unknown phase '{phase}'")
-    space = v_star.space
     eu = groups.eu_l if phase == "liquid" else groups.eu_g
     dp_cell = delta_p.space.p1_cell_gradient(delta_p.coefficients)
-    M = space.mass_matrix
-    b = M @ v_star.coefficients
-    b -= dt * eu * _const_grad_load(space, dp_cell)
-    return M.copy(), b
+    return -dt * eu * _const_grad_load(space, dp_cell)
 
 
 def assemble_alpha_system(alpha_old, v_g_new, dt):

@@ -8,15 +8,18 @@ One step advances the scaled state (alpha_g, alpha_l, v_g, v_l, P_l) by
      explicit, viscosity half implicit),
   2. a pressure-increment Poisson solve from the mixture incompressibility
      constraint div(sum_q alpha_q v_q) = 0,
-  3. velocity correction with the increment gradient,
+  3. velocity correction with the increment gradient, a mass solve for
+     the correction v(n+1) - v*,
   4. implicit SUPG advection of the gas fraction (`_alpha_update`) by the
      scheme cfg.alpha_scheme names: "vi", a box variational inequality
      imposing 0 <= alpha <= 1, or "linear", the same system solved without
      bounds as the comparator; alpha_l := 1 - alpha_g afterwards.
 
 The step imposes every Dirichlet row itself, in the unconstrained
-systems that `fem` assembles: velocity and gas-fraction rows by row
-replacement, the pressure outlet (dP = 0) by symmetric elimination.
+systems that `fem` assembles: the nonsymmetric ones (tentative, Heun, gas
+fraction) by row replacement.  The SPD ones are never edited: CG holds
+the pressure outlet (dP = 0) and the correction's Dirichlet dofs at zero,
+as v* already holds the data at t + dt there.
 
 The local error of a step is measured on the tentative velocities only,
 by comparing against a Heun (predictor-corrector) evaluation that reuses
@@ -46,9 +49,9 @@ import numpy as np
 
 from . import caseio, fem, post
 from .caseio import State
-from .errors import (ConfigError, SolverFailureError, StagnationError,
-                     StepFailureError, TwoFluidError)
-from .linalg import eliminate, solve_bicgstab, solve_cg, zero_rows
+from .errors import (SolverFailureError, StagnationError, StepFailureError,
+                     TwoFluidError)
+from .linalg import solve_bicgstab, solve_cg, zero_rows
 from .mesh import BoundaryTag
 from .physics import make_groups
 from .vi import solve_box_vi
@@ -146,10 +149,10 @@ def _from_rate(warm, key, dt, size):
     return None if rate is None or rate.size != size else rate * dt
 
 
-def _krylov(solver, stats, key, A, b, tol, max_iter, x0):
-    """Solve A x = b from x0; record the iteration count as stats[key]."""
+def _krylov(solver, stats, key, A, b, **options):
+    """Solve A x = b; record the iteration count as stats[key]."""
     st = {}
-    x = solver(A, b, tol=tol, max_iter=max_iter, x0=x0, stats=st)
+    x = solver(A, b, stats=st, **options)
     stats[key] = st["iterations"]
     return x
 
@@ -224,9 +227,10 @@ def step(state, dt, cfg, warm=None):
     increment's rate dP/dt under "delta_p_rate", written on accepted
     steps.  Without one the step starts a fresh cache, so it cold-starts
     and its rates are dropped.  A cached rate of another size (another
-    mesh) is ignored and overwritten."""
+    mesh) is ignored and overwritten.  An invalid cfg raises ConfigError."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
+    cfg.validate()
     warm = {} if warm is None else warm
     scales = cfg.scales()
     groups = make_groups(cfg.props(), scales, cfg.c_p)
@@ -254,26 +258,22 @@ def step(state, dt, cfg, warm=None):
 
     with _substep("pressure-poisson"):
         A_p, b_p = fem.assemble_pressure_poisson(state, qp_star, dt, groups)
-        outlet = p1.boundary_nodes(BoundaryTag.Outlet)
-        eliminate(A_p, outlet)
-        b_p[outlet] = 0.0
         delta_p = _krylov(solve_cg, stats, "pressure", A_p, b_p, tol=tol,
                           max_iter=10000,
-                          x0=_from_rate(warm, "delta_p_rate", dt, b_p.size))
+                          x0=_from_rate(warm, "delta_p_rate", dt, b_p.size),
+                          fixed=p1.boundary_nodes(BoundaryTag.Outlet))
         warm["delta_p_rate"] = delta_p / dt
     dp_field = p1.field(delta_p)
 
     new_v = {}
     for phase, vstar in (("liquid", vsl), ("gas", vsg)):
         with _substep(f"velocity-update-{phase}"):
-            M, b = fem.assemble_velocity_update(phase, vstar, dp_field, dt,
+            load = fem.assemble_velocity_update(phase, vec, dp_field, dt,
                                                 groups)
-            dofs, values = dirichlet[phase]
-            zero_rows(M, dofs)
-            b[dofs] = values
-            new_v[phase] = _krylov(solve_bicgstab, stats, f"update_{phase}",
-                                   M, b, tol=tol, max_iter=2000,
-                                   x0=vstar.coefficients)
+            correction = _krylov(solve_cg, stats, f"update_{phase}",
+                                 vec.mass_matrix, load, tol=tol,
+                                 max_iter=2000, fixed=dirichlet[phase][0])
+            new_v[phase] = vstar.coefficients + correction
     v_l_new = vec.field(new_v["liquid"])
     v_g_new = vec.field(new_v["gas"])
 
@@ -309,13 +309,10 @@ def _alpha_update(alpha_old, v_g_new, dt, nodes, values, cfg, stats):
     if cfg.alpha_scheme == "vi":
         alpha_new = solve_box_vi(A_s, b_s, alpha_old.coefficients,
                                  tol=cfg.tol_vi, stats=vi_stats)
-    elif cfg.alpha_scheme == "linear":
+    else:
         alpha_new = _krylov(solve_bicgstab, stats, "alpha", A_s, b_s,
                             tol=cfg.tol_linear, max_iter=5000,
                             x0=alpha_old.coefficients)
-    else:
-        raise ConfigError(f"unknown scheme {cfg.alpha_scheme!r}",
-                          key="alpha_scheme")
     defect = _mass_balance_residual(alpha_old, alpha_new, dt, A_a, b_a, nodes)
     return alpha_new, vi_stats["iterations"], defect
 

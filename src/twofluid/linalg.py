@@ -4,10 +4,11 @@ each sub-step.
 The matrix type is scipy's `csr_matrix`.  `Pattern` owns the assembly
 order: it is the one COO -> CSR builder (fem builds one over the nodes
 of each function space and widens the VectorP2 one to 2x2 blocks), and
-it sums duplicates in a fixed order.  Row constraints are
-imposed in place by `zero_rows` and `eliminate`, which find each row's
-diagonal among that row's own entries; deciding which rows to constrain
-is the caller's business.
+it sums duplicates in a fixed order.  A nonsymmetric system takes its
+Dirichlet rows by row replacement, in place, through `zero_rows`, which
+finds each row's diagonal among that row's own entries.  An SPD system is
+never edited: `solve_cg` holds its `fixed` unknowns at zero instead.
+Deciding which rows to constrain is the caller's business.
 
 Every matrix a `Pattern` returns shares the pattern's `indices` array, so
 only ops that change `data` may run in place on it.  A structural op
@@ -114,16 +115,6 @@ def zero_rows(A, rows, diag_value=1.0):
     A.data[pos[on_diag]] = diag_value
 
 
-def eliminate(A, dofs):
-    """Homogeneous symmetric elimination (in place, data only): rows and
-    columns of `dofs` cleared, unit diagonal; the right-hand side must
-    hold zero at `dofs`."""
-    hit = np.zeros(A.shape[1], dtype=bool)
-    hit[dofs] = True
-    A.data[hit[A.indices]] = 0.0
-    zero_rows(A, dofs)
-
-
 # ---------------------------------------------------------------------------
 # Krylov solvers
 
@@ -133,24 +124,32 @@ def _jacobi(A):
     return 1.0 / d
 
 
-def solve_cg(A, b, tol, max_iter, x0=None, stats=None):
+def solve_cg(A, b, tol, max_iter, x0=None, stats=None, fixed=None):
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
-    Returns x with ||A x - b||_2 <= tol * ||b||_2, else raises
-    NonconvergenceError carrying the final residual.  stats["iterations"]
-    and the error's iteration count are the iterations performed.
+    The unknowns `fixed` are held at 0 whatever b and x0 hold there: the
+    residual and A p are masked to the free rows, so A is solved with
+    those rows and columns removed, unedited.  With nothing fixed the
+    mask is all ones and changes no bit.
+
+    Returns x with ||A x - b||_2 <= tol * ||b||_2 over the free rows, else
+    raises NonconvergenceError carrying the final residual.  The
+    iterations performed are stats["iterations"] and the error's count.
     """
-    b = np.asarray(b, dtype=float)
+    free = np.ones(len(b))
+    if fixed is not None:
+        free[fixed] = 0.0
+    b = free * np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
     if stats is None:
         stats = {}
     stats["iterations"] = 0
     if nb == 0.0:
         return np.zeros_like(b)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros_like(b) if x0 is None else free * np.asarray(x0, dtype=float)
     minv = _jacobi(A)
     target = tol * nb
-    r = b - A @ x
+    r = free * (b - A @ x)
     z = minv * r
     p = z.copy()
     rz = r @ z
@@ -158,7 +157,7 @@ def solve_cg(A, b, tol, max_iter, x0=None, stats=None):
         stats["iterations"] = it
         if np.linalg.norm(r) <= target:
             return x
-        Ap = A @ p
+        Ap = free * (A @ p)
         alpha = rz / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap
@@ -167,7 +166,7 @@ def solve_cg(A, b, tol, max_iter, x0=None, stats=None):
         p = z + (rz_new / rz) * p
         rz = rz_new
     stats["iterations"] = max_iter
-    res = np.linalg.norm(b - A @ x)
+    res = np.linalg.norm(free * (b - A @ x))
     if res <= target:
         return x
     raise NonconvergenceError(

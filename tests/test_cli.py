@@ -312,9 +312,18 @@ def test_usage_errors_exit_1(argv, capsys):
      "argument --grid: invalid grid value: '1x4'"),
     (["convergence", "--meshes", ","],
      "argument --meshes: invalid meshes value: ','"),
-], ids=["grid", "meshes"])
+    # a count below 1 is refused before any mesh runs
+    (["convergence", "--meshes", "2,-1"],
+     "argument --meshes: invalid meshes value: '2,-1'"),
+    (["convergence", "--meshes", "0,2"],
+     "argument --meshes: invalid meshes value: '0,2'"),
+], ids=["grid", "meshes", "meshes-negative", "meshes-zero"])
 def test_a_bad_grid_or_mesh_list_is_reported_by_argparse(argv, message,
-                                                         capsys):
+                                                         capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError(f"ran {cfg.nx} x {cfg.ny}")
+
+    monkeypatch.setattr(cli.ipcs, "run", no_run)
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage: twofluid ") and message in err

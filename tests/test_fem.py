@@ -10,8 +10,7 @@ from twofluid.fem import (FunctionSpace, VelocityQP, assemble_alpha_system,
                           assemble_pressure_poisson, assemble_velocity_update,
                           closure_inputs, evaluate_many, supg_tau,
                           tentative_velocity_system)
-from twofluid.linalg import (Pattern, eliminate, solve_bicgstab, solve_cg,
-                             zero_rows)
+from twofluid.linalg import Pattern, solve_bicgstab, solve_cg, zero_rows
 from twofluid.mesh import BoundaryTag, Mesh, generate_rect_mesh
 from twofluid.physics import make_groups
 
@@ -45,13 +44,10 @@ def mass(space):
 
 
 def pressure_system(state, qp, dt, groups):
-    """The pressure system with the outlet's dP = 0 eliminated the way the
-    stepper eliminates it."""
+    """The pressure system and the outlet nodes, whose dP = 0 the stepper's
+    CG holds (`fixed`)."""
     A, b = assemble_pressure_poisson(state, qp, dt, groups)
-    outlet = state.p_l.space.boundary_nodes(BoundaryTag.Outlet)
-    eliminate(A, outlet)
-    b[outlet] = 0.0
-    return A, b
+    return A, b, state.p_l.space.boundary_nodes(BoundaryTag.Outlet)
 
 
 def tentative_system(phase, state, dt, groups, dirichlet=None):
@@ -275,11 +271,15 @@ def test_constraints_leave_the_shared_patterns_intact():
         assert not np.shares_memory(vec.mass_matrix.indices,
                                     vec.pattern.indices)
         zero_rows(vec.pattern.matrix(vec.keps_data.copy()), [0, 5])
-        zero_rows(vec.mass_matrix.copy(), [0, 5])
-        eliminate(vec.pattern.matrix(vec.mass_data.copy()), [1, 4])
         zero_rows(p1.pattern.matrix(p1.mass_data.copy()), [0, 3],
                   diag_value=2.0)
-        eliminate(p1.pattern.matrix(p1.mass_data.copy()), [2, 7])
+        # the velocity update's CG holds dofs without editing the shared
+        # mass matrix
+        mass = vec.mass_matrix
+        before = [a.copy() for a in (mass.data, mass.indices, mass.indptr)]
+        solve_cg(mass, np.ones(vec.dof_count), 1e-10, 500, fixed=[1, 4])
+        for a, b in zip(before, (mass.data, mass.indices, mass.indptr)):
+            assert np.array_equal(a, b)
         assert_intact()
 
 
@@ -435,10 +435,10 @@ def test_pressure_zero_tentative_gives_zero_increment():
     mesh = generate_rect_mesh(1.0, 2.0, 4, 6, "alternating")
     state, p1, vec = make_state(mesh, alpha_g=0.2)
     groups = make_groups(PROPS, SCALES, CFG.c_p)
-    A, b = pressure_system(
+    A, b, outlet = pressure_system(
         state, VelocityQP(vec.field(), vec.field(), groups), 0.01, groups)
     assert np.max(np.abs(b)) == 0.0
-    dp = solve_cg(A, b, tol=1e-12, max_iter=2000)
+    dp = solve_cg(A, b, tol=1e-12, max_iter=2000, fixed=outlet)
     assert np.max(np.abs(dp)) == 0.0
 
 
@@ -471,9 +471,11 @@ def test_pressure_matrix_symmetric_and_spd():
     mesh = generate_rect_mesh(1.0, 2.0, 5, 8, "alternating")
     state, p1, vec = make_state(mesh, alpha_g=0.3)
     groups = make_groups(PROPS, SCALES, CFG.c_p)
-    A, _ = pressure_system(
+    A, _, outlet = pressure_system(
         state, VelocityQP(vec.field(), vec.field(), groups), 0.01, groups)
-    dense = A.toarray()
+    # SPD on the free nodes, the system CG solves with the outlet held
+    free = np.setdiff1d(np.arange(p1.dof_count), outlet)
+    dense = A.toarray()[np.ix_(free, free)]
     assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense))
     eigs = np.linalg.eigvalsh(dense)
     assert eigs.min() > 0
@@ -486,10 +488,13 @@ def test_update_identity_for_zero_increment():
     mesh = generate_rect_mesh(1.0, 2.0, 3, 4, "alternating")
     state, p1, vec = make_state(mesh)
     groups = make_groups(PROPS, SCALES, CFG.c_p)
-    v_star = vec.interpolate(lambda x, y: (np.sin(x), y))
-    M, b = assemble_velocity_update("liquid", v_star, p1.field(), 0.01, groups)
-    v_new = solve_cg(M, b, tol=1e-13, max_iter=2000)
-    assert v_new == pytest.approx(v_star.coefficients, abs=1e-10)
+    load = assemble_velocity_update("liquid", vec, p1.field(), 0.01, groups)
+    assert np.array_equal(load, np.zeros(vec.dof_count))
+    stats = {}
+    correction = solve_cg(vec.mass_matrix, load, tol=1e-13, max_iter=2000,
+                          stats=stats)
+    assert np.array_equal(correction, np.zeros(vec.dof_count))
+    assert stats["iterations"] == 0
 
 
 def test_update_constant_pressure_slope():
@@ -499,10 +504,19 @@ def test_update_constant_pressure_slope():
     s = 0.8
     dp = p1.field(s * p1.node_coords[:, 1])
     dt = 0.01
-    M, b = assemble_velocity_update("gas", vec.field(), dp, dt, groups)
-    v_new = solve_cg(M, b, tol=1e-13, max_iter=2000)
+    load = assemble_velocity_update("gas", vec, dp, dt, groups)
+    correction = solve_cg(vec.mass_matrix, load, tol=1e-13, max_iter=2000)
     expect = vec.interpolate(lambda x, y: (0.0, -dt * groups.eu_g * s))
-    assert v_new == pytest.approx(expect.coefficients, abs=1e-9)
+    assert correction == pytest.approx(expect.coefficients, abs=1e-9)
+    # held at the inlet's y dofs, as the stepper holds its Dirichlet dofs:
+    # zero there, and the mass system met on every other row
+    inlet_y = 2 * vec.boundary_nodes(BoundaryTag.Inlet) + 1
+    held = solve_cg(vec.mass_matrix, load, tol=1e-13, max_iter=2000,
+                    fixed=inlet_y)
+    assert np.all(held[inlet_y] == 0.0)
+    free = np.setdiff1d(np.arange(vec.dof_count), inlet_y)
+    residual = (vec.mass_matrix @ held - load)[free]
+    assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(load[free])
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from twofluid import caseio, ipcs, physics
+from twofluid import caseio, fem, ipcs, physics
 from twofluid.errors import (ConfigError, NonconvergenceError,
                              StagnationError, StepFailureError)
+from twofluid.linalg import lu_solve_dense
 from twofluid.mesh import DIAGONALS
 
 
@@ -338,8 +339,9 @@ def test_step_failure_names_the_sub_step(started, monkeypatch):
     cfg, states, _ = started
     _, report = ipcs.step(states[-1], 1e-7, cfg)
     assert report.accepted            # so the step reaches every sub-step
-    # an accepted step's BiCGStab calls: tentative and Heun for each
-    # phase, then the two velocity updates
+    # an accepted step's Krylov solves: BiCGStab for the tentative and
+    # Heun velocities of each phase, then CG for the pressure and the two
+    # velocity updates
     assert list(report.linear_iterations) == [
         "tentative_liquid", "tentative_gas", "heun_liquid", "heun_gas",
         "pressure", "update_liquid", "update_gas"]
@@ -348,8 +350,8 @@ def test_step_failure_names_the_sub_step(started, monkeypatch):
         ("tentative-velocity", "solve_bicgstab", 1),
         ("tentative-velocity", "solve_bicgstab", 3),        # Heun
         ("pressure-poisson", "solve_cg", 1),
-        ("velocity-update-liquid", "solve_bicgstab", 5),
-        ("velocity-update-gas", "solve_bicgstab", 6),
+        ("velocity-update-liquid", "solve_cg", 2),
+        ("velocity-update-gas", "solve_cg", 3),
         ("alpha-update", "solve_box_vi", 1),
     ]
     for substep, name, failing_call in cases:
@@ -365,14 +367,63 @@ def test_step_failure_names_the_sub_step(started, monkeypatch):
 
 
 def test_step_rejects_an_unknown_alpha_scheme(started):
-    # `step` does not validate its config; the alpha update must not fall
-    # back to some scheme for a name it does not know
+    # the alpha update must not fall back to some scheme for a name it
+    # does not know: `step` validates its config before any work
     _, states, _ = started
-    with pytest.raises(StepFailureError) as exc:
+    with pytest.raises(ConfigError) as exc:
         ipcs.step(states[-1], 1e-7, _config(alpha_scheme="fct"))
-    assert exc.value.substep == "alpha-update"
-    assert isinstance(exc.value.cause, ConfigError)
-    assert exc.value.cause.key == "alpha_scheme"
+    assert exc.value.key == "alpha_scheme"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rho_g", 2000.0),               # gas heavier than the liquid
+    ("slip_alpha_floor", 5.0),
+    ("inlet_peak_alpha", 3.0),
+])
+def test_step_rejects_a_config_that_validate_rejects(started, key, value):
+    _, states, _ = started
+    cfg = _config(**{key: value})
+    with pytest.raises(ConfigError) as expected:
+        cfg.validate()
+    with pytest.raises(ConfigError) as exc:
+        ipcs.step(states[-1], 1e-7, cfg)
+    assert exc.value.key == expected.value.key
+
+
+def test_velocity_update_matches_the_row_replaced_mass_system(started,
+                                                             monkeypatch):
+    # the update solves for the correction v(n+1) - v* with the Dirichlet
+    # dofs held at zero; its v(n+1) is the solution of the mass system
+    # with those rows replaced by the data, M v = M v* - dt Eu <grad dP,
+    # phi>, solved densely here
+    cfg, states, _ = started
+    state, dt = states[-1], 1e-7
+    solves = {"solve_bicgstab": [], "solve_cg": []}
+    for name, calls in solves.items():
+        def recorded(*args, _fn=getattr(ipcs, name), _calls=calls,
+                     **kwargs):
+            _calls.append(_fn(*args, **kwargs))
+            return _calls[-1]
+        monkeypatch.setattr(ipcs, name, recorded)
+    new, report = ipcs.step(state, dt, cfg)
+    assert report.accepted
+    vec, p1 = state.v_l.space, state.p_l.space
+    delta_p = p1.field(solves["solve_cg"][0])
+    groups = physics.make_groups(cfg.props(), cfg.scales(), cfg.c_p)
+    t_seconds = (state.t_tilde + dt) * cfg.scales().t_s
+    for phase, v_star, v_new in (
+            ("liquid", solves["solve_bicgstab"][0], new.v_l),
+            ("gas", solves["solve_bicgstab"][1], new.v_g)):
+        M = vec.mass_matrix.toarray()
+        b = M @ v_star + fem.assemble_velocity_update(phase, vec, delta_p,
+                                                      dt, groups)
+        dofs, values = ipcs.velocity_dirichlet(vec, cfg, t_seconds, phase)
+        M[dofs, :] = 0.0
+        M[dofs, dofs] = 1.0
+        b[dofs] = values
+        expect = lu_solve_dense(M, b)
+        assert (np.linalg.norm(v_new.coefficients - expect)
+                <= 1e-10 * np.linalg.norm(expect))
 
 
 def _snapshot_index(path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from twofluid.errors import NonconvergenceError, SingularMatrixError
-from twofluid.linalg import (Pattern, eliminate, lu_solve_dense,
-                             solve_bicgstab, solve_cg, zero_rows)
+from twofluid.linalg import (Pattern, lu_solve_dense, solve_bicgstab,
+                             solve_cg, zero_rows)
 
 
 def _random_sparse(rng, n, density=0.2):
@@ -109,6 +109,46 @@ def test_cg_converges_within_n_iterations_well_conditioned():
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_cg_with_fixed_unknowns_solves_the_eliminated_system(seed):
+    # the oracle is the dense system with the fixed rows and columns
+    # removed: cleared, with a unit diagonal and a zero right-hand side
+    rng = np.random.default_rng(seed)
+    n = 30
+    B = rng.standard_normal((n, n))
+    B[rng.random((n, n)) > 0.3] = 0.0
+    dense = B.T @ B + np.eye(n)
+    rows, cols = np.nonzero(dense)
+    A = Pattern(rows, cols, n).assemble(dense[rows, cols])
+    before = A.data.copy()
+    fixed = np.sort(rng.choice(n, size=6, replace=False))
+    eliminated = dense.copy()
+    eliminated[fixed, :] = 0.0
+    eliminated[:, fixed] = 0.0
+    eliminated[fixed, fixed] = 1.0
+    b = rng.standard_normal(n)
+    x0 = rng.standard_normal(n)          # nonzero at the fixed dofs too
+    rhs = b.copy()
+    rhs[fixed] = 0.0
+    x = solve_cg(A, b, tol=1e-12, max_iter=200, x0=x0, fixed=fixed)
+    assert np.array_equal(A.data, before)          # A is not edited
+    assert np.all(x[fixed] == 0.0)
+    assert x == pytest.approx(lu_solve_dense(eliminated, rhs), abs=1e-9)
+    assert np.linalg.norm(eliminated @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    # with nothing fixed the mask changes no bit
+    assert np.array_equal(solve_cg(A, b, 1e-12, 200, x0=x0, fixed=[]),
+                          solve_cg(A, b, 1e-12, 200, x0=x0))
+
+
+def test_cg_with_a_load_only_on_fixed_rows_returns_zero():
+    b = np.zeros(4)
+    b[[1, 2]] = 5.0
+    stats = {}
+    x = solve_cg(_identity(4), b, 1e-10, 100, x0=np.ones(4), stats=stats,
+                 fixed=[1, 2])
+    assert np.array_equal(x, np.zeros(4)) and stats["iterations"] == 0
+
+
 def test_cg_nonconvergence_carries_residual():
     rng = np.random.default_rng(4)
     B = rng.standard_normal((30, 30))
@@ -202,15 +242,9 @@ def test_lu_singular_raises():
 def test_zero_rows_and_columns():
     rng = np.random.default_rng(6)
     A, dense = _random_sparse(rng, 12)
-    B = A.copy()
     rows = np.array([3, 7])
     zero_rows(A, rows, diag_value=0.5)
     ref = dense.copy()
     ref[rows, :] = 0.0
     ref[rows, rows] = 0.5
     assert np.array_equal(A.toarray(), ref)
-    # homogeneous symmetric elimination clears the columns too
-    eliminate(B, rows)
-    ref[:, rows] = 0.0
-    ref[rows, rows] = 1.0
-    assert np.array_equal(B.toarray(), ref)
