@@ -59,7 +59,6 @@ class CaseConfig:
     inlet_peak_alpha: float = 0.026
     inlet_ramp_time: float = 0.625
     inlet_sigma: float = 0.1
-    inlet_half_width: float = 0.025
     # diagnostics and output
     slip_alpha_floor: float = 0.005
     output_every: float = 0.05
@@ -71,10 +70,9 @@ class CaseConfig:
     h_ref = property(lambda self: self.height)
 
     def props(self):
-        p = FluidProperties(rho_g=self.rho_g, rho_l=self.rho_l, mu_g=self.mu_g,
-                            mu_l=self.mu_l, d_b=self.d_b, g=self.gravity)
-        p.validate()
-        return p
+        return FluidProperties(rho_g=self.rho_g, rho_l=self.rho_l,
+                               mu_g=self.mu_g, mu_l=self.mu_l, d_b=self.d_b,
+                               g=self.gravity)
 
     def scales(self):
         return Scales(x_s=self.x_scale, v_s=self.v_scale, g_s=self.gravity,
@@ -93,7 +91,7 @@ class CaseConfig:
                     "width", "height", "tol_step", "tol_linear", "tol_vi",
                     "alpha_ln_floor", "dt_init", "dt_min", "dt_max",
                     "inlet_peak_velocity", "inlet_ramp_time", "inlet_sigma",
-                    "inlet_half_width", "output_every")
+                    "output_every")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError("must be positive", key=name)
@@ -124,7 +122,8 @@ _FIELD_TYPES = {f.name: f.type for f in fields(CaseConfig)}
 
 # removed key -> the key that replaced it
 _REPLACED_KEYS = {"bounded": "alpha_scheme", "x_scale": "width",
-                  "v_scale": "inlet_peak_velocity", "h_ref": "height"}
+                  "v_scale": "inlet_peak_velocity", "h_ref": "height",
+                  "inlet_half_width": "inlet_sigma"}
 
 
 # field type -> (parser, what a parse error says was expected)
@@ -199,15 +198,15 @@ def dump_config(cfg):
 # boundary and initial data
 
 def inlet_profiles(x, cfg):
-    """Full-ramp sparger inlet values at position x (m): gas vertical speed
-    (m/s) and gas fraction, gaussian in x,
+    """Full-ramp sparger inlet values at position x (m) from the axis: gas
+    vertical speed (m/s) and gas fraction, gaussian in x,
 
-        v(x) = v_peak * exp(-(x/w)^2 / (2 sigma^2)).
+        v(x) = v_peak * exp(-(x/w)^2 / (2 sigma^2)),  w = width / 2.
 
     `ipcs.velocity_dirichlet` and `ipcs.alpha_dirichlet` scale them by the
     time ramp min(t/t0, 1).
     """
-    shape = np.exp(-((np.asarray(x) / cfg.inlet_half_width) ** 2)
+    shape = np.exp(-((np.asarray(x) / (cfg.width / 2.0)) ** 2)
                    / (2.0 * cfg.inlet_sigma ** 2))
     return cfg.inlet_peak_velocity * shape, cfg.inlet_peak_alpha * shape
 

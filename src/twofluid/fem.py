@@ -24,8 +24,9 @@ Assembly is vectorized over cells: per-step assembly only recomputes
 values and scatters them with bincount, which keeps the accumulation
 order (and therefore the floating-point result) deterministic.
 
-Sub-step systems assembled here.  All four come back unconstrained;
-`ipcs.step` imposes every Dirichlet row, the pressure outlet included.
+Sub-step systems assembled here.  All four come back unconstrained,
+and no matrix is written to after assembly: `ipcs.step` has the solvers
+hold every Dirichlet unknown (`fixed`), the pressure outlet included.
 
   tentative velocity   [M/dt + W_q] v* = M v(n)/dt + c_q - W_q v(n)
                        + convection / drag / interfacial pressure loads
@@ -460,8 +461,6 @@ def tentative_velocity_system(phase, dt, groups, closures):
     load, all without boundary constraints.  b = history + load; the Heun
     re-solve reuses A against an averaged load, so the pieces are returned
     separately."""
-    if phase not in ("liquid", "gas"):
-        raise ValueError(f"unknown phase '{phase}'")
     qp = closures.qp
     space = qp.space
     A = space.pattern.matrix(
@@ -480,7 +479,7 @@ def assemble_pressure_poisson(state, qp, dt, groups):
 
     without boundary constraints.  Zero-increment Neumann on inlet and
     walls is natural; the outlet's dP = 0 is left to the caller, and the
-    matrix is SPD once that is imposed symmetrically.
+    matrix restricted to the other nodes is SPD.
     """
     p1 = state.p_l.space
     w, det = p1.quad.weights, p1.mesh.det
@@ -509,8 +508,6 @@ def assemble_velocity_update(phase, space, delta_p, dt, groups):
     """Load - dt Eu_q < grad dP, phi > of the velocity correction's mass
     system M (v(n+1) - v*) = load over the VectorP2 `space`, without
     boundary constraints; M is the space's `mass_matrix`."""
-    if phase not in ("liquid", "gas"):
-        raise ValueError(f"unknown phase '{phase}'")
     eu = groups.eu_l if phase == "liquid" else groups.eu_g
     dp_cell = delta_p.space.p1_cell_gradient(delta_p.coefficients)
     return -dt * eu * _const_grad_load(space, dp_cell)

@@ -15,11 +15,12 @@ One step advances the scaled state (alpha_g, alpha_l, v_g, v_l, P_l) by
      imposing 0 <= alpha <= 1, or "linear", the same system solved without
      bounds as the comparator; alpha_l := 1 - alpha_g afterwards.
 
-The step imposes every Dirichlet row itself, in the unconstrained
-systems that `fem` assembles: the nonsymmetric ones (tentative, Heun, gas
-fraction) by row replacement.  The SPD ones are never edited: CG holds
-the pressure outlet (dP = 0) and the correction's Dirichlet dofs at zero,
-as v* already holds the data at t + dt there.
+The step imposes every Dirichlet condition at t + dt on the
+unconstrained systems that `fem` assembles, one way for every solver: it
+writes the data into the start vector and passes the constrained
+unknowns as `fixed`, which the solver holds without editing the matrix.
+CG holds the pressure outlet (dP = 0) and the correction's Dirichlet
+dofs at zero, as v* already holds the data at t + dt there.
 
 The local error of a step is measured on the tentative velocities only,
 by comparing against a Heun (predictor-corrector) evaluation that reuses
@@ -51,7 +52,7 @@ from . import caseio, fem, post
 from .caseio import State
 from .errors import (SolverFailureError, StagnationError, StepFailureError,
                      TwoFluidError)
-from .linalg import solve_bicgstab, solve_cg, zero_rows
+from .linalg import solve_bicgstab, solve_cg
 from .mesh import BoundaryTag
 from .physics import make_groups
 from .vi import solve_box_vi
@@ -164,14 +165,16 @@ def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
                           warm):
     """Solve both tentative velocities and estimate the local error.
 
-    The Heun comparison value re-solves the same constrained tentative
-    system with the velocity-dependent loads averaged between level n and
-    the predictor (one extra solve per phase, warm-started), so boundary
-    handling is identical on both paths and the difference is O(dt^2).
+    The Heun comparison value re-solves the same tentative system, with
+    the same dofs held, against the velocity-dependent loads averaged
+    between level n and the predictor (one extra solve per phase,
+    warm-started), so boundary handling is identical on both paths and
+    the difference is O(dt^2).
     `dirichlet` maps each phase to its velocity (dofs, values) at t + dt.
     Each tentative solve starts from v(n) + dt * rate, with the rate
     (v* - v(n))/dt of the last attempt cached in `warm` (rejected attempts
-    included), or from v(n) without one.
+    included), or from v(n) without one, and the data written over the
+    held dofs.
     Returns (v*_l, v*_g, error, v* sampled at the quadrature points)."""
     vec = closures.qp.space
 
@@ -181,15 +184,14 @@ def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
         A, history, load = fem.tentative_velocity_system(phase, dt, groups,
                                                          closures)
         dofs, values = dirichlet[phase]
-        zero_rows(A, dofs)
-        b = history + load
-        b[dofs] = values
         vn = closures.qp.coefficients[phase]
         key = f"tentative_rate_{phase}"
         step_guess = _from_rate(warm, key, dt, vn.size)
+        x0 = vn.copy() if step_guess is None else vn + step_guess
+        x0[dofs] = values
         v_star[phase] = _krylov(
-            solve_bicgstab, stats, f"tentative_{phase}", A, b, tol=tol,
-            max_iter=5000, x0=vn if step_guess is None else vn + step_guess)
+            solve_bicgstab, stats, f"tentative_{phase}", A, history + load,
+            tol=tol, max_iter=5000, x0=x0, fixed=dofs)
         warm[key] = (v_star[phase] - vn) / dt
         systems[phase] = (A, history, load)
 
@@ -201,11 +203,10 @@ def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
     for phase in ("liquid", "gas"):
         A, history, load_n = systems[phase]
         load_p = fem.velocity_dependent_load(phase, qp_star, groups, closures)
-        dofs, values = dirichlet[phase]
-        b = history + 0.5 * (load_n + load_p)
-        b[dofs] = values
-        v_heun = _krylov(solve_bicgstab, stats, f"heun_{phase}", A, b,
-                         tol=tol, max_iter=5000, x0=v_star[phase])
+        v_heun = _krylov(solve_bicgstab, stats, f"heun_{phase}", A,
+                         history + 0.5 * (load_n + load_p), tol=tol,
+                         max_iter=5000, x0=v_star[phase],
+                         fixed=dirichlet[phase][0])
         norm = max(float(np.linalg.norm(v_heun)), 1.0)
         error = max(error,
                     float(np.linalg.norm(v_heun - v_star[phase])) / norm)
@@ -258,6 +259,7 @@ def step(state, dt, cfg, warm=None):
 
     with _substep("pressure-poisson"):
         A_p, b_p = fem.assemble_pressure_poisson(state, qp_star, dt, groups)
+        # a cached rate is 0 at the outlet, so x0 holds dP = 0 there
         delta_p = _krylov(solve_cg, stats, "pressure", A_p, b_p, tol=tol,
                           max_iter=10000,
                           x0=_from_rate(warm, "delta_p_rate", dt, b_p.size),
@@ -292,27 +294,23 @@ def step(state, dt, cfg, warm=None):
 
 
 def _alpha_update(alpha_old, v_g_new, dt, nodes, values, cfg, stats):
-    """New gas fraction with Dirichlet data (nodes, values) by cfg's scheme:
-    "vi" solves the box VI, "linear" BiCGStab, recorded as stats["alpha"].
-    Returns (coefficients, VI iterations, mass-balance defect)."""
+    """New gas fraction with Dirichlet data (nodes, values), held fixed, by
+    cfg's scheme: "vi" solves the box VI, "linear" BiCGStab, recorded as
+    stats["alpha"].  Returns (coefficients, VI iterations, mass-balance
+    defect)."""
     A_a, b_a = fem.assemble_alpha_system(alpha_old, v_g_new, dt)
-    # scale the system by dt for the solvers: rows become O(mass).
-    # Positive scaling leaves bounds and complementarity signs intact
-    # but makes the absolute residual tolerances meaningful.  The
-    # Dirichlet rows become dt * (alpha = value); A_a and b_a stay
-    # unconstrained for the mass accounting.
-    A_s = A_a * dt
-    zero_rows(A_s, nodes, diag_value=dt)
-    b_s = b_a * dt
-    b_s[nodes] = values * dt
+    x0 = alpha_old.coefficients.copy()
+    x0[nodes] = values
     vi_stats = {"iterations": 0}
     if cfg.alpha_scheme == "vi":
-        alpha_new = solve_box_vi(A_s, b_s, alpha_old.coefficients,
-                                 tol=cfg.tol_vi, stats=vi_stats)
+        # the VI's tol_vi is absolute: scaled by dt, the rows are O(mass).
+        # Positive scaling leaves bounds and complementarity signs intact.
+        alpha_new = solve_box_vi(A_a * dt, b_a * dt, x0, tol=cfg.tol_vi,
+                                 stats=vi_stats, fixed=nodes)
     else:
-        alpha_new = _krylov(solve_bicgstab, stats, "alpha", A_s, b_s,
-                            tol=cfg.tol_linear, max_iter=5000,
-                            x0=alpha_old.coefficients)
+        alpha_new = _krylov(solve_bicgstab, stats, "alpha", A_a, b_a,
+                            tol=cfg.tol_linear, max_iter=5000, x0=x0,
+                            fixed=nodes)
     defect = _mass_balance_residual(alpha_old, alpha_new, dt, A_a, b_a, nodes)
     return alpha_new, vi_stats["iterations"], defect
 

@@ -1,14 +1,16 @@
-"""Sparse matrices, their row constraints, and the Krylov solvers behind
-each sub-step.
+"""Sparse matrices and the Krylov solvers behind each sub-step.
 
 The matrix type is scipy's `csr_matrix`.  `Pattern` owns the assembly
 order: it is the one COO -> CSR builder (fem builds one over the nodes
 of each function space and widens the VectorP2 one to 2x2 blocks), and
-it sums duplicates in a fixed order.  A nonsymmetric system takes its
-Dirichlet rows by row replacement, in place, through `zero_rows`, which
-finds each row's diagonal among that row's own entries.  An SPD system is
-never edited: `solve_cg` holds its `fixed` unknowns at zero instead.
-Deciding which rows to constrain is the caller's business.
+it sums duplicates in a fixed order.
+
+No solver edits its matrix.  Each takes the Dirichlet unknowns as
+`fixed` and holds them at x0's values: residuals and A-products are
+zeroed on them, so A is solved with the fixed columns moved to the
+right-hand side, and convergence is judged against the right-hand side
+of the row-replaced system (`_held_start`).  Which unknowns to fix, and
+at what values, is the caller's business.
 
 Every matrix a `Pattern` returns shares the pattern's `indices` array, so
 only ops that change `data` may run in place on it.  A structural op
@@ -93,28 +95,6 @@ class Pattern:
         return _sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
-def zero_rows(A, rows, diag_value=1.0):
-    """Replace the given rows of the CSR matrix A by `diag_value` on the
-    diagonal (in place, data only).
-
-    Every row must store its diagonal entry, else ValueError.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    starts = A.indptr[rows]
-    lens = A.indptr[rows + 1] - starts
-    # flat positions of every entry in the selected rows
-    ends = np.cumsum(lens)
-    pos = np.repeat(starts - (ends - lens), lens) + np.arange(lens.sum())
-    owner = np.repeat(np.arange(rows.size), lens)
-    on_diag = A.indices[pos] == rows[owner]
-    has_diag = np.bincount(owner[on_diag], minlength=rows.size) > 0
-    if not np.all(has_diag):
-        raise ValueError(f"row {rows[np.argmin(has_diag)]} has no "
-                         "diagonal entry")
-    A.data[pos] = 0.0
-    A.data[pos[on_diag]] = diag_value
-
-
 # ---------------------------------------------------------------------------
 # Krylov solvers
 
@@ -124,32 +104,47 @@ def _jacobi(A):
     return 1.0 / d
 
 
+def _held_start(b, x0, fixed):
+    """The indices of the `fixed` unknowns (an index array or mask), b
+    zeroed on them, the start x (x0 copied, else zeros) and the
+    convergence scale ||free b + held x0||_2: the norm of the row-replaced
+    right-hand side, ||b||_2 bit for bit if x0 is 0 on `fixed`."""
+    b = np.array(b, dtype=float)
+    held = np.arange(b.size)[[] if fixed is None else fixed]
+    b[held] = 0.0
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    x_held = x[held]
+    return held, b, x, np.sqrt(b @ b + x_held @ x_held)
+
+
+def _residual(A, b, x, held):
+    """b - A x, zero on the held rows."""
+    r = b - A @ x
+    r[held] = 0.0
+    return r
+
+
 def solve_cg(A, b, tol, max_iter, x0=None, stats=None, fixed=None):
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
-    The unknowns `fixed` are held at 0 whatever b and x0 hold there: the
-    residual and A p are masked to the free rows, so A is solved with
-    those rows and columns removed, unedited.  With nothing fixed the
-    mask is all ones and changes no bit.
+    The unknowns `fixed` keep x0's values (zeros without x0), whatever b
+    holds there: the residual and A p are zeroed on them, so A is solved
+    with the fixed rows removed and their columns moved to the
+    right-hand side, unedited.
 
-    Returns x with ||A x - b||_2 <= tol * ||b||_2 over the free rows, else
-    raises NonconvergenceError carrying the final residual.  The
+    Returns x with ||free (b - A x)||_2 <= tol ||free b + held x0||_2,
+    else raises NonconvergenceError carrying the final residual.  The
     iterations performed are stats["iterations"] and the error's count.
     """
-    free = np.ones(len(b))
-    if fixed is not None:
-        free[fixed] = 0.0
-    b = free * np.asarray(b, dtype=float)
-    nb = np.linalg.norm(b)
+    held, b, x, scale = _held_start(b, x0, fixed)
     if stats is None:
         stats = {}
     stats["iterations"] = 0
-    if nb == 0.0:
+    if scale == 0.0:
         return np.zeros_like(b)
-    x = np.zeros_like(b) if x0 is None else free * np.asarray(x0, dtype=float)
     minv = _jacobi(A)
-    target = tol * nb
-    r = free * (b - A @ x)
+    target = tol * scale
+    r = _residual(A, b, x, held)
     z = minv * r
     p = z.copy()
     rz = r @ z
@@ -157,7 +152,8 @@ def solve_cg(A, b, tol, max_iter, x0=None, stats=None, fixed=None):
         stats["iterations"] = it
         if np.linalg.norm(r) <= target:
             return x
-        Ap = free * (A @ p)
+        Ap = A @ p
+        Ap[held] = 0.0
         alpha = rz / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap
@@ -166,36 +162,35 @@ def solve_cg(A, b, tol, max_iter, x0=None, stats=None, fixed=None):
         p = z + (rz_new / rz) * p
         rz = rz_new
     stats["iterations"] = max_iter
-    res = np.linalg.norm(free * (b - A @ x))
+    res = np.linalg.norm(_residual(A, b, x, held))
     if res <= target:
         return x
     raise NonconvergenceError(
         f"CG did not reach tol={tol:g} in {max_iter} iterations "
-        f"(relative residual {res / nb:.3e})", residual=res, iterations=max_iter)
+        f"(relative residual {res / scale:.3e})", residual=res,
+        iterations=max_iter)
 
 
-def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None):
+def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None, fixed=None):
     """Jacobi-preconditioned BiCGStab for nonsingular (possibly
-    nonsymmetric) systems.  Same residual and iteration-count contract as
-    solve_cg.
+    nonsymmetric) systems.  Same `fixed`, residual and iteration-count
+    contract as solve_cg.
 
     Convergence of the recurrence residual is confirmed against the true
-    residual b - A x before returning.  A breakdown restarts the
-    recurrence from the current iterate: omega or r0 . v zero, or
+    residual before returning.  A breakdown restarts the recurrence from
+    the current iterate: omega or r0 . v zero, or
     |rho| <= eps ||r0|| ||r|| (r0 numerically orthogonal to r, as when b
     lives on rows that hold only their diagonal).
     """
-    b = np.asarray(b, dtype=float)
-    nb = np.linalg.norm(b)
+    held, b, x, scale = _held_start(b, x0, fixed)
     if stats is None:
         stats = {}
     stats["iterations"] = 0
-    if nb == 0.0:
+    if scale == 0.0:
         return np.zeros_like(b)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     minv = _jacobi(A)
-    target = tol * nb
-    r = b - A @ x
+    target = tol * scale
+    r = _residual(A, b, x, held)
     r0 = r.copy()
     nr0 = np.linalg.norm(r0)
     rho = alpha = omega = 1.0
@@ -204,26 +199,24 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None):
     for it in range(max_iter):
         stats["iterations"] = it
         nr = np.linalg.norm(r)
-        if nr <= target:
-            true_r = np.linalg.norm(b - A @ x)
-            if true_r <= target:
-                return x
+        if (nr <= target
+                and np.linalg.norm(_residual(A, b, x, held)) <= target):
+            return x
         rho_new = r0 @ r
         if abs(rho_new) <= np.finfo(float).eps * nr0 * nr or omega == 0.0:
-            r = b - A @ x
+            r = _residual(A, b, x, held)
             r0 = r.copy()
             nr0 = np.linalg.norm(r0)
             rho = alpha = omega = 1.0
             v[:] = 0.0
             p[:] = 0.0
             rho_new = r0 @ r
-            if rho_new == 0.0:
-                break
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
         p = r + beta * (p - omega * v)
         ph = minv * p
         v = A @ ph
+        v[held] = 0.0
         r0v = r0 @ v
         if r0v == 0.0:
             omega = 0.0  # breakdown: restart on the next pass
@@ -236,19 +229,19 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None):
             continue
         sh = minv * s
         t = A @ sh
+        t[held] = 0.0
         tt = t @ t
         omega = (t @ s) / tt if tt > 0.0 else 0.0
         x += alpha * ph + omega * sh
         r = s - omega * t
-    else:
-        it = max_iter
-    stats["iterations"] = it
-    res = np.linalg.norm(b - A @ x)
+    stats["iterations"] = max_iter
+    res = np.linalg.norm(_residual(A, b, x, held))
     if res <= target:
         return x
     raise NonconvergenceError(
-        f"BiCGStab did not reach tol={tol:g} in {it} iterations "
-        f"(relative residual {res / nb:.3e})", residual=res, iterations=it)
+        f"BiCGStab did not reach tol={tol:g} in {max_iter} iterations "
+        f"(relative residual {res / scale:.3e})", residual=res,
+        iterations=max_iter)
 
 
 def lu_solve_dense(A, b):

@@ -16,6 +16,10 @@ loop stops once the guess stops changing.  After a guess repeats, the
 active set may only grow; that does not guarantee termination (most
 cycling test problems still fail), and `_MAX_ITER` bounds the loop.
 
+Dirichlet unknowns come in as `fixed` and keep x0's values, as in
+`linalg`: they are no complementarity unknowns, so a step whose free
+nodes all stay at a bound makes no reduced solve.
+
 A reduced system too large for dense LU is solved by BiCGStab started
 from the current iterate on the inactive indices, which changes little
 between active-set iterations.
@@ -51,15 +55,21 @@ def _reduced_solve(a, rhs, inactive, tol, x0):
     return solve_bicgstab(sub, rhs, tol=tol, max_iter=4000, x0=x0)
 
 
-def solve_box_vi(a, b, x0, tol, stats=None):
+def solve_box_vi(a, b, x0, tol, stats=None, fixed=None):
     """Reduced-space active-set solve of the affine VI on [0, 1]^n,
     started from x0 clipped to the box.
 
-    The result lies in [0, 1] exactly (final projection) and the
-    three-case conditions hold within tol; otherwise NonconvergenceError
-    reports the worst violation.
+    The unknowns `fixed` keep x0's values, which must lie in the box: they
+    join no active set, their columns go to the reduced systems'
+    right-hand side, and their rows are left out of the conditions.  The
+    result lies in [0, 1] exactly (final projection) and the three-case
+    conditions hold within tol on the free rows; otherwise
+    NonconvergenceError reports the worst violation.
     """
     n = b.size
+    free = np.ones(n, dtype=bool)
+    if fixed is not None:
+        free[fixed] = False
     x = np.clip(x0, 0.0, 1.0)
     r = a @ x - b
     seen = set()
@@ -72,14 +82,14 @@ def solve_box_vi(a, b, x0, tol, stats=None):
 
     for iterations in range(1, _MAX_ITER + 1):
         stats["iterations"] = iterations
-        new_lo = (x <= 0.0) & (r >= 0.0)
-        new_hi = (x >= 1.0) & (r <= 0.0)
+        new_lo = free & (x <= 0.0) & (r >= 0.0)
+        new_hi = free & (x >= 1.0) & (r <= 0.0)
         if grow:
             # anti-cycling: only let the active set grow monotonically
             new_lo |= act_lo
             new_hi |= act_hi & ~new_lo
         act_lo, act_hi = new_lo, new_hi
-        inactive = ~(act_lo | act_hi)
+        inactive = free & ~(act_lo | act_hi)
 
         x_try = np.where(act_lo, 0.0, np.where(act_hi, 1.0, x))
         if np.any(inactive):
@@ -91,7 +101,7 @@ def solve_box_vi(a, b, x0, tol, stats=None):
         x = np.clip(x_try, 0.0, 1.0)
 
         r = a @ x - b
-        worst = check_vi_conditions(x, r)
+        worst = check_vi_conditions(x[free], r[free])
         if worst <= tol:
             return x
 

@@ -3,8 +3,11 @@ attribute name and matches each step's Krylov solves, in call order, to
 the keys of `StepReport.linear_iterations`.  A rename or reorder under
 `src/` breaks `bench/run.py --trace 1`; this catches it in tier-1."""
 
+import dataclasses
 import os
 import sys
+
+import numpy as np
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench")
@@ -13,13 +16,21 @@ sys.path.insert(0, BENCH)
 import tracing  # noqa: E402
 from tracing import ATTRS, ID, NAME, PARENT  # noqa: E402
 from twofluid import caseio, ipcs  # noqa: E402
+from twofluid.mesh import BoundaryTag  # noqa: E402
 
 KRYLOV = ("linalg.bicgstab", "linalg.cg")
 
 
 def _attempts(cfg, n):
-    """n chained step attempts on 4x8 from the quiescent start."""
+    """n chained step attempts on 4x8 from rest, with gas on the interior
+    nodes: the VI holds the boundary data, so only interior gas gives it
+    reduced solves to make."""
     state = caseio.initial_state(cfg.build_mesh(), cfg)
+    p1 = state.alpha_g.space
+    alpha = np.full(p1.dof_count, 0.02)
+    alpha[p1.boundary_nodes(*BoundaryTag)] = 0.0
+    state = dataclasses.replace(state, alpha_g=p1.field(alpha),
+                                alpha_l=p1.field(1.0 - alpha))
     dt, warm, reports = cfg.dt_init, {}, []
     for _ in range(n):
         new, report = ipcs.step(state, dt, cfg, warm=warm)

@@ -378,7 +378,8 @@ def test_the_replaced_bounded_key_exits_2_naming_alpha_scheme(tmp_path,
 
 @pytest.mark.parametrize("key, replacement", [
     ("bounded", "alpha_scheme"), ("x_scale", "width"),
-    ("v_scale", "inlet_peak_velocity"), ("h_ref", "height")])
+    ("v_scale", "inlet_peak_velocity"), ("h_ref", "height"),
+    ("inlet_half_width", "inlet_sigma")])
 def test_a_replaced_key_exits_2_naming_its_replacement(key, replacement,
                                                        tmp_path, capsys):
     path = tmp_path / "case.cfg"

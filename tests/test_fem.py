@@ -10,7 +10,7 @@ from twofluid.fem import (FunctionSpace, VelocityQP, assemble_alpha_system,
                           assemble_pressure_poisson, assemble_velocity_update,
                           closure_inputs, evaluate_many, supg_tau,
                           tentative_velocity_system)
-from twofluid.linalg import Pattern, solve_bicgstab, solve_cg, zero_rows
+from twofluid.linalg import Pattern, solve_bicgstab, solve_cg
 from twofluid.mesh import BoundaryTag, Mesh, generate_rect_mesh
 from twofluid.physics import make_groups
 
@@ -50,18 +50,13 @@ def pressure_system(state, qp, dt, groups):
     return A, b, state.p_l.space.boundary_nodes(BoundaryTag.Outlet)
 
 
-def tentative_system(phase, state, dt, groups, dirichlet=None):
+def tentative_system(phase, state, dt, groups):
     """A and b of one phase's tentative system, built by the calls the
-    stepper makes; `dirichlet` is an optional (dofs, values) pair imposed
-    the way the stepper imposes it."""
+    stepper makes, unconstrained: the stepper's solver holds the Dirichlet
+    dofs (`fixed`)."""
     closures = closure_inputs(state, groups, 1e-5)
     A, history, load = tentative_velocity_system(phase, dt, groups, closures)
-    b = history + load
-    if dirichlet is not None:
-        dofs, values = dirichlet
-        zero_rows(A, dofs)
-        b[dofs] = values
-    return A, b
+    return A, history + load
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +228,8 @@ def test_vector_mass_matrix_stores_no_cross_component_entries(diagonal):
     for _ in range(3):
         x = rng.standard_normal(vec.dof_count)
         assert np.array_equal(M @ x, full @ x)
-    # every diagonal survives, so the stepper can constrain rows of M
+    # every diagonal survives, for the Jacobi preconditioner of CG
     assert np.array_equal(M.diagonal(), full.diagonal())
-    constrained = np.array([0, 5, vec.dof_count - 1])
-    M = M.copy()
-    zero_rows(M, constrained, diag_value=2.0)
-    zero_rows(full, constrained, diag_value=2.0)
-    assert np.array_equal(M.toarray(), full.toarray())
 
 
 def test_constraints_leave_the_shared_patterns_intact():
@@ -270,9 +260,6 @@ def test_constraints_leave_the_shared_patterns_intact():
         assert_intact()
         assert not np.shares_memory(vec.mass_matrix.indices,
                                     vec.pattern.indices)
-        zero_rows(vec.pattern.matrix(vec.keps_data.copy()), [0, 5])
-        zero_rows(p1.pattern.matrix(p1.mass_data.copy()), [0, 3],
-                  diag_value=2.0)
         # the velocity update's CG holds dofs without editing the shared
         # mass matrix
         mass = vec.mass_matrix
@@ -412,10 +399,17 @@ def test_dirichlet_rows_enforced():
     groups = make_groups(PROPS, SCALES, CFG.c_p)
     dofs = 2 * vec.boundary_nodes(BoundaryTag.Inlet) + 1   # y components
     values = np.full(dofs.size, 0.25)
-    A, b = tentative_system("gas", state, 0.1, groups,
-                            dirichlet=(dofs, values))
-    x = solve_bicgstab(A, b, tol=1e-12, max_iter=2000)
-    assert x[dofs] == pytest.approx(values, abs=1e-10)
+    A, b = tentative_system("gas", state, 0.1, groups)
+    x0 = np.zeros(vec.dof_count)
+    x0[dofs] = values
+    x = solve_bicgstab(A, b, tol=1e-12, max_iter=2000, x0=x0, fixed=dofs)
+    assert np.array_equal(x[dofs], values)
+    # the free rows converge against the row-replaced right-hand side
+    free = np.setdiff1d(np.arange(vec.dof_count), dofs)
+    replaced = b.copy()
+    replaced[dofs] = values
+    assert (np.linalg.norm((A @ x - b)[free])
+            <= 1e-12 * np.linalg.norm(replaced))
 
 
 def test_space_mismatch_rejected():

@@ -126,7 +126,7 @@ def test_boundary_tables_match_the_sides_of_the_box(nx, ny, diagonal):
         (x0, y0), (x1, y1) = space.mesh.bounds()
         x, y = space.node_coords.T
         inlet = np.flatnonzero(y == y0)
-        shape = np.exp(-(x[inlet] * cfg.x_scale / cfg.inlet_half_width) ** 2
+        shape = np.exp(-(x[inlet] * cfg.x_scale / (cfg.width / 2)) ** 2
                        / (2.0 * cfg.inlet_sigma ** 2))
         return (inlet, np.flatnonzero(y == y1),
                 np.flatnonzero((x == x0) | (x == x1)), shape)
@@ -424,6 +424,47 @@ def test_velocity_update_matches_the_row_replaced_mass_system(started,
         expect = lu_solve_dense(M, b)
         assert (np.linalg.norm(v_new.coefficients - expect)
                 <= 1e-10 * np.linalg.norm(expect))
+
+
+def test_solves_hold_the_dirichlet_data_and_write_no_matrix(started,
+                                                           monkeypatch):
+    # each tentative matrix serves its phase's tentative and Heun solves:
+    # both start from the data at t + dt on the held dofs, and neither
+    # writes to the matrix's data, its indptr or the `indices` it shares
+    # with the space's pattern
+    cfg, states, _ = started
+    state, dt = states[-1], 1e-7
+    built, solves = [], []
+
+    def tentative(*args, _fn=fem.tentative_velocity_system):
+        out = _fn(*args)
+        A = out[0]
+        built.append((A, A.data.copy(), A.indices.copy(), A.indptr.copy()))
+        return out
+
+    def bicgstab(A, b, **kwargs):
+        solves.append((A, kwargs["x0"].copy(), kwargs["fixed"]))
+        return solve(A, b, **kwargs)
+
+    solve = ipcs.solve_bicgstab
+    monkeypatch.setattr(fem, "tentative_velocity_system", tentative)
+    monkeypatch.setattr(ipcs, "solve_bicgstab", bicgstab)
+    new, report = ipcs.step(state, dt, cfg)
+    assert report.accepted
+    t_seconds = (state.t_tilde + dt) * cfg.scales().t_s
+    vec = state.v_l.space
+    for k, phase in enumerate(("liquid", "gas")):
+        A, data, indices, indptr = built[k]
+        assert np.shares_memory(A.indices, vec.pattern.indices)
+        assert np.array_equal(A.indptr, vec.pattern.indptr)
+        for got, kept in ((A.data, data), (A.indices, indices),
+                          (A.indptr, indptr)):
+            assert np.array_equal(got, kept)
+        dofs, values = ipcs.velocity_dirichlet(vec, cfg, t_seconds, phase)
+        for solved, x0, fixed in (solves[k], solves[k + 2]):
+            assert solved is A
+            assert np.array_equal(fixed, dofs)
+            assert np.array_equal(x0[dofs], values)
 
 
 def _snapshot_index(path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from twofluid.errors import NonconvergenceError, SingularMatrixError
-from twofluid.linalg import (Pattern, lu_solve_dense, solve_bicgstab,
-                             solve_cg, zero_rows)
+from twofluid.linalg import Pattern, lu_solve_dense, solve_bicgstab, solve_cg
 
 
 def _random_sparse(rng, n, density=0.2):
@@ -14,6 +13,12 @@ def _random_sparse(rng, n, density=0.2):
     return Pattern(rows, cols, n).assemble(dense[rows, cols]), dense
 
 
+def _dense_system(rows):
+    dense = np.array(rows, dtype=float)
+    r, c = np.nonzero(dense)
+    return Pattern(r, c, dense.shape[0]).assemble(dense[r, c]), dense
+
+
 def _identity(n):
     idx = np.arange(n)
     return Pattern(idx, idx, n).assemble(np.ones(n))
@@ -21,8 +26,6 @@ def _identity(n):
 
 def test_pattern_sums_duplicates():
     A = Pattern([0, 0, 1], [1, 1, 0], 2).assemble([2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        zero_rows(A, [0])  # missing diagonal entry is detected
     assert A.toarray() == pytest.approx(np.array([[0.0, 5.0], [4.0, 0.0]]))
     assert np.array_equal(A.diagonal(), [0.0, 0.0])
 
@@ -109,43 +112,70 @@ def test_cg_converges_within_n_iterations_well_conditioned():
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def _eliminated(dense, b, x0, fixed):
+    """The oracle of a solve with `fixed` unknowns held at x0's values: the
+    system with the fixed rows and columns removed and the columns' load
+    moved to the right-hand side, dense, as A_ff x_f = b_f - A_fc x0_c."""
+    free = np.setdiff1d(np.arange(b.size), fixed)
+    x = x0.copy()
+    x[free] = lu_solve_dense(dense[np.ix_(free, free)],
+                             b[free] - dense[np.ix_(free, fixed)] @ x0[fixed])
+    return x
+
+
+def _check_fixed_solve(solver, A, dense, rng):
+    """A solve with 6 random `fixed` unknowns against the eliminated
+    system's dense solution: the fixed unknowns keep x0's values exactly
+    whatever b holds there, A is not edited, and the free residual meets
+    tol against the row-replaced system's right-hand side."""
+    n = dense.shape[0]
+    before = [a.copy() for a in (A.data, A.indices, A.indptr)]
+    fixed = np.sort(rng.choice(n, size=6, replace=False))
+    b = rng.standard_normal(n)           # nonzero on the fixed rows too
+    x0 = rng.standard_normal(n)
+    want = _eliminated(dense, b, x0, fixed)
+    x = solver(A, b, tol=1e-12, max_iter=200, x0=x0, fixed=fixed)
+    for a, kept in zip((A.data, A.indices, A.indptr), before):
+        assert np.array_equal(a, kept)
+    assert np.array_equal(x[fixed], x0[fixed])
+    assert x == pytest.approx(want, abs=1e-9)
+    free = np.setdiff1d(np.arange(n), fixed)
+    replaced = b.copy()
+    replaced[fixed] = x0[fixed]
+    assert (np.linalg.norm((b - dense @ x)[free])
+            <= 1e-12 * np.linalg.norm(replaced))
+    # an empty `fixed` changes no bit
+    assert np.array_equal(solver(A, b, 1e-12, 200, x0=x0, fixed=[]),
+                          solver(A, b, 1e-12, 200, x0=x0))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_cg_with_fixed_unknowns_solves_the_eliminated_system(seed):
-    # the oracle is the dense system with the fixed rows and columns
-    # removed: cleared, with a unit diagonal and a zero right-hand side
     rng = np.random.default_rng(seed)
     n = 30
     B = rng.standard_normal((n, n))
     B[rng.random((n, n)) > 0.3] = 0.0
-    dense = B.T @ B + np.eye(n)
-    rows, cols = np.nonzero(dense)
-    A = Pattern(rows, cols, n).assemble(dense[rows, cols])
-    before = A.data.copy()
-    fixed = np.sort(rng.choice(n, size=6, replace=False))
-    eliminated = dense.copy()
-    eliminated[fixed, :] = 0.0
-    eliminated[:, fixed] = 0.0
-    eliminated[fixed, fixed] = 1.0
-    b = rng.standard_normal(n)
-    x0 = rng.standard_normal(n)          # nonzero at the fixed dofs too
-    rhs = b.copy()
-    rhs[fixed] = 0.0
-    x = solve_cg(A, b, tol=1e-12, max_iter=200, x0=x0, fixed=fixed)
-    assert np.array_equal(A.data, before)          # A is not edited
-    assert np.all(x[fixed] == 0.0)
-    assert x == pytest.approx(lu_solve_dense(eliminated, rhs), abs=1e-9)
-    assert np.linalg.norm(eliminated @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
-    # with nothing fixed the mask changes no bit
-    assert np.array_equal(solve_cg(A, b, 1e-12, 200, x0=x0, fixed=[]),
-                          solve_cg(A, b, 1e-12, 200, x0=x0))
+    A, dense = _dense_system(B.T @ B + np.eye(n))
+    _check_fixed_solve(solve_cg, A, dense, rng)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bicgstab_with_fixed_unknowns_solves_the_eliminated_system(seed):
+    rng = np.random.default_rng(seed)
+    n = 30
+    A, dense = _random_sparse(rng, n, density=0.3)
+    _check_fixed_solve(solve_bicgstab, A, dense, rng)
 
 
 def test_cg_with_a_load_only_on_fixed_rows_returns_zero():
     b = np.zeros(4)
     b[[1, 2]] = 5.0
     stats = {}
-    x = solve_cg(_identity(4), b, 1e-10, 100, x0=np.ones(4), stats=stats,
-                 fixed=[1, 2])
+    # the fixed unknowns are held at x0's zeros: the row-replaced system's
+    # right-hand side is zero, so is the solution, whatever x0 holds on
+    # the free rows
+    x = solve_cg(_identity(4), b, 1e-10, 100, x0=np.array([1.0, 0, 0, 1]),
+                 stats=stats, fixed=[1, 2])
     assert np.array_equal(x, np.zeros(4)) and stats["iterations"] == 0
 
 
@@ -201,8 +231,7 @@ def test_bicgstab_matches_dense_lu_on_nonsymmetric():
 def test_bicgstab_restarts_when_the_rhs_lives_on_diagonal_only_rows(
         diag, convection):
     # The first rows hold only their diagonal (Dirichlet rows imposed by
-    # row replacement) and carry the whole right-hand side, as in the
-    # first alpha updates of an alpha_scheme = linear run.  The shadow
+    # row replacement) and carry the whole right-hand side.  The shadow
     # residual r0 = b then leaves the Krylov space after one step and
     # r0 . r decays to roundoff without reaching 0; the recurrence must
     # restart there.
@@ -219,6 +248,31 @@ def test_bicgstab_restarts_when_the_rhs_lives_on_diagonal_only_rows(
     x = solve_bicgstab(A, b, tol=1e-10, max_iter=2000)
     assert np.linalg.norm(dense @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert x == pytest.approx(lu_solve_dense(dense, b), abs=1e-8)
+
+
+def test_bicgstab_restarts_after_a_zero_r0_dot_v_and_converges():
+    # every value up to the breakdown is a short dyadic fraction, so the
+    # floating-point run is the exact one: r0 . v = 0 on the second pass,
+    # the third restarts from the iterate with r0 = r and converges
+    A, dense = _dense_system([[1.0, 0.0, 0.0], [2.0, 0.5, 0.0],
+                              [0.0, -0.5, -2.0]])
+    b = np.array([1.0, 0.0, -1.0])
+    stats = {}
+    x = solve_bicgstab(A, b, tol=1e-12, max_iter=50, stats=stats)
+    assert x == pytest.approx(lu_solve_dense(dense, b), abs=1e-14)
+    assert stats["iterations"] == 4
+
+
+def test_bicgstab_fails_when_every_restart_breaks_down_again():
+    # the swap matrix maps r0 = e1 to v = e2: r0 . v = 0 on every pass,
+    # and each restart from the unchanged iterate meets it again
+    A, _ = _dense_system([[0.0, 1.0], [1.0, 0.0]])
+    stats = {}
+    with pytest.raises(NonconvergenceError) as exc:
+        solve_bicgstab(A, np.array([1.0, 0.0]), tol=1e-12, max_iter=7,
+                       stats=stats)
+    assert stats["iterations"] == exc.value.iterations == 7
+    assert exc.value.residual == 1.0
 
 
 def test_zero_rhs_returns_zero():
@@ -238,13 +292,3 @@ def test_lu_singular_raises():
     with pytest.raises(SingularMatrixError):
         lu_solve_dense(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
 
-
-def test_zero_rows_and_columns():
-    rng = np.random.default_rng(6)
-    A, dense = _random_sparse(rng, 12)
-    rows = np.array([3, 7])
-    zero_rows(A, rows, diag_value=0.5)
-    ref = dense.copy()
-    ref[rows, :] = 0.0
-    ref[rows, rows] = 0.5
-    assert np.array_equal(A.toarray(), ref)

@@ -93,6 +93,53 @@ def test_matches_exhaustive_qp_oracle(seed):
     assert check_vi_conditions(x, a @ x - b) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_fixed_unknowns_are_held_and_the_rest_match_the_qp_oracle(seed):
+    # the oracle is the VI of the free unknowns alone, with the fixed
+    # columns moved to the right-hand side
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 11))
+    q = rng.standard_normal((n, n))
+    dense = q.T @ q + np.eye(n)
+    b = rng.standard_normal(n) * 2.0
+    fixed = np.sort(rng.choice(n, size=int(rng.integers(1, 4)),
+                               replace=False))
+    free = np.setdiff1d(np.arange(n), fixed)
+    x0 = rng.uniform(-0.5, 1.5, n)
+    x0[fixed] = rng.choice([0.0, 0.3, 0.7, 1.0], fixed.size)
+    a = _sparse_from_dense(dense)
+    before = a.data.copy()
+    x = solve_box_vi(a, b, x0, tol=1e-10, fixed=fixed)
+    assert np.array_equal(a.data, before)
+    assert np.array_equal(x[fixed], x0[fixed])
+    oracle = box_qp_minimizer(
+        dense[np.ix_(free, free)],
+        b[free] - dense[np.ix_(free, fixed)] @ x0[fixed])
+    assert oracle is not None
+    assert np.max(np.abs(x[free] - oracle)) <= 1e-8
+    r = a @ x - b
+    assert check_vi_conditions(x[free], r[free]) <= 1e-10
+
+
+def test_held_unknowns_need_no_reduced_solve(monkeypatch):
+    # one node held inside the box, every free node held at 0 by a
+    # positive residual: one active-set pass, no reduced system
+    def refused(*args, **kwargs):
+        raise AssertionError("a reduced solve")
+
+    monkeypatch.setattr(vi, "lu_solve_dense", refused)
+    monkeypatch.setattr(vi, "solve_bicgstab", refused)
+    n = 6
+    dense = 2.0 * np.eye(n) - np.eye(n, k=-1)
+    x0 = np.zeros(n)
+    x0[0] = 0.4
+    stats = {}
+    x = solve_box_vi(_sparse_from_dense(dense), np.full(n, -1.0), x0,
+                     tol=1e-10, stats=stats, fixed=[0])
+    assert np.array_equal(x, x0)
+    assert stats["iterations"] == 1
+
+
 def test_unconstrained_consistency():
     rng = np.random.default_rng(42)
     n = 8
