@@ -2,15 +2,16 @@
 
 Discretization: Taylor-Hood pair with quadratic velocities (VectorP2),
 linear pressure and linear phase fraction (ScalarP1), so that the box
-constraints on the phase fraction act nodewise.  A fixed 6-point
-degree-4 triangle rule integrates every bilinear form exactly; the
-nonlinear closure terms (drag, interfacial pressure, convection) are
-quadrature approximations on the same points.
+constraints on the phase fraction act nodewise.  One quadrature rule,
+the 6-point degree-4 triangle rule `QUAD_POINTS`/`QUAD_WEIGHTS`,
+integrates every bilinear form exactly; the nonlinear closure terms
+(drag, interfacial pressure, convection) are quadrature approximations
+on the same points.
 
 A `FunctionSpace` builds everything static in its constructor: the dof
 map (P2 midpoint nodes follow the mesh's edge table), its
 `linalg.Pattern`, the reference bases at the quadrature points, and the
-mass and strain-stiffness data.  The VectorP2 pattern is built over
+vector mass and strain-stiffness data.  The VectorP2 pattern is built over
 nodes and widened to the interleaved 2x2-block dof pattern.  On affine
 cells every element quantity is a fixed reference tensor contracted with
 a few per-cell geometry coefficients (the tensor representation of
@@ -20,9 +21,11 @@ det J^-1 g (8 per cell) times an 8 x 144 table, and a P2 field's values
 and gradients at the quadrature points are one GEMM against the
 reference basis followed by each cell's J^-1.  `closure_inputs` forms
 each phase's viscous operator W_q = (Keps - G)/(2 Re_q) once per step.
-Assembly is vectorized over cells: per-step assembly only recomputes
-values and scatters them with bincount, which keeps the accumulation
-order (and therefore the floating-point result) deterministic.
+Assembly is vectorized over cells and is two scatter-adds: element
+matrices through the pattern's slot map (`Pattern.assemble_data`),
+element vectors through the dof map (`FunctionSpace.scatter`).  Each
+sums in a fixed order, which keeps the floating-point result
+deterministic.
 
 Sub-step systems assembled here.  All four come back unconstrained,
 and no matrix is written to after assembly: `ipcs.step` has the solvers
@@ -56,22 +59,13 @@ _LOCATE_TOL = 1e-10     # _locate's bounds slack, share of the larger extent
 # ---------------------------------------------------------------------------
 # quadrature and reference bases
 
-class QuadratureRule:
-    """Reference-triangle rule: points (nq, 2) in (xi, eta), weights sum 1/2."""
-
-    def __init__(self, points, weights):
-        self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-
-    @classmethod
-    def degree4(cls):
-        a = 0.445948490915965
-        b = 0.091576213509771
-        wa = 0.223381589678011 / 2.0
-        wb = 0.109951743655322 / 2.0
-        pts = [(a, a), (1.0 - 2.0 * a, a), (a, 1.0 - 2.0 * a),
-               (b, b), (1.0 - 2.0 * b, b), (b, 1.0 - 2.0 * b)]
-        return cls(pts, [wa, wa, wa, wb, wb, wb])
+# the one rule of every form: 6 points (xi, eta) of the reference
+# triangle, exact to degree 4; the weights sum to its area 1/2
+_A, _B = 0.445948490915965, 0.091576213509771
+QUAD_POINTS = np.array([(_A, _A), (1.0 - 2.0 * _A, _A), (_A, 1.0 - 2.0 * _A),
+                        (_B, _B), (1.0 - 2.0 * _B, _B), (_B, 1.0 - 2.0 * _B)])
+QUAD_WEIGHTS = np.repeat([0.223381589678011 / 2.0,
+                          0.109951743655322 / 2.0], 3)
 
 
 def _p1_basis(points):
@@ -110,11 +104,13 @@ class FunctionSpace:
     2*node + comp, so coefficients order as (x0, y0, x1, y1, ...).
 
     Every space has its nodes `node_coords`, the per-cell node and dof
-    indices `node_cell_dofs` and `cell_dofs`, the `dof_count`, its CSR
-    `pattern` and the assembled `mass_data`.  Its nodes are tagged by the
-    sides of the mesh's bounding box they lie on (`BoundaryTag`: Inlet
-    y = y_min, Outlet y = y_max, WallLeft x = x_min, WallRight x = x_max,
-    to within 1e-12 * max(width, height, 1)), so a corner has two tags.
+    indices `node_cell_dofs` and `cell_dofs`, the `dof_count` and its CSR
+    `pattern`.  Element matrices reach the global matrix through
+    `pattern.assemble_data`, element vectors through `scatter`.  Its
+    nodes are tagged by the sides of the mesh's bounding box they lie on
+    (`BoundaryTag`: Inlet y = y_min, Outlet y = y_max, WallLeft
+    x = x_min, WallRight x = x_max, to within 1e-12 * max(width, height,
+    1)), so a corner has two tags.
     A boundary node off the box gets no tag: only a rectangular outline
     is tagged all round.
     ScalarP1 adds the reference basis at the quadrature points `n3`, the
@@ -125,8 +121,8 @@ class FunctionSpace:
     cell's 12 dofs to the values (q, a) and reference gradients
     (q, a, k) of the field at the quadrature points; `g_ref` (8, 144),
     the reference tensor of the grad(ln alpha) coupling; the
-    strain-stiffness data `keps_data`; the integrals of the basis
-    `int_phi6`; and the assembled `mass_matrix`.
+    mass and strain-stiffness data `mass_data` and `keps_data`; the
+    integrals of the basis `int_phi6`; and the assembled `mass_matrix`.
 
     The vector mass matrix couples only equal components (m6 (x) I2), so
     half the entries of the space's pattern are exact zeros there.
@@ -142,7 +138,6 @@ class FunctionSpace:
     def __init__(self, kind, mesh):
         self.kind = kind
         self.mesh = mesh
-        self.quad = QuadratureRule.degree4()
         nverts = mesh.n_vertices
         if kind == "ScalarP1":
             self.node_cell_dofs = mesh.cells.astype(np.int64)
@@ -180,21 +175,18 @@ class FunctionSpace:
             self._build_p2_operators()
 
     def _build_p1_operators(self):
-        w, det = self.quad.weights, self.mesh.det
-        n3, dn3 = _p1_basis(self.quad.points)
+        w, det = QUAD_WEIGHTS, self.mesh.det
+        n3, dn3 = _p1_basis(QUAD_POINTS)
         self.n3 = n3
         self.grad_p1 = np.einsum("ik,cka->cia", dn3, self.mesh.inv)
-        m3 = np.einsum("q,qi,qj->ij", w, n3, n3)
-        self.mass_data = self.pattern.assemble_data(
-            np.einsum("ij,c->cij", m3, det))
         # grad_i . grad_j without measure; scale by the integrated
         # coefficient when assembling variable-coefficient stiffness
         self.gg = np.einsum("cia,cja->cij", self.grad_p1, self.grad_p1)
         self.int_phi = det[:, None] * np.einsum("q,qi->i", w, n3)
 
     def _build_p2_operators(self):
-        w, det, inv = self.quad.weights, self.mesh.det, self.mesh.inv
-        n6, dn6 = _p2_basis(self.quad.points)       # (q, i), (q, i, k)
+        w, det, inv = QUAD_WEIGHTS, self.mesh.det, self.mesh.inv
+        n6, dn6 = _p2_basis(QUAD_POINTS)            # (q, i), (q, i, k)
         nq = w.size
         eye2 = np.eye(2)
         self.n6 = n6
@@ -257,6 +249,12 @@ class FunctionSpace:
         """Sorted scalar node indices on the given sides of the bounding box."""
         return np.unique(np.concatenate([self._tag_nodes[t] for t in tags]))
 
+    def scatter(self, be):
+        """Global vector of element vectors be (nc, cell dofs in
+        `cell_dofs` order), summed in cell order (deterministic)."""
+        return np.bincount(self.cell_dofs.ravel(), weights=be.ravel(),
+                           minlength=self.dof_count)
+
     # -- field values at quadrature points -----------------------------------
 
     def p1_at_qp(self, coeffs):
@@ -293,7 +291,7 @@ def _vec_at_qp(space, coeffs):
     """Values v[c,q,a] and gradients dv[c,q,a,k] = d v_a / d x_k at the
     quadrature points of a VectorP2 coefficient vector: one GEMM against
     the reference basis, then each cell's inverse Jacobian."""
-    nc, nq = space.cell_dofs.shape[0], space.quad.weights.size
+    nc, nq = space.cell_dofs.shape[0], QUAD_WEIGHTS.size
     ref = coeffs[space.cell_dofs] @ space.qp_basis
     dref = ref[:, 2 * nq:].reshape(nc, nq, 2, 2)
     inv = space.mesh.inv[:, None, None]
@@ -332,17 +330,14 @@ class VelocityQP:
 
 def _load_vector(space, f_qp):
     """b[(i,a)] = int f_a phi_i dx from qp samples f_qp of shape (nc, nq, 2)."""
-    wn6 = space.quad.weights[:, None] * space.n6          # (q, i)
-    be = np.matmul(wn6.T[None, :, :], f_qp) * space.mesh.det[:, None, None]
-    return np.bincount(space.cell_dofs.ravel(), weights=be.ravel(),
-                       minlength=space.dof_count)
+    wn6 = QUAD_WEIGHTS[:, None] * space.n6                # (q, i)
+    return space.scatter(np.matmul(wn6.T[None, :, :], f_qp)
+                         * space.mesh.det[:, None, None])
 
 
 def _const_grad_load(space, vec_cell):
     """b[(i,a)] = int g_a phi_i dx for a per-cell-constant vector g."""
-    be = np.einsum("ci,ca->cia", space.int_phi6, vec_cell)
-    return np.bincount(space.cell_dofs.ravel(), weights=be.ravel(),
-                       minlength=space.dof_count)
+    return space.scatter(np.einsum("ci,ca->cia", space.int_phi6, vec_cell))
 
 
 def supg_tau(space, v_field):
@@ -482,7 +477,7 @@ def assemble_pressure_poisson(state, qp, dt, groups):
     matrix restricted to the other nodes is SPD.
     """
     p1 = state.p_l.space
-    w, det = p1.quad.weights, p1.mesh.det
+    w, det = QUAD_WEIGHTS, p1.mesh.det
 
     alpha_l_qp = p1.p1_at_qp(state.alpha_l.coefficients)
     alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
@@ -499,9 +494,7 @@ def assemble_pressure_poisson(state, qp, dt, groups):
     wn3 = w[:, None] * p1.n3                 # (q, i)
     be = -np.matmul(wn3.T[None, :, :], div[:, :, None])[:, :, 0] \
         * det[:, None] / dt
-    b = np.bincount(p1.cell_dofs.ravel(), weights=be.ravel(),
-                    minlength=p1.dof_count)
-    return A, b
+    return A, p1.scatter(be)
 
 
 def assemble_velocity_update(phase, space, delta_p, dt, groups):
@@ -523,7 +516,7 @@ def assemble_alpha_system(alpha_old, v_g_new, dt):
     """
     p1 = alpha_old.space
     space = v_g_new.space
-    w, n3, det, gp1 = p1.quad.weights, p1.n3, p1.mesh.det, p1.grad_p1
+    w, n3, det, gp1 = QUAD_WEIGHTS, p1.n3, p1.mesh.det, p1.grad_p1
 
     v_qp, dvq = _vec_at_qp(space, v_g_new.coefficients)
     divv = dvq[:, :, 0, 0] + dvq[:, :, 1, 1]
@@ -540,9 +533,7 @@ def assemble_alpha_system(alpha_old, v_g_new, dt):
     elem = np.matmul(wphi.transpose(0, 2, 1), trial) * det[:, None, None]
     be = np.matmul(wphi.transpose(0, 2, 1),
                    aold_qp[:, :, None])[:, :, 0] * det[:, None] / dt
-    b = np.bincount(p1.cell_dofs.ravel(), weights=be.ravel(),
-                    minlength=p1.dof_count)
-    return p1.pattern.assemble(elem), b
+    return p1.pattern.assemble(elem), p1.scatter(be)
 
 
 # ---------------------------------------------------------------------------

@@ -356,16 +356,11 @@ def _mass_balance_residual(alpha_old, alpha_new, dt, A_a, b_a,
 
 @dataclass
 class RunResult:
-    config: caseio.CaseConfig
-    mesh: object
     state: State
     t_seconds: np.ndarray
     dt_seconds: np.ndarray
     holdup: np.ndarray
     min_alpha_g: np.ndarray
-    max_alpha_g: np.ndarray
-    slip_mps: np.ndarray
-    bubble_reynolds: np.ndarray
     reports: list
     snapshots: list
     series_path: str
@@ -446,7 +441,6 @@ def run(cfg, quiet=True):
 
     arr = np.array(rows)
     return RunResult(
-        config=cfg, mesh=mesh, state=state,
-        t_seconds=arr[:, 0], dt_seconds=arr[:, 1], holdup=arr[:, 2],
-        min_alpha_g=arr[:, 3], max_alpha_g=arr[:, 4], slip_mps=arr[:, 5],
-        bubble_reynolds=arr[:, 6], reports=reports, snapshots=snapshots, series_path=series_path)
+        state=state, t_seconds=arr[:, 0], dt_seconds=arr[:, 1],
+        holdup=arr[:, 2], min_alpha_g=arr[:, 3], reports=reports,
+        snapshots=snapshots, series_path=series_path)

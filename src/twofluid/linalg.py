@@ -12,7 +12,8 @@ right-hand side, and convergence is judged against the right-hand side
 of the row-replaced system (`_held_start`).  Which unknowns to fix, and
 at what values, is the caller's business.
 
-Every matrix a `Pattern` returns shares the pattern's `indices` array, so
+Every matrix a `Pattern` returns shares the pattern's index arrays,
+`indices` and `indptr` (both int32, so scipy wraps them uncopied), and
 only ops that change `data` may run in place on it.  A structural op
 (`eliminate_zeros`, `sort_indices`, a `setdiag` that inserts) would
 silently corrupt every later matrix of the same space; run it on a
@@ -40,7 +41,7 @@ class Pattern:
         uniq, slots = np.unique(key, return_inverse=True)
         urows = uniq // n
         ucols = (uniq - urows * n).astype(np.int32)
-        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr = np.zeros(n + 1, dtype=np.int32)
         np.add.at(indptr, urows + 1, 1)
         np.cumsum(indptr, out=indptr)
         self.nnz = uniq.size
@@ -59,7 +60,8 @@ class Pattern:
         out = Pattern.__new__(Pattern)
         out.nnz = 4 * self.nnz
         row_lens = np.repeat(2 * lens, 2)
-        out.indptr = np.concatenate([[0], np.cumsum(row_lens)])
+        out.indptr = np.zeros(row_lens.size + 1, dtype=self.indptr.dtype)
+        np.cumsum(row_lens, out=out.indptr[1:])
         # rows 2r and 2r + 1 both hold the pairs 2s, 2s + 1 of row r's
         # columns s, which start at 2 indptr[r]
         pairs = (2 * self.indices[:, None]
@@ -89,8 +91,8 @@ class Pattern:
         return self.matrix(self.assemble_data(values))
 
     def matrix(self, data):
-        """CSR matrix over `data` (not copied) and the pattern's index
-        arrays (shared: no structural op in place)."""
+        """CSR matrix over `data` (not copied) and the pattern's
+        `indices` and `indptr` (both shared: no structural op in place)."""
         n = self.indptr.size - 1
         return _sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 

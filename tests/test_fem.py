@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,9 +39,13 @@ def make_state(mesh, alpha_g=0.0, v_l=(0.0, 0.0), v_g=(0.0, 0.0), p=0.0):
 
 
 def mass(space):
-    """The space's mass matrix on its full pattern, over a copy of its
-    data."""
-    return space.pattern.matrix(space.mass_data.copy())
+    """The space's mass matrix on its full pattern: over a copy of the
+    vector space's data, and for P1, which keeps no mass data, assembled
+    from the reference mass m3 times each cell's det J."""
+    if space.kind == "VectorP2":
+        return space.pattern.matrix(space.mass_data.copy())
+    m3 = np.einsum("q,qi,qj->ij", fem.QUAD_WEIGHTS, space.n3, space.n3)
+    return space.pattern.assemble(np.einsum("ij,c->cij", m3, space.mesh.det))
 
 
 def pressure_system(state, qp, dt, groups):
@@ -94,8 +99,7 @@ def symbolic_ops():
 
 
 def test_quadrature_weights_sum_to_reference_area():
-    rule = fem.QuadratureRule.degree4()
-    assert rule.weights.sum() == pytest.approx(0.5, abs=1e-15)
+    assert fem.QUAD_WEIGHTS.sum() == pytest.approx(0.5, abs=1e-15)
 
 
 def viscous_operator(state, groups, phase="liquid"):
@@ -204,7 +208,7 @@ def test_quadratic_field_at_the_quadrature_points_of_a_mapped_cell(cell):
     field = vec.interpolate(
         lambda x, y: (x * x - 2.0 * x * y + 3.0 * y, y * y + x * y - x))
     qp = VelocityQP(field, field, make_groups(PROPS, SCALES, CFG.c_p))
-    xi, eta = fem.QuadratureRule.degree4().points.T
+    xi, eta = fem.QUAD_POINTS.T
     x, y = (np.outer(1.0 - xi - eta, vertices[0]) + np.outer(xi, vertices[1])
             + np.outer(eta, vertices[2])).T
     values = np.stack([x * x - 2.0 * x * y + 3.0 * y,
@@ -268,6 +272,27 @@ def test_constraints_leave_the_shared_patterns_intact():
         for a, b in zip(before, (mass.data, mass.indices, mass.indptr)):
             assert np.array_equal(a, b)
         assert_intact()
+
+
+def test_assembled_matrices_share_both_index_arrays_with_their_pattern():
+    # both index arrays are int32, the P2 pattern's after widening too,
+    # so every matrix a step builds wraps them without a copy
+    mesh = generate_rect_mesh(1.0, 2.0, 3, 4, "alternating")
+    state, p1, vec = make_state(mesh, alpha_g=0.2, v_g=(0.0, 0.1))
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
+    closures = closure_inputs(state, groups, 1e-5)
+    pressure, _ = assemble_pressure_poisson(state, closures.qp, 0.1, groups)
+    alpha, _ = assemble_alpha_system(state.alpha_g, state.v_g, 0.1)
+    built = [(p1, pressure), (p1, alpha)]
+    for phase in ("liquid", "gas"):
+        built.append((vec, closures.viscous[phase]))
+        built.append((vec, tentative_velocity_system(phase, 0.1, groups,
+                                                     closures)[0]))
+    for space in (p1, vec):
+        assert space.pattern.indptr.dtype == space.pattern.indices.dtype
+    for space, A in built:
+        assert np.shares_memory(A.indices, space.pattern.indices)
+        assert np.shares_memory(A.indptr, space.pattern.indptr)
 
 
 def test_tentative_velocity_matrix_is_mass_plus_viscous(symbolic_ops):
@@ -391,6 +416,32 @@ def test_gas_drag_sign_and_density_ratio():
               + M @ vec.interpolate(
                   lambda x, y: (0.0, -groups.rho_ratio * k * 0.1)).coefficients)
     assert b == pytest.approx(expect, abs=1e-11)
+
+
+@pytest.mark.parametrize("phase", ["liquid", "gas"])
+def test_velocity_dependent_load_is_affine_in_c_p(phase):
+    # the interfacial-pressure term is c_p times a load of its own, which
+    # the c_p = 0 load leaves out; varying alpha and a varying slip make
+    # that load nonzero for both phases
+    mesh = generate_rect_mesh(1.0, 2.0, 4, 6, "alternating")
+    state, p1, vec = make_state(mesh)
+    x, y = p1.node_coords.T
+    state.alpha_g = p1.field(0.05 + 0.8 * x * x + 0.2 * y)
+    state.alpha_l = p1.field(1.0 - state.alpha_g.coefficients)
+    state.v_l = vec.interpolate(lambda x, y: (0.1 * y, 0.2 * x * x))
+    state.v_g = vec.interpolate(lambda x, y: (0.3 * x * y, 2.0 + 0.5 * y * y))
+    groups = make_groups(PROPS, SCALES, CFG.c_p)
+    closures = closure_inputs(state, groups, 1e-5)
+
+    def load(c_p):
+        return fem.velocity_dependent_load(
+            phase, closures.qp, dataclasses.replace(groups, c_p=c_p), closures)
+
+    zero = load(0.0)
+    expect = 0.25 * (load(1.0) - zero)
+    assert (np.linalg.norm(load(0.25) - zero - expect)
+            <= 1e-12 * np.linalg.norm(expect))
+    assert not np.array_equal(zero, load(0.25))
 
 
 def test_dirichlet_rows_enforced():
