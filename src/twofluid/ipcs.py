@@ -34,10 +34,11 @@ warm start; `linalg` takes them.  The box VI keeps its inner policy in
 (`_DENSE_CUTOFF`) for reduced systems, and the iteration cap
 (`_reduced_solve`) and tolerance rule (from tol_vi) of the reduced
 BiCGStab.
-Warm starts that carry across steps (the tentative velocities and the
-pressure increment) are cached as rates of change per unit dt, so that a
-guess scales with the step it starts (cf. Fischer, CMAME 163, 1998, on
-reusing previous solutions as initial guesses).
+The one warm start that carries across steps, that of the tentative
+velocities, is cached as a rate of change per unit dt, so that the guess
+scales with the step it starts (cf. Fischer, CMAME 163, 1998, on reusing
+previous solutions as initial guesses).  The pressure CG starts from
+zeros.
 """
 
 from __future__ import annotations
@@ -143,13 +144,6 @@ def _substep(label):
         raise StepFailureError(label, exc) from exc
 
 
-def _from_rate(warm, key, dt, size):
-    """dt times the rate cached as warm[key], or None when the cache holds
-    no rate of this size (a first step, another mesh)."""
-    rate = warm.get(key)
-    return None if rate is None or rate.size != size else rate * dt
-
-
 def _krylov(solver, stats, key, A, b, **options):
     """Solve A x = b; record the iteration count as stats[key]."""
     st = {}
@@ -173,8 +167,8 @@ def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
     `dirichlet` maps each phase to its velocity (dofs, values) at t + dt.
     Each tentative solve starts from v(n) + dt * rate, with the rate
     (v* - v(n))/dt of the last attempt cached in `warm` (rejected attempts
-    included), or from v(n) without one, and the data written over the
-    held dofs.
+    included), or from v(n) without one of v's size (a first step,
+    another mesh), and the data written over the held dofs.
     Returns (v*_l, v*_g, error, v* sampled at the quadrature points)."""
     vec = closures.qp.space
 
@@ -186,8 +180,10 @@ def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
         dofs, values = dirichlet[phase]
         vn = closures.qp.coefficients[phase]
         key = f"tentative_rate_{phase}"
-        step_guess = _from_rate(warm, key, dt, vn.size)
-        x0 = vn.copy() if step_guess is None else vn + step_guess
+        rate = warm.get(key)
+        x0 = vn.copy()
+        if rate is not None and rate.size == vn.size:
+            x0 += rate * dt
         x0[dofs] = values
         v_star[phase] = _krylov(
             solve_bicgstab, stats, f"tentative_{phase}", A, history + load,
@@ -221,14 +217,13 @@ def step(state, dt, cfg, warm=None):
     rejection the returned state is the input state and only dt_next in
     the report is meaningful.
 
-    `warm` is the cross-step cache of solver starting guesses, stored as
-    rates so that they scale with the next dt: each phase's tentative
-    rate (v* - v(n))/dt under "tentative_rate_liquid" and
-    "tentative_rate_gas", written on every attempt, and the pressure
-    increment's rate dP/dt under "delta_p_rate", written on accepted
-    steps.  Without one the step starts a fresh cache, so it cold-starts
-    and its rates are dropped.  A cached rate of another size (another
-    mesh) is ignored and overwritten.  An invalid cfg raises ConfigError."""
+    `warm` is the cross-step cache of the tentative solves' starting
+    guesses, stored as rates so that they scale with the next dt: each
+    phase's rate (v* - v(n))/dt under "tentative_rate_liquid" and
+    "tentative_rate_gas", written on every attempt.  Without one the step
+    starts a fresh cache, so it cold-starts and its rates are dropped.  A
+    cached rate of another size (another mesh) is ignored and
+    overwritten.  An invalid cfg raises ConfigError."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     cfg.validate()
@@ -259,12 +254,9 @@ def step(state, dt, cfg, warm=None):
 
     with _substep("pressure-poisson"):
         A_p, b_p = fem.assemble_pressure_poisson(state, qp_star, dt, groups)
-        # a cached rate is 0 at the outlet, so x0 holds dP = 0 there
         delta_p = _krylov(solve_cg, stats, "pressure", A_p, b_p, tol=tol,
                           max_iter=10000,
-                          x0=_from_rate(warm, "delta_p_rate", dt, b_p.size),
                           fixed=p1.boundary_nodes(BoundaryTag.Outlet))
-        warm["delta_p_rate"] = delta_p / dt
     dp_field = p1.field(delta_p)
 
     new_v = {}
@@ -304,8 +296,10 @@ def _alpha_update(alpha_old, v_g_new, dt, nodes, values, cfg, stats):
     vi_stats = {"iterations": 0}
     if cfg.alpha_scheme == "vi":
         # the VI's tol_vi is absolute: scaled by dt, the rows are O(mass).
-        # Positive scaling leaves bounds and complementarity signs intact.
-        alpha_new = solve_box_vi(A_a * dt, b_a * dt, x0, tol=cfg.tol_vi,
+        # Positive scaling leaves bounds and complementarity signs intact,
+        # and the scaled matrix keeps the P1 pattern's index arrays.
+        a_dt = alpha_old.space.pattern.matrix(A_a.data * dt)
+        alpha_new = solve_box_vi(a_dt, b_a * dt, x0, tol=cfg.tol_vi,
                                  stats=vi_stats, fixed=nodes)
     else:
         alpha_new = _krylov(solve_bicgstab, stats, "alpha", A_a, b_a,

@@ -134,9 +134,11 @@ def solve_cg(A, b, tol, max_iter, x0=None, stats=None, fixed=None):
     with the fixed rows removed and their columns moved to the
     right-hand side, unedited.
 
-    Returns x with ||free (b - A x)||_2 <= tol ||free b + held x0||_2,
-    else raises NonconvergenceError carrying the final residual.  The
-    iterations performed are stats["iterations"] and the error's count.
+    Returns x with ||free (b - A x)||_2 <= tol ||free b + held x0||_2
+    (the recurrence residual, tested once per pass, before each of the
+    max_iter updates and after the last), else raises NonconvergenceError
+    carrying the true residual.  The iterations performed are
+    stats["iterations"] and the error's count.
     """
     held, b, x, scale = _held_start(b, x0, fixed)
     if stats is None:
@@ -150,10 +152,12 @@ def solve_cg(A, b, tol, max_iter, x0=None, stats=None, fixed=None):
     z = minv * r
     p = z.copy()
     rz = r @ z
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         stats["iterations"] = it
         if np.linalg.norm(r) <= target:
             return x
+        if it == max_iter:
+            break
         Ap = A @ p
         Ap[held] = 0.0
         alpha = rz / (p @ Ap)
@@ -163,10 +167,7 @@ def solve_cg(A, b, tol, max_iter, x0=None, stats=None, fixed=None):
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-    stats["iterations"] = max_iter
     res = np.linalg.norm(_residual(A, b, x, held))
-    if res <= target:
-        return x
     raise NonconvergenceError(
         f"CG did not reach tol={tol:g} in {max_iter} iterations "
         f"(relative residual {res / scale:.3e})", residual=res,
@@ -178,11 +179,12 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None, fixed=None):
     nonsymmetric) systems.  Same `fixed`, residual and iteration-count
     contract as solve_cg.
 
-    Convergence of the recurrence residual is confirmed against the true
-    residual before returning.  A breakdown restarts the recurrence from
-    the current iterate: omega or r0 . v zero, or
-    |rho| <= eps ||r0|| ||r|| (r0 numerically orthogonal to r, as when b
-    lives on rows that hold only their diagonal).
+    Convergence is tested once per pass, as in solve_cg, and a converged
+    recurrence residual is confirmed against the true residual before
+    returning.  A breakdown restarts the recurrence from the current
+    iterate: omega or r0 . v zero, or |rho| <= eps ||r0|| ||r|| (r0
+    numerically orthogonal to r, as when b lives on rows that hold only
+    their diagonal).
     """
     held, b, x, scale = _held_start(b, x0, fixed)
     if stats is None:
@@ -198,12 +200,14 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None, fixed=None):
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         stats["iterations"] = it
         nr = np.linalg.norm(r)
         if (nr <= target
                 and np.linalg.norm(_residual(A, b, x, held)) <= target):
             return x
+        if it == max_iter:
+            break
         rho_new = r0 @ r
         if abs(rho_new) <= np.finfo(float).eps * nr0 * nr or omega == 0.0:
             r = _residual(A, b, x, held)
@@ -236,10 +240,7 @@ def solve_bicgstab(A, b, tol, max_iter, x0=None, stats=None, fixed=None):
         omega = (t @ s) / tt if tt > 0.0 else 0.0
         x += alpha * ph + omega * sh
         r = s - omega * t
-    stats["iterations"] = max_iter
     res = np.linalg.norm(_residual(A, b, x, held))
-    if res <= target:
-        return x
     raise NonconvergenceError(
         f"BiCGStab did not reach tol={tol:g} in {max_iter} iterations "
         f"(relative residual {res / scale:.3e})", residual=res,

@@ -243,6 +243,41 @@ def test_snapshot_round_trip(tmp_path):
     assert meta["nx"] == 3
 
 
+def test_snapshot_into_a_missing_directory_raises_naming_the_path(tmp_path):
+    cfg = CaseConfig(nx=1, ny=2)
+    mesh = cfg.build_mesh()
+    path = tmp_path / "missing" / "snap_000000.vtk"
+    with pytest.raises(OSError,
+                       match=re.escape(f"cannot write snapshot '{path}'")):
+        write_snapshot(initial_state(mesh, cfg), mesh, str(path))
+    assert not path.parent.exists()
+
+
+def test_blank_lines_between_snapshot_blocks_are_skipped(tmp_path):
+    cfg = CaseConfig(nx=2, ny=3)
+    mesh = cfg.build_mesh()
+    state = initial_state(mesh, cfg)
+    rng = np.random.default_rng(1)
+    state.alpha_g.coefficients[:] = rng.uniform(0.0, 0.03, mesh.n_vertices)
+    state.v_l.coefficients[:] = rng.standard_normal(state.v_l.space.dof_count)
+    path = tmp_path / "snap.vtk"
+    write_snapshot(state, mesh, str(path))
+    spaced = tmp_path / "spaced.vtk"
+    headers = ("CELL_TYPES", "POINT_DATA", "SCALARS", "VECTORS")
+    spaced.write_text("".join(
+        ("\n" if line.startswith(headers) else "") + line
+        for line in path.read_text().splitlines(keepends=True)) + "\n\n")
+    assert spaced.read_text().count("\n\n") == 7
+    want = read_snapshot(str(path))
+    got = read_snapshot(str(spaced))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2].keys() == want[2].keys()
+    for name, values in want[2].items():
+        assert np.array_equal(got[2][name], values)
+    assert got[3] == want[3]
+
+
 def test_snapshot_zero_state(tmp_path):
     cfg = CaseConfig(nx=1, ny=1, height=0.1)
     mesh = generate_rect_mesh(1.0, 1.0, 1, 1, "right")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -23,6 +25,18 @@ def _run_small(out, *overrides):
     assert cli.main(argv) == 0
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """The default small run, once per module: its output directory and
+    what it printed.  A test that edits one of its files edits a copy in
+    its own tmp_path."""
+    out = tmp_path_factory.mktemp("small_run")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        _run_small(out)
+    return out, printed.getvalue()
+
+
 @pytest.mark.parametrize("diagonal", mesh.DIAGONALS)
 def test_short_run_exits_0(diagonal, tmp_path, capsys):
     _run_small(tmp_path, "--set", f"diagonal={diagonal}")
@@ -35,13 +49,12 @@ def test_short_run_exits_0(diagonal, tmp_path, capsys):
     assert f"finished t = 0.0001 s after {len(rows)} accepted steps" in out
 
 
-def test_run_prints_the_final_holdup_of_the_series(tmp_path, capsys):
+def test_run_prints_the_final_holdup_of_the_series(small_run):
     # the holdup after 1e-4 s is of order 1e-7: printed in fixed point
     # with 6 decimals it read 0.000000
-    _run_small(tmp_path)
-    printed = re.search(r"final holdup = (\S+)",
-                        capsys.readouterr().out).group(1)
-    rows = (tmp_path / "series.csv").read_text().splitlines()
+    run_dir, out = small_run
+    printed = re.search(r"final holdup = (\S+)", out).group(1)
+    rows = (run_dir / "series.csv").read_text().splitlines()
     column = rows[0].split(",").index("holdup")
     holdup = float(rows[-1].split(",")[column])
     assert holdup > 0.0
@@ -122,9 +135,8 @@ def test_bad_value_in_a_config_file_exits_2_naming_line_and_key(tmp_path,
     assert "line 3: key 'nx'" in capsys.readouterr().err
 
 
-def test_analyze_a_run_snapshot_exits_0(tmp_path, capsys):
-    _run_small(tmp_path)
-    last = sorted(tmp_path.glob("snap_*.vtk"))[-1]     # gas has entered
+def test_analyze_a_run_snapshot_exits_0(small_run, tmp_path, capsys):
+    last = sorted(small_run[0].glob("snap_*.vtk"))[-1]  # gas has entered
     argv = ["analyze", str(last), "--grid", "8x16",
             "--out", str(tmp_path / "spectra")]
     assert cli.main(argv) == 0
@@ -137,10 +149,9 @@ def test_analyze_a_run_snapshot_exits_0(tmp_path, capsys):
     assert len(hist.splitlines()) == 31                # 30 bins by default
 
 
-def test_analyze_matches_sampling_on_the_original_mesh(tmp_path, capsys):
-    _run_small(tmp_path)
-    last = sorted(tmp_path.glob("snap_*.vtk"))[-1]
-    capsys.readouterr()
+def test_analyze_matches_sampling_on_the_original_mesh(small_run, tmp_path,
+                                                       capsys):
+    last = sorted(small_run[0].glob("snap_*.vtk"))[-1]
     argv = ["analyze", str(last), "--grid", "8x16",
             "--out", str(tmp_path / "spectra")]
     assert cli.main(argv) == 0
@@ -158,13 +169,12 @@ def test_analyze_matches_sampling_on_the_original_mesh(tmp_path, capsys):
     assert written == list(power)
 
 
-def test_analyze_needs_the_grid_in_the_snapshot_header(tmp_path, capsys):
-    _run_small(tmp_path)
-    snap = tmp_path / "snap_000000.vtk"
-    text = snap.read_text()
+def test_analyze_needs_the_grid_in_the_snapshot_header(small_run, tmp_path,
+                                                       capsys):
+    text = (small_run[0] / "snap_000000.vtk").read_text()
     assert " nx=2 ny=4" in text.splitlines()[1]
+    snap = tmp_path / "snap_000000.vtk"
     snap.write_text(text.replace(" nx=2 ny=4", "", 1))
-    capsys.readouterr()
     assert cli.main(["analyze", str(snap), "--out", str(tmp_path)]) == 2
     assert "nx=0 ny=0" in capsys.readouterr().err
 
@@ -275,17 +285,16 @@ def _cell_on_a_missing_point(snapshot):
     pytest.param("swapped_grid.vtk", _swapped_title_grid,
                  id="swapped_grid.vtk"),
 ])
-def test_analyze_a_file_that_is_not_a_snapshot_exits_2(name, text, tmp_path,
-                                                        capsys):
-    _run_small(tmp_path)
-    path = tmp_path / name
+def test_analyze_a_file_that_is_not_a_snapshot_exits_2(name, text, small_run,
+                                                        tmp_path, capsys):
+    run_dir = small_run[0]
+    path = run_dir / name if text is None else tmp_path / name
     if callable(text):
-        text = text((tmp_path / "snap_000000.vtk").read_text())
+        text = text((run_dir / "snap_000000.vtk").read_text())
     if isinstance(text, bytes):
         path.write_bytes(text)
     elif text is not None:
         path.write_text(text)
-    capsys.readouterr()
     assert cli.main(["analyze", str(path), "--out", str(tmp_path)]) == 2
     assert f"snapshot '{path}'" in capsys.readouterr().err
 

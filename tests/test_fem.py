@@ -67,35 +67,11 @@ def tentative_system(phase, state, dt, groups):
 # ---------------------------------------------------------------------------
 # quadrature and static operators against symbolic integration
 
-def sympy_reference_operators():
-    import sympy as sp
-
-    xi, eta = sp.symbols("xi eta")
-    lam = [1 - xi - eta, xi, eta]
-    phi = [l * (2 * l - 1) for l in lam]
-    for i, j in ((1, 2), (0, 2), (0, 1)):
-        phi.append(4 * lam[i] * lam[j])
-
-    def tri_integrate(expr):
-        return sp.integrate(sp.integrate(expr, (eta, 0, 1 - xi)), (xi, 0, 1))
-
-    grad = [(sp.diff(p, xi), sp.diff(p, eta)) for p in phi]
-    m6 = np.array([[float(tri_integrate(phi[i] * phi[j]))
-                    for j in range(6)] for i in range(6)])
-    k6 = np.array([[float(tri_integrate(grad[i][0] * grad[j][0]
-                                        + grad[i][1] * grad[j][1]))
-                    for j in range(6)] for i in range(6)])
-    kd = np.empty((2, 2, 6, 6))
-    for a in range(2):
-        for b in range(2):
-            kd[a, b] = [[float(tri_integrate(grad[i][a] * grad[j][b]))
-                         for j in range(6)] for i in range(6)]
-    return m6, k6, kd
-
-
 @pytest.fixture(scope="module")
 def symbolic_ops():
-    return sympy_reference_operators()
+    """Mass and Keps element matrices of the reference cell, exact."""
+    m12, keps12, _ = sympy_mapped_operators([(0, 0), (1, 0), (0, 1)], (0, 0))
+    return m12, keps12
 
 
 def test_quadrature_weights_sum_to_reference_area():
@@ -110,15 +86,10 @@ def viscous_operator(state, groups, phase="liquid"):
 
 def test_vector_mass_and_strain_stiffness_on_reference_cell(symbolic_ops):
     # with uniform alpha, G = 0 and W_l = Keps/(2 Re_l)
-    m6, k6, kd = symbolic_ops
+    m12, keps12 = symbolic_ops
     mesh, _, _ = reference_triangle_spaces()
     state, _, vec = make_state(mesh, alpha_g=0.3)
     groups = make_groups(PROPS, SCALES, CFG.c_p)
-    eye = np.eye(2)
-    m12 = np.einsum("ij,ab->iajb", m6, eye).reshape(12, 12)
-    keps = np.einsum("ij,ab->iajb", k6, eye)
-    keps = keps + np.einsum("abji->iajb", kd)
-    keps12 = keps.reshape(12, 12)
     assert mass(vec).toarray() == pytest.approx(m12, abs=1e-14)
     w = viscous_operator(state, groups).toarray()
     assert 2.0 * groups.re_l * w == pytest.approx(keps12, abs=1e-13)
@@ -298,15 +269,11 @@ def test_assembled_matrices_share_both_index_arrays_with_their_pattern():
 def test_tentative_velocity_matrix_is_mass_plus_viscous(symbolic_ops):
     # single reference cell, unit dt, uniform alpha and zero velocities:
     # A = M/dt + (1/(2 Re)) Keps exactly
-    m6, k6, kd = symbolic_ops
+    m12, keps12 = symbolic_ops
     mesh, _, _ = reference_triangle_spaces()
     state, _, vec = make_state(mesh, alpha_g=0.3)
     groups = make_groups(PROPS, SCALES, CFG.c_p)
     A, _ = tentative_system("liquid", state, 1.0, groups)
-    eye = np.eye(2)
-    m12 = np.einsum("ij,ab->iajb", m6, eye).reshape(12, 12)
-    keps12 = (np.einsum("ij,ab->iajb", k6, eye)
-              + np.einsum("abji->iajb", kd)).reshape(12, 12)
     expect = m12 / 1.0 + 0.5 / groups.re_l * keps12
     assert A.toarray() == pytest.approx(expect, abs=1e-13)
 

@@ -196,8 +196,7 @@ def test_warm_starts_move_a_step_only_within_solver_tolerance():
     cfg = _config()
     warm = {}
     state, dt = _chain(cfg, 12, warm)
-    assert set(warm) == {"tentative_rate_liquid", "tentative_rate_gas",
-                         "delta_p_rate"}
+    assert set(warm) == {"tentative_rate_liquid", "tentative_rate_gas"}
     new_warm, warm_report = ipcs.step(state, dt, cfg, warm=warm)
     new_cold, cold_report = ipcs.step(state, dt, cfg, warm=None)
     assert warm_report.accepted and cold_report.accepted
@@ -230,7 +229,6 @@ def test_warm_cache_from_another_mesh_is_ignored_and_replaced():
     vec = state.v_l.space
     assert warm["tentative_rate_liquid"].size == vec.dof_count
     assert warm["tentative_rate_gas"].size == vec.dof_count
-    assert warm["delta_p_rate"].size == state.p_l.space.dof_count
 
 
 def test_adapt_dt_clamps_and_stagnates():
@@ -495,6 +493,29 @@ def test_solves_hold_the_dirichlet_data_and_write_no_matrix(started,
             assert solved is A
             assert np.array_equal(fixed, dofs)
             assert np.array_equal(x0[dofs], values)
+
+
+def test_the_vi_matrix_shares_the_p1_pattern(started, monkeypatch):
+    # the dt-scaled alpha matrix the VI receives has the values of
+    # A_a * dt bit for bit, over the P1 pattern's own index arrays
+    cfg, states, _ = started
+    state, dt = states[-1], 1e-7
+    received = []
+
+    def box_vi(a, b, x0, **kwargs):
+        received.append(a)
+        return solve(a, b, x0, **kwargs)
+
+    solve = ipcs.solve_box_vi
+    monkeypatch.setattr(ipcs, "solve_box_vi", box_vi)
+    new, report = ipcs.step(state, dt, cfg)
+    assert report.accepted
+    p1 = state.alpha_g.space
+    A_a, _ = fem.assemble_alpha_system(state.alpha_g, new.v_g, dt)
+    (a,) = received
+    assert np.shares_memory(a.indices, p1.pattern.indices)
+    assert np.shares_memory(a.indptr, p1.pattern.indptr)
+    assert np.array_equal(a.data, (A_a * dt).data)
 
 
 def _snapshot_index(path):

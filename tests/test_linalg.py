@@ -206,6 +206,29 @@ def test_iteration_limit_reports_iterations_performed(solver):
     assert stats["iterations"] == exc.value.iterations == 3
 
 
+@pytest.mark.parametrize("solver", [solve_cg, solve_bicgstab])
+def test_a_solve_converging_on_its_last_allowed_pass_returns_x(solver):
+    # the convergence test at the top of pass max_iter, after the last
+    # update, accepts x unchanged from a run allowed more passes
+    rng = np.random.default_rng(6)
+    n = 30
+    B = rng.standard_normal((n, n))
+    B[rng.random((n, n)) > 0.3] = 0.0
+    A, _ = _dense_system(B.T @ B + np.eye(n))
+    b = rng.standard_normal(n)
+    stats = {}
+    x_free = solver(A, b, tol=1e-10, max_iter=1000, stats=stats)
+    needed = stats["iterations"]
+    assert needed > 1
+    x = solver(A, b, tol=1e-10, max_iter=needed, stats=stats)
+    assert stats["iterations"] == needed
+    assert np.array_equal(x, x_free)
+    with pytest.raises(NonconvergenceError) as exc:
+        solver(A, b, tol=1e-10, max_iter=needed - 1, stats=stats)
+    assert stats["iterations"] == exc.value.iterations == needed - 1
+    assert exc.value.residual > 1e-10 * np.linalg.norm(b)
+
+
 def test_bicgstab_identity_and_hand_case():
     b = np.array([1.0, 2.0])
     assert solve_bicgstab(_identity(2), b, 1e-10, 2000) == pytest.approx(b)
