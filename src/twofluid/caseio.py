@@ -213,13 +213,12 @@ def inlet_profiles(x, cfg):
 
 @dataclass
 class SpaceSet:
-    mesh: object
     p1: FunctionSpace
     vec: FunctionSpace
 
 
 def build_spaces(mesh):
-    return SpaceSet(mesh, FunctionSpace.scalar_p1(mesh),
+    return SpaceSet(FunctionSpace.scalar_p1(mesh),
                     FunctionSpace.vector_p2(mesh))
 
 

@@ -11,7 +11,9 @@ run, terminal-velocity and convergence take the case from --config and
 once, after the file and every --set (a later one wins).  argparse
 reports every usage error, --grid and --meshes included.
 
-Exit codes: 0 success, 1 usage, 2 configuration error, 3 solver failure.
+Exit codes: 0 success; 1 usage error; 2 configuration or input error:
+an invalid case, a missing config file, an unreadable snapshot or any
+other OSError; 3 solver failure, or any other TwoFluidError.
 """
 
 from __future__ import annotations

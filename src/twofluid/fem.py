@@ -53,6 +53,8 @@ from .errors import OutOfDomainError
 from .linalg import Pattern
 from .mesh import BoundaryTag
 
+PHASES = ("liquid", "gas")   # the order of every per-phase loop and solve
+
 _SUPG_GUARD = 1e-10     # centroid speed below which supg_tau is zero
 _LOCATE_TOL = 1e-10     # _locate's bounds slack, share of the larger extent
 
@@ -303,29 +305,25 @@ def _vec_at_qp(space, coeffs):
 
 class VelocityQP:
     """One time level's velocities sampled once at the quadrature points:
-    both phases' values and gradients, the slip v_g - v_l and the drag
-    factor K(|slip|).  `coefficients` keeps each phase's dof vector for
-    the viscous matrix-vector products.  Shared by the tentative loads,
-    the Heun load and the pressure assembly."""
+    each phase's values `v[phase]` and gradients `dv[phase]`, the slip
+    v_g - v_l and the drag factor K(|slip|).  `coefficients` keeps each
+    phase's dof vector for the viscous matrix-vector products.  Shared by
+    the tentative loads, the Heun load and the pressure assembly."""
 
     def __init__(self, v_l, v_g, groups):
         space = v_l.space
         if v_g.space is not space:
             raise ValueError("phase velocity fields must share one space")
         self.space = space
-        self.coefficients = {"liquid": v_l.coefficients,
-                             "gas": v_g.coefficients}
-        self.v_l, self.dv_l = _vec_at_qp(space, v_l.coefficients)
-        self.v_g, self.dv_g = _vec_at_qp(space, v_g.coefficients)
-        self.vr = self.v_g - self.v_l
+        self.coefficients = dict(zip(PHASES, (v_l.coefficients,
+                                              v_g.coefficients)))
+        self.v, self.dv = {}, {}
+        for phase in PHASES:
+            self.v[phase], self.dv[phase] = _vec_at_qp(
+                space, self.coefficients[phase])
+        self.vr = self.v["gas"] - self.v["liquid"]
         self.vr_norm = np.linalg.norm(self.vr, axis=2)
         self.kdrag = physics.drag_exchange_coefficient(self.vr_norm, groups)
-
-    def value(self, phase):
-        return self.v_l if phase == "liquid" else self.v_g
-
-    def grad(self, phase):
-        return self.dv_l if phase == "liquid" else self.dv_g
 
 
 def _load_vector(space, f_qp):
@@ -368,15 +366,17 @@ class ClosureInputs:
     alpha_q))/(2 Re_q), implicit in the tentative matrix and explicit in
     the load; constant_load maps each phase to c_q = <g - Eu_q grad P(n),
     phi>; grad_ln_alpha_l is the per-cell gradient of the thresholded
-    ln alpha_l, standing in for grad(alpha_l)/alpha_l; drag_ratio_l is the
-    liquid drag ratio alpha_g / max(alpha_l, floor) at the quadrature points.
+    ln alpha_l, standing in for grad(alpha_l)/alpha_l; drag_ratio maps
+    each phase to the factor of its drag force K (v_g - v_l): alpha_g /
+    max(alpha_l, floor) at the quadrature points for the liquid, the
+    constant -rho_l/rho_g for the gas.
     """
 
     qp: VelocityQP
     viscous: dict
     constant_load: dict
     grad_ln_alpha_l: np.ndarray
-    drag_ratio_l: np.ndarray
+    drag_ratio: dict
 
 
 def closure_inputs(state, groups, alpha_ln_floor):
@@ -410,7 +410,9 @@ def closure_inputs(state, groups, alpha_ln_floor):
         viscous=viscous,
         constant_load=constant_load,
         grad_ln_alpha_l=grad_ln["liquid"],
-        drag_ratio_l=alpha_g_qp / np.maximum(alpha_l_qp, alpha_ln_floor))
+        drag_ratio={"liquid": alpha_g_qp / np.maximum(alpha_l_qp,
+                                                      alpha_ln_floor),
+                    "gas": -groups.rho_ratio})
 
 
 def velocity_dependent_load(phase, qp, groups, closures):
@@ -418,28 +420,23 @@ def velocity_dependent_load(phase, qp, groups, closures):
     tentative system at the velocities sampled in `qp`: convection, drag
     and interfacial pressure, then the phase's constant load c_q and the
     explicit half of the viscous terms, -W_q v, both from `closures`."""
-    space = qp.space
-    if phase == "liquid":
-        ratio_signed = closures.drag_ratio_l
-        cp_liquid, cp_gas = groups.c_p, 0.0
-    else:
-        ratio_signed = np.broadcast_to(-groups.rho_ratio, qp.kdrag.shape)
-        cp_liquid, cp_gas = 0.0, 2.0 * groups.c_p * groups.rho_ratio
-
+    space, vr = qp.space, qp.vr
     # 2x2 products per quadrature point as explicit two-term sums: a
     # batched matmul over (nc, nq) tiny matrices is several times slower
-    v_qp = qp.value(phase)
-    dv = qp.grad(phase)
-    conv = dv[..., 0] * v_qp[..., 0, None] + dv[..., 1] * v_qp[..., 1, None]
-    f_qp = (ratio_signed * qp.kdrag)[:, :, None] * qp.vr - conv
-    if cp_liquid != 0.0:
-        f_qp = f_qp - (cp_liquid * (qp.vr_norm ** 2)[:, :, None]
+    v, dv = qp.v[phase], qp.dv[phase]
+    conv = dv[..., 0] * v[..., 0, None] + dv[..., 1] * v[..., 1, None]
+    # interfacial pressure: -c_p |vr|^2 grad ln alpha_l on the liquid,
+    # 2 c_p rho_l/rho_g (grad vr)^T vr on the gas
+    if phase == "liquid":
+        interfacial = (-groups.c_p * (qp.vr_norm ** 2)[:, :, None]
                        * closures.grad_ln_alpha_l[:, None, :])
-    if cp_gas != 0.0:
-        dvr = qp.dv_g - qp.dv_l
-        vr = qp.vr
-        f_qp = f_qp + cp_gas * (vr[..., 0, None] * dvr[..., 0, :]
-                                + vr[..., 1, None] * dvr[..., 1, :])
+    else:
+        dvr = qp.dv["gas"] - qp.dv["liquid"]
+        interfacial = 2.0 * groups.c_p * groups.rho_ratio * (
+            vr[..., 0, None] * dvr[..., 0, :]
+            + vr[..., 1, None] * dvr[..., 1, :])
+    f_qp = ((closures.drag_ratio[phase] * qp.kdrag)[:, :, None] * vr - conv
+            + interfacial)
     b = _load_vector(space, f_qp)
     b += closures.constant_load[phase]
     b -= closures.viscous[phase] @ qp.coefficients[phase]
@@ -479,18 +476,18 @@ def assemble_pressure_poisson(state, qp, dt, groups):
     p1 = state.p_l.space
     w, det = QUAD_WEIGHTS, p1.mesh.det
 
-    alpha_l_qp = p1.p1_at_qp(state.alpha_l.coefficients)
-    alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
-    coef_qp = groups.eu_l * alpha_l_qp + groups.eu_g * alpha_g_qp
+    alpha = dict(zip(PHASES, (state.alpha_l.coefficients,
+                              state.alpha_g.coefficients)))
+    alpha_qp = {phase: p1.p1_at_qp(a) for phase, a in alpha.items()}
+    coef_qp = groups.eu_l * alpha_qp["liquid"] + groups.eu_g * alpha_qp["gas"]
     cell_coef = det * (coef_qp @ w)
     A = p1.pattern.assemble(p1.gg * cell_coef[:, None, None])
 
     div = np.zeros((p1.mesh.n_cells, w.size))
-    for a, a_qp, v_qp, dvq in ((state.alpha_l, alpha_l_qp, qp.v_l, qp.dv_l),
-                               (state.alpha_g, alpha_g_qp, qp.v_g, qp.dv_g)):
-        ga = p1.p1_cell_gradient(a.coefficients)
-        div += np.matmul(v_qp, ga[:, :, None])[:, :, 0]
-        div += a_qp * (dvq[:, :, 0, 0] + dvq[:, :, 1, 1])
+    for phase in PHASES:
+        ga = p1.p1_cell_gradient(alpha[phase])
+        div += np.matmul(qp.v[phase], ga[:, :, None])[:, :, 0]
+        div += alpha_qp[phase] * np.trace(qp.dv[phase], axis1=2, axis2=3)
     wn3 = w[:, None] * p1.n3                 # (q, i)
     be = -np.matmul(wn3.T[None, :, :], div[:, :, None])[:, :, 0] \
         * det[:, None] / dt

@@ -169,12 +169,12 @@ def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
     (v* - v(n))/dt of the last attempt cached in `warm` (rejected attempts
     included), or from v(n) without one of v's size (a first step,
     another mesh), and the data written over the held dofs.
-    Returns (v*_l, v*_g, error, v* sampled at the quadrature points)."""
+    Returns (error, v* sampled at the quadrature points)."""
     vec = closures.qp.space
 
     systems = {}
     v_star = {}
-    for phase in ("liquid", "gas"):
+    for phase in fem.PHASES:
         A, history, load = fem.tentative_velocity_system(phase, dt, groups,
                                                          closures)
         dofs, values = dirichlet[phase]
@@ -191,12 +191,11 @@ def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
         warm[key] = (v_star[phase] - vn) / dt
         systems[phase] = (A, history, load)
 
-    vsl = vec.field(v_star["liquid"])
-    vsg = vec.field(v_star["gas"])
-    qp_star = fem.VelocityQP(vsl, vsg, groups)
+    qp_star = fem.VelocityQP(vec.field(v_star["liquid"]),
+                             vec.field(v_star["gas"]), groups)
 
     error = 0.0
-    for phase in ("liquid", "gas"):
+    for phase in fem.PHASES:
         A, history, load_n = systems[phase]
         load_p = fem.velocity_dependent_load(phase, qp_star, groups, closures)
         v_heun = _krylov(solve_bicgstab, stats, f"heun_{phase}", A,
@@ -206,7 +205,7 @@ def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
         norm = max(float(np.linalg.norm(v_heun)), 1.0)
         error = max(error,
                     float(np.linalg.norm(v_heun - v_star[phase])) / norm)
-    return vsl, vsg, error, qp_star
+    return error, qp_star
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +237,12 @@ def step(state, dt, cfg, warm=None):
 
     with _substep("boundary-conditions"):
         dirichlet = {phase: velocity_dirichlet(vec, cfg, t_next_seconds, phase)
-                     for phase in ("liquid", "gas")}
+                     for phase in fem.PHASES}
         alpha_nodes, alpha_values = alpha_dirichlet(p1, cfg, t_next_seconds)
 
     with _substep("tentative-velocity"):
         closures = fem.closure_inputs(state, groups, cfg.alpha_ln_floor)
-        vsl, vsg, error, qp_star = _tentative_with_error(
+        error, qp_star = _tentative_with_error(
             dt, tol, groups, closures, dirichlet, stats, warm)
 
     dt_next, accepted = adapt_dt(error, cfg.tol_step, dt, cfg.dt_min,
@@ -260,14 +259,14 @@ def step(state, dt, cfg, warm=None):
     dp_field = p1.field(delta_p)
 
     new_v = {}
-    for phase, vstar in (("liquid", vsl), ("gas", vsg)):
+    for phase in fem.PHASES:
         with _substep(f"velocity-update-{phase}"):
             load = fem.assemble_velocity_update(phase, vec, dp_field, dt,
                                                 groups)
             correction = _krylov(solve_cg, stats, f"update_{phase}",
                                  vec.mass_matrix, load, tol=tol,
                                  max_iter=2000, fixed=dirichlet[phase][0])
-            new_v[phase] = vstar.coefficients + correction
+            new_v[phase] = qp_star.coefficients[phase] + correction
     v_l_new = vec.field(new_v["liquid"])
     v_g_new = vec.field(new_v["gas"])
 
@@ -389,7 +388,7 @@ def run(cfg, quiet=True):
 
     def diagnostics(dt_seconds):
         holdup = post.gas_holdup(state.alpha_g, mesh)
-        slip, reynolds, _ = post.slip_and_reynolds(
+        slip, reynolds = post.slip_and_reynolds(
             state, props, scales, cfg.slip_alpha_floor)
         alpha = state.alpha_g.coefficients
         return (state.t_tilde * scales.t_s, dt_seconds, holdup,

@@ -8,9 +8,9 @@ it sums duplicates in a fixed order.
 No solver edits its matrix.  Each takes the Dirichlet unknowns as
 `fixed` and holds them at x0's values: residuals and A-products are
 zeroed on them, so A is solved with the fixed columns moved to the
-right-hand side, and convergence is judged against the right-hand side
-of the row-replaced system (`_held_start`).  Which unknowns to fix, and
-at what values, is the caller's business.
+right-hand side, and convergence is judged relative to the scale
+||free b + held x0||_2 of `_held_start`.  Which unknowns to fix, and at
+what values, is the caller's business.
 
 Every matrix a `Pattern` returns shares the pattern's index arrays,
 `indices` and `indptr` (both int32, so scipy wraps them uncopied), and
@@ -109,8 +109,10 @@ def _jacobi(A):
 def _held_start(b, x0, fixed):
     """The indices of the `fixed` unknowns (an index array or mask), b
     zeroed on them, the start x (x0 copied, else zeros) and the
-    convergence scale ||free b + held x0||_2: the norm of the row-replaced
-    right-hand side, ||b||_2 bit for bit if x0 is 0 on `fixed`."""
+    convergence scale ||free b + held x0||_2, ||free b||_2 bit for bit if
+    x0 is 0 on `fixed`.  It adds held values (solution units) to the free
+    load (load units): a sound relative target only while the free load
+    is not far below the held data."""
     b = np.array(b, dtype=float)
     held = np.arange(b.size)[[] if fixed is None else fixed]
     b[held] = 0.0

@@ -23,17 +23,16 @@ def slip_and_reynolds(state, props, scales, alpha_floor):
     """Average dimensional slip speed |v_g - v_l| and bubble Reynolds
     number over mesh vertices where alpha_g >= alpha_floor.
 
-    Returns (slip m/s, Re_b, populated); populated is False (with zeros)
-    when no vertex clears the floor.
+    Returns (slip m/s, Re_b), both zero when no vertex clears the floor.
     """
     if not 0.0 < alpha_floor < 1.0:
         raise ValueError("alpha_floor must lie in (0, 1)")
     mask = state.alpha_g.vertex_values() >= alpha_floor
     if not np.any(mask):
-        return 0.0, 0.0, False
+        return 0.0, 0.0
     v_r = (state.v_g.vertex_values() - state.v_l.vertex_values())[mask]
     slip = float(np.mean(np.linalg.norm(v_r, axis=1))) * scales.v_s
-    return slip, float(bubble_reynolds(slip, props)), True
+    return slip, float(bubble_reynolds(slip, props))
 
 
 def sample_to_grid(field, nx, ny):

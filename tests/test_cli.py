@@ -38,13 +38,17 @@ def small_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("diagonal", mesh.DIAGONALS)
-def test_short_run_exits_0(diagonal, tmp_path, capsys):
-    _run_small(tmp_path, "--set", f"diagonal={diagonal}")
-    out = capsys.readouterr().out
+def test_short_run_exits_0(diagonal, small_run, tmp_path, capsys):
+    if diagonal == caseio.CaseConfig().diagonal:
+        # the default small run already is this one
+        run_dir, out = small_run
+    else:
+        _run_small(tmp_path, "--set", f"diagonal={diagonal}")
+        run_dir, out = tmp_path, capsys.readouterr().out
     # one series row per accepted step after the t = 0 row, and the last
     # snapshot is named by the accepted-step count
-    rows = (tmp_path / "series.csv").read_text().splitlines()[2:]
-    last = sorted(p.name for p in tmp_path.glob("snap_*.vtk"))[-1]
+    rows = (run_dir / "series.csv").read_text().splitlines()[2:]
+    last = sorted(p.name for p in run_dir.glob("snap_*.vtk"))[-1]
     assert last == f"snap_{len(rows):06d}.vtk"
     assert f"finished t = 0.0001 s after {len(rows)} accepted steps" in out
 

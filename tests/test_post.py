@@ -49,9 +49,8 @@ def _state_with_slip(vy):
 def test_slip_matches_correlation_speed():
     state, cfg = _state_with_slip(0.0572)
     state.alpha_g.coefficients[:] = 0.02
-    slip, re_b, ok = slip_and_reynolds(state, cfg.props(), cfg.scales(),
-                                     cfg.slip_alpha_floor)
-    assert ok
+    slip, re_b = slip_and_reynolds(state, cfg.props(), cfg.scales(),
+                                   cfg.slip_alpha_floor)
     assert slip == pytest.approx(0.0572, rel=1e-12)
     assert re_b == pytest.approx(11.44, rel=1e-10)
 
@@ -59,16 +58,17 @@ def test_slip_matches_correlation_speed():
 def test_slip_zero_when_phases_match():
     state, cfg = _state_with_slip(0.0)
     state.alpha_g.coefficients[:] = 0.02
-    slip, re_b, ok = slip_and_reynolds(state, cfg.props(), cfg.scales(),
-                                     cfg.slip_alpha_floor)
-    assert ok and slip == 0.0 and re_b == 0.0
+    slip, re_b = slip_and_reynolds(state, cfg.props(), cfg.scales(),
+                                   cfg.slip_alpha_floor)
+    assert slip == 0.0 and re_b == 0.0
 
 
-def test_slip_empty_region_flag():
+def test_slip_zero_when_no_vertex_clears_the_floor():
+    # the gas-free start: slip of 0.1 m/s, but no vertex to average it on
     state, cfg = _state_with_slip(0.1)
-    slip, re_b, ok = slip_and_reynolds(state, cfg.props(), cfg.scales(),
-                                     cfg.slip_alpha_floor)
-    assert not ok and slip == 0.0 and re_b == 0.0
+    slip, re_b = slip_and_reynolds(state, cfg.props(), cfg.scales(),
+                                   cfg.slip_alpha_floor)
+    assert slip == 0.0 and re_b == 0.0
 
 
 def test_sample_to_grid_constant_and_linear(column):
