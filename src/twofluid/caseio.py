@@ -42,7 +42,9 @@ class CaseConfig:
     nx: int = 50
     ny: int = 100
     diagonal: str = "alternating"
-    # phase-fraction update (one of ALPHA_SCHEMES) and tolerances
+    # phase-fraction update (one of ALPHA_SCHEMES) and tolerances:
+    # tol_linear (relative) governs the velocity and pressure solves,
+    # tol_vi (absolute, mass units) the alpha update of both schemes
     alpha_scheme: str = "vi"
     tol_step: float = 1e-4
     tol_linear: float = 1e-10
@@ -89,7 +91,7 @@ class CaseConfig:
                 raise ConfigError("must be a finite number", key=name)
         positive = ("rho_g", "rho_l", "mu_g", "mu_l", "d_b", "gravity",
                     "width", "height", "tol_step", "tol_linear", "tol_vi",
-                    "alpha_ln_floor", "dt_init", "dt_min", "dt_max",
+                    "dt_init", "dt_min", "dt_max",
                     "inlet_peak_velocity", "inlet_ramp_time", "inlet_sigma",
                     "output_every")
         for name in positive:
@@ -111,8 +113,9 @@ class CaseConfig:
                                   f"'{getattr(self, name)}'", key=name)
         if not 0.0 <= self.inlet_peak_alpha <= 1.0:
             raise ConfigError("must lie in [0, 1]", key="inlet_peak_alpha")
-        if not 0.0 < self.slip_alpha_floor < 1.0:
-            raise ConfigError("must lie in (0, 1)", key="slip_alpha_floor")
+        for name in ("alpha_ln_floor", "slip_alpha_floor"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError("must lie in (0, 1)", key=name)
         if self.rho_l <= self.rho_g:
             raise ConfigError("must exceed rho_g", key="rho_l")
         return self

@@ -38,8 +38,9 @@ hold every Dirichlet unknown (`fixed`), the pressure outlet included.
   velocity update      the load of the correction's mass solve
                        M (v(n+1) - v*) = - dt Eu_q < grad dP, phi >,
                        solved on the space's shared `mass_matrix`
-  phase fraction       implicit advection with SUPG test functions,
-                       solved by the scheme cfg.alpha_scheme names
+  phase fraction       implicit SUPG advection in mass units,
+                       < a(n+1) - a(n), phi' > + dt < div(a(n+1) v), phi' >,
+                       solved as a box VI whose box cfg.alpha_scheme picks
 """
 
 from __future__ import annotations
@@ -504,12 +505,14 @@ def assemble_velocity_update(phase, space, delta_p, dt, groups):
 
 
 def assemble_alpha_system(alpha_old, v_g_new, dt):
-    """Implicit advection of the gas fraction with SUPG test functions:
+    """Implicit advection of the gas fraction with SUPG test functions,
+    in mass units (the step times dt):
 
-        < (a(n+1) - a(n))/dt, phi' > + < div(a(n+1) v), phi' > = 0,
+        < a(n+1) - a(n), phi' > + dt < div(a(n+1) v), phi' > = 0,
         phi' = phi + tau v . grad phi.
 
-    Returns (A, b) without boundary constraints.
+    Returns (A, b) without boundary constraints; with v = 0, A is the P1
+    mass matrix and b its product with a(n).
     """
     p1 = alpha_old.space
     space = v_g_new.space
@@ -524,12 +527,12 @@ def assemble_alpha_system(alpha_old, v_g_new, dt):
     stream = np.matmul(v_qp, gp1.transpose(0, 2, 1))
     phi = np.broadcast_to(n3[None, :, :], (det.size, w.size, 3))
     phi = phi + tau[:, None, None] * stream
-    trial = (n3[None, :, :] / dt + stream
-             + n3[None, :, :] * divv[:, :, None])
+    trial = n3[None, :, :] + dt * (stream
+                                   + n3[None, :, :] * divv[:, :, None])
     wphi = w[None, :, None] * phi
     elem = np.matmul(wphi.transpose(0, 2, 1), trial) * det[:, None, None]
     be = np.matmul(wphi.transpose(0, 2, 1),
-                   aold_qp[:, :, None])[:, :, 0] * det[:, None] / dt
+                   aold_qp[:, :, None])[:, :, 0] * det[:, None]
     return p1.pattern.assemble(elem), p1.scatter(be)
 
 

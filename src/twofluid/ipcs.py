@@ -10,10 +10,12 @@ One step advances the scaled state (alpha_g, alpha_l, v_g, v_l, P_l) by
      constraint div(sum_q alpha_q v_q) = 0,
   3. velocity correction with the increment gradient, a mass solve for
      the correction v(n+1) - v*,
-  4. implicit SUPG advection of the gas fraction (`_alpha_update`) by the
-     scheme cfg.alpha_scheme names: "vi", a box variational inequality
-     imposing 0 <= alpha <= 1, or "linear", the same system solved without
-     bounds as the comparator; alpha_l := 1 - alpha_g afterwards.
+  4. implicit SUPG advection of the gas fraction (`_alpha_update`), one
+     box variational-inequality solve of the mass-unit system whose box
+     cfg.alpha_scheme picks: "vi" imposes 0 <= alpha <= 1, "linear" (the
+     comparator) has the box (-inf, inf), so its solve is the linear
+     solve of the same system to the same tol_vi; alpha_l := 1 - alpha_g
+     afterwards.
 
 The step imposes every Dirichlet condition at t + dt on the
 unconstrained systems that `fem` assembles, one way for every solver: it
@@ -61,6 +63,12 @@ from .vi import solve_box_vi
 
 @dataclass
 class StepReport:
+    """What one attempt did.  `linear_iterations` maps each Krylov solve
+    of the velocities and the pressure (tentative_*, heun_*, pressure,
+    update_*) to its iteration count, in call order; `vi_iterations` is
+    the alpha update's active-set iteration count, for either scheme.
+    The alpha and mass fields describe the new state; a rejected attempt
+    leaves them and `vi_iterations` 0."""
     dt_used: float
     local_error_estimate: float
     accepted: bool
@@ -272,7 +280,7 @@ def step(state, dt, cfg, warm=None):
 
     with _substep("alpha-update"):
         alpha_new, vi_iterations, defect = _alpha_update(
-            state.alpha_g, v_g_new, dt, alpha_nodes, alpha_values, cfg, stats)
+            state.alpha_g, v_g_new, dt, alpha_nodes, alpha_values, cfg)
 
     new_state = State(p1.field(alpha_new), p1.field(1.0 - alpha_new),
                       v_g_new, v_l_new,
@@ -284,50 +292,43 @@ def step(state, dt, cfg, warm=None):
         max_alpha_g=float(alpha_new.max()), mass_balance_residual=defect)
 
 
-def _alpha_update(alpha_old, v_g_new, dt, nodes, values, cfg, stats):
-    """New gas fraction with Dirichlet data (nodes, values), held fixed, by
-    cfg's scheme: "vi" solves the box VI, "linear" BiCGStab, recorded as
-    stats["alpha"].  Returns (coefficients, VI iterations, mass-balance
+def _alpha_update(alpha_old, v_g_new, dt, nodes, values, cfg):
+    """New gas fraction with Dirichlet data (nodes, values), held fixed:
+    one box-VI solve of the mass-unit alpha system to the absolute tol_vi,
+    on the box of cfg's scheme, (0, 1) for "vi" and (-inf, inf) for
+    "linear".  Returns (coefficients, VI iterations, mass-balance
     defect)."""
     A_a, b_a = fem.assemble_alpha_system(alpha_old, v_g_new, dt)
     x0 = alpha_old.coefficients.copy()
     x0[nodes] = values
-    vi_stats = {"iterations": 0}
-    if cfg.alpha_scheme == "vi":
-        # the VI's tol_vi is absolute: scaled by dt, the rows are O(mass).
-        # Positive scaling leaves bounds and complementarity signs intact,
-        # and the scaled matrix keeps the P1 pattern's index arrays.
-        a_dt = alpha_old.space.pattern.matrix(A_a.data * dt)
-        alpha_new = solve_box_vi(a_dt, b_a * dt, x0, tol=cfg.tol_vi,
-                                 stats=vi_stats, fixed=nodes)
-    else:
-        alpha_new = _krylov(solve_bicgstab, stats, "alpha", A_a, b_a,
-                            tol=cfg.tol_linear, max_iter=5000, x0=x0,
-                            fixed=nodes)
-    defect = _mass_balance_residual(alpha_old, alpha_new, dt, A_a, b_a, nodes)
+    box = (0.0, 1.0) if cfg.alpha_scheme == "vi" else (-np.inf, np.inf)
+    vi_stats = {}
+    alpha_new = solve_box_vi(A_a, b_a, x0, tol=cfg.tol_vi, stats=vi_stats,
+                             fixed=nodes, box=box)
+    defect = _mass_balance_residual(alpha_old, alpha_new, A_a, b_a, nodes)
     return alpha_new, vi_stats["iterations"], defect
 
 
-def _mass_balance_residual(alpha_old, alpha_new, dt, A_a, b_a,
-                           dirichlet_rows):
-    """Relative defect of the discrete gas balance
+def _mass_balance_residual(alpha_old, alpha_new, A_a, b_a, dirichlet_rows):
+    """Relative defect of the discrete gas balance over one step, in mass
+    units,
 
-        d/dt int(alpha) + (boundary flux of alpha v) = injection,
+        change of int(alpha) + dt (boundary flux of alpha v) = injection,
 
     read off the residual r = A_a alpha_new - b_a of the unconstrained
-    system alone.  Two facts make sum_i r_i = d/dt int(alpha) + boundary
-    flux of (alpha v . n), to roundoff:
+    system alone.  Two facts make sum_i r_i = change of int(alpha) + dt
+    boundary flux of (alpha v . n), to roundoff:
 
     - the P1 basis sums to 1 and its gradients to 0, so in the row sum
       the SUPG parts cancel and the integrand left is
-      (alpha_new - alpha_old)/dt + div(alpha_new v);
+      alpha_new - alpha_old + dt div(alpha_new v);
     - that integrand has degree 2 on each cell (alpha P1, v P2), within
       the 6-point rule's exact degree 4, so the divergence theorem holds.
 
     `injection` sums r over the Dirichlet rows (the discrete source they
     feed into the domain); the defect sums it over the free rows, which a
     linear solve zeroes and the VI does not at the nodes it holds at a
-    bound.  The flux is the whole sum less d/dt int(alpha).
+    bound.  The flux term is the whole sum less the change of int(alpha).
     """
     residual = A_a @ alpha_new - b_a
     injection = float(residual[dirichlet_rows].sum())
@@ -337,10 +338,10 @@ def _mass_balance_residual(alpha_old, alpha_new, dt, A_a, b_a,
     cells = alpha_old.space.mesh.cells
     int_old = float(np.sum(lumped * alpha_old.coefficients[cells]))
     int_new = float(np.sum(lumped * alpha_new[cells]))
-    ddt = (int_new - int_old) / dt
-    flux = float(residual.sum()) - ddt
+    change = int_new - int_old
+    flux = float(residual.sum()) - change
 
-    scale = max(abs(ddt), abs(flux), abs(injection), 1e-30)
+    scale = max(abs(change), abs(flux), abs(injection), 1e-30)
     return abs(defect) / scale
 
 

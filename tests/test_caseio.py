@@ -141,6 +141,8 @@ def _valid_configs():
         "c_p": st.floats(min_value=0.0, allow_infinity=False),
         "t_end": st.floats(min_value=0.0, allow_infinity=False),
         "inlet_peak_alpha": st.floats(min_value=0.0, max_value=1.0),
+        "alpha_ln_floor": st.floats(min_value=0.0, max_value=1.0,
+                                    exclude_min=True, exclude_max=True),
         "slip_alpha_floor": st.floats(min_value=0.0, max_value=1.0,
                                       exclude_min=True, exclude_max=True),
         "nx": st.integers(1, 10 ** 6),

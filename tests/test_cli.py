@@ -10,6 +10,7 @@ import pytest
 
 import twofluid
 from twofluid import caseio, cli, fem, mesh, post
+from twofluid.errors import BracketError
 
 SMALL = ["--set", "nx=2", "--set", "ny=4"]
 
@@ -75,9 +76,10 @@ def test_unbounded_run_exits_0(tmp_path, capsys):
 
 def test_unbounded_3x6_run_exits_0(tmp_path, capsys):
     # the first alpha systems have their whole right-hand side on the
-    # inlet rows, which hold only their diagonal: BiCGStab's shadow
-    # residual turns orthogonal to the residual without r0 . r reaching
-    # 0, and the unrestarted recurrence stalled in the fifth attempt
+    # held inlet rows.  A Krylov solve of the whole system once stalled
+    # on them in the fifth attempt; the unbounded scheme now solves the
+    # free rows by the VI's reduced solve (dense LU at this size), and
+    # this run keeps that start covered
     argv = ["run", "--set", "nx=3", "--set", "ny=6", "--set", "t_end=0.0001",
             "--set", "alpha_scheme=linear", "--set", f"output_dir={tmp_path}",
             "--quiet"]
@@ -422,6 +424,17 @@ def test_stagnating_run_exits_3(tmp_path, capsys):
     assert ("solver failure in step attempt 1 from t = 0 s: step control "
             "stagnated") in capsys.readouterr().err
     assert [p.name for p in tmp_path.glob("snap_*.vtk")] == ["snap_000000.vtk"]
+
+
+def test_a_solver_error_outside_a_run_exits_3(monkeypatch, capsys):
+    # a TwoFluidError that is no SolverFailureError names no step attempt
+    def no_bracket(props):
+        raise BracketError("no sign change in [0.001, 10]")
+
+    monkeypatch.setattr(cli.physics, "terminal_velocity_balance", no_bracket)
+    assert cli.main(["terminal-velocity"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: no sign change") and "attempt" not in err
 
 
 def test_importing_the_cli_loads_no_scipy_solver_modules():

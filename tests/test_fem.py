@@ -430,6 +430,19 @@ def test_dirichlet_rows_enforced():
             <= 1e-12 * np.linalg.norm(replaced))
 
 
+def test_unknown_space_kind_rejected():
+    mesh = generate_rect_mesh(1.0, 1.0, 2, 2, "right")
+    with pytest.raises(ValueError, match="unknown space kind 'ScalarP2'"):
+        FunctionSpace(kind="ScalarP2", mesh=mesh)
+
+
+@pytest.mark.parametrize("kind", ["ScalarP1", "VectorP2"])
+def test_field_of_the_wrong_length_rejected(kind):
+    space = FunctionSpace(kind, generate_rect_mesh(1.0, 1.0, 2, 2, "right"))
+    with pytest.raises(ValueError, match="does not match space dof count"):
+        space.field(np.zeros(space.dof_count + 1))
+
+
 def test_space_mismatch_rejected():
     mesh = generate_rect_mesh(1.0, 1.0, 2, 2, "right")
     other = generate_rect_mesh(1.0, 1.0, 2, 2, "right")
@@ -575,7 +588,7 @@ def test_alpha_zero_velocity_is_mass_over_dt():
     dt = 0.02
     A, b = assemble_alpha_system(alpha_old, vec.field(), dt)
     M = mass(p1)
-    assert A.toarray() == pytest.approx(M.toarray() / dt, abs=1e-13)
+    assert (A / dt).toarray() == pytest.approx(M.toarray() / dt, abs=1e-13)
     x = solve_bicgstab(A, b, tol=1e-13, max_iter=2000)
     assert x == pytest.approx(alpha_old.coefficients, abs=1e-10)
 
@@ -636,6 +649,14 @@ def test_evaluate_outside_domain():
         evaluate_many(p1.field(), [(10.0, 10.0)])
 
 
+def test_evaluate_needs_the_grid_of_a_structured_mesh():
+    # the same points and cells without `grid`: no cell lookup exists
+    grid_mesh = generate_rect_mesh(1.0, 1.0, 2, 2, "right")
+    p1 = FunctionSpace.scalar_p1(Mesh(grid_mesh.vertices, grid_mesh.cells))
+    with pytest.raises(ValueError, match="grid metadata"):
+        evaluate_many(p1.field(), [(0.0, 0.5)])
+
+
 def test_vector_evaluate():
     mesh = generate_rect_mesh(1.0, 1.0, 3, 3, "alternating")
     vec = FunctionSpace.vector_p2(mesh)
@@ -651,8 +672,9 @@ def test_vector_evaluate():
 @pytest.mark.parametrize("diagonal", ["right", "left", "alternating"])
 def test_alpha_residual_sums_to_the_divergence_integral(diagonal, dt):
     # alpha = 1 + x, v = (0, 1 + y) on [-1, 1] x [0, 1]: with alpha held
-    # fixed, the rows of A alpha - b sum to int div(alpha v) = int (1 + x)
-    # = 2, the SUPG parts cancelling and the quadrature exact
+    # fixed, the rows of A alpha - b (mass units) sum to dt int div(alpha
+    # v) = dt int (1 + x) = 2 dt, the SUPG parts cancelling and the
+    # quadrature exact
     mesh = generate_rect_mesh(2.0, 1.0, 8, 4, diagonal)
     p1 = FunctionSpace.scalar_p1(mesh)
     vec = FunctionSpace.vector_p2(mesh)
@@ -660,4 +682,4 @@ def test_alpha_residual_sums_to_the_divergence_integral(diagonal, dt):
     v = vec.interpolate(lambda x, y: (0.0, 1.0 + y))
     A, b = assemble_alpha_system(alpha, v, dt)
     residual = A @ alpha.coefficients - b
-    assert abs(residual.sum() - 2.0) <= 1e-11
+    assert abs(residual.sum() / dt - 2.0) <= 1e-11

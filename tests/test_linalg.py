@@ -315,3 +315,15 @@ def test_lu_singular_raises():
     with pytest.raises(SingularMatrixError):
         lu_solve_dense(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
 
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+def test_lu_rejects_what_is_not_a_square_matrix(shape):
+    with pytest.raises(ValueError, match="square matrix"):
+        lu_solve_dense(np.ones(shape), np.ones(2))
+
+
+def test_lu_raises_on_a_solution_that_overflows():
+    # no zero pivot, but the solution 1e600 is not a float
+    with pytest.raises(SingularMatrixError, match="not finite"):
+        lu_solve_dense(np.diag([1e-300, 1.0]), np.array([1e300, 1.0]))
+

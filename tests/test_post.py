@@ -71,6 +71,13 @@ def test_slip_zero_when_no_vertex_clears_the_floor():
     assert slip == 0.0 and re_b == 0.0
 
 
+@pytest.mark.parametrize("floor", [0.0, 1.0, -0.1, 2.0])
+def test_slip_rejects_a_floor_outside_the_unit_interval(floor):
+    state, cfg = _state_with_slip(0.1)
+    with pytest.raises(ValueError, match=r"alpha_floor must lie in \(0, 1\)"):
+        slip_and_reynolds(state, cfg.props(), cfg.scales(), floor)
+
+
 def test_sample_to_grid_constant_and_linear(column):
     mesh, p1 = column
     const = sample_to_grid(p1.field(np.full(p1.dof_count, 0.7)), 8, 16)

@@ -190,6 +190,50 @@ def test_large_reduced_system_uses_iterative_path(monkeypatch):
     assert np.max(np.abs(x - x_star)) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [60, 1000])
+def test_the_unbounded_box_is_the_linear_solve_of_the_free_unknowns(
+        n, monkeypatch):
+    # on (-inf, inf) no bound can become active, so one reduced solve over
+    # the free unknowns (dense LU below the cutoff, BiCGStab above it) is
+    # the whole VI, even though the start, the held values and the
+    # solution all leave [0, 1].  A is the nonsymmetric M-matrix of the
+    # iterative-path test, whose row sums 0.2 give |A_ff^-1|_inf <= 5
+    rows = np.concatenate([np.arange(n), np.arange(n - 1), np.arange(1, n)])
+    cols = np.concatenate([np.arange(n), np.arange(1, n), np.arange(n - 1)])
+    vals = np.concatenate([np.full(n, 2.2), np.full(n - 1, -0.6),
+                           np.full(n - 1, -1.4)])
+    a = Pattern(rows, cols, n).assemble(vals)
+    rng = np.random.default_rng(n)
+    b = rng.uniform(-1.0, 1.0, n)
+    fixed = np.sort(rng.choice(n, size=n // 10, replace=False))
+    free = np.setdiff1d(np.arange(n), fixed)
+    x0 = rng.uniform(-3.0, 3.0, n)
+    branch = ("lu_solve_dense" if free.size <= vi._DENSE_CUTOFF
+              else "solve_bicgstab")
+    calls = []
+
+    def counted(*args, _fn=getattr(vi, branch), **kwargs):
+        calls.append(args[1].size)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(vi, branch, counted)
+    stats = {}
+    tol = 1e-10
+    x = solve_box_vi(a, b, x0, tol=tol, stats=stats, fixed=fixed,
+                     box=(-np.inf, np.inf))
+    dense = a.toarray()
+    expect = np.linalg.solve(dense[np.ix_(free, free)],
+                             b[free] - dense[np.ix_(free, fixed)] @ x0[fixed])
+    assert expect.min() < -0.5 and expect.max() > 1.5
+    assert calls == [free.size] and stats["iterations"] == 1
+    assert np.array_equal(x[fixed], x0[fixed])
+    r = (a @ x - b)[free]
+    assert np.max(np.abs(r)) <= tol
+    worst = check_vi_conditions(x[free], r, -np.inf, np.inf)
+    assert worst == np.max(np.abs(r))
+    assert np.max(np.abs(x[free] - expect)) <= 5.0 * tol
+
+
 # A nonsymmetric P-matrix instance on which the active-set guesses cycle
 # (draw 7,517 of default_rng(1): n = integers(2, 6), q and s standard
 # normal (n, n), A = 0.2 q'q + (s - s') uniform(0, 3) + 0.1 I,
