@@ -10,8 +10,10 @@ on the same points.
 
 A `FunctionSpace` builds everything static in its constructor: the dof
 map (P2 midpoint nodes follow the mesh's edge table), its
-`linalg.Pattern`, the reference bases at the quadrature points, and the
-vector mass and strain-stiffness data.  The VectorP2 pattern is built over
+`linalg.Pattern`, the reference bases at the quadrature points, the
+vector mass and strain-stiffness data, and the P1 weights `int_phi`
+(int phi_i over the domain, the P1 mass matrix's row sums), through which
+every reader of int(alpha) integrates.  The VectorP2 pattern is built over
 nodes and widened to the interleaved 2x2-block dof pattern.  On affine
 cells every element quantity is a fixed reference tensor contracted with
 a few per-cell geometry coefficients (the tensor representation of
@@ -25,7 +27,8 @@ Assembly is vectorized over cells and is two scatter-adds: element
 matrices through the pattern's slot map (`Pattern.assemble_data`),
 element vectors through the dof map (`FunctionSpace.scatter`).  Each
 sums in a fixed order, which keeps the floating-point result
-deterministic.
+deterministic.  Every P2 load < f, phi > goes through `_load_vector`,
+whether f is sampled at the quadrature points or constant on each cell.
 
 Sub-step systems assembled here.  All four come back unconstrained,
 and no matrix is written to after assembly: `ipcs.step` has the solvers
@@ -118,14 +121,16 @@ class FunctionSpace:
     is tagged all round.
     ScalarP1 adds the reference basis at the quadrature points `n3`, the
     physical basis gradients `grad_p1` (nc, 3, 2), the measure-free
-    gradient products `gg` and the integrals of the basis `int_phi`.
+    gradient products `gg` and the global weight vector `int_phi`
+    (dof_count,): int phi_i over the domain, the row sums of the P1 mass
+    matrix, so that int(alpha) = int_phi . alpha.
     VectorP2 adds the reference basis at the quadrature points `n6` and
     at the centroid `n6_centroid`; `qp_basis` (12, 6 nq), which takes a
     cell's 12 dofs to the values (q, a) and reference gradients
     (q, a, k) of the field at the quadrature points; `g_ref` (8, 144),
     the reference tensor of the grad(ln alpha) coupling; the
-    mass and strain-stiffness data `mass_data` and `keps_data`; the
-    integrals of the basis `int_phi6`; and the assembled `mass_matrix`.
+    mass and strain-stiffness data `mass_data` and `keps_data`; and the
+    assembled `mass_matrix`.
 
     The vector mass matrix couples only equal components (m6 (x) I2), so
     half the entries of the space's pattern are exact zeros there.
@@ -185,7 +190,7 @@ class FunctionSpace:
         # grad_i . grad_j without measure; scale by the integrated
         # coefficient when assembling variable-coefficient stiffness
         self.gg = np.einsum("cia,cja->cij", self.grad_p1, self.grad_p1)
-        self.int_phi = det[:, None] * np.einsum("q,qi->i", w, n3)
+        self.int_phi = self.scatter(det[:, None] * np.einsum("q,qi->i", w, n3))
 
     def _build_p2_operators(self):
         w, det, inv = QUAD_WEIGHTS, self.mesh.det, self.mesh.inv
@@ -220,7 +225,6 @@ class FunctionSpace:
         self.mass_data = self.pattern.assemble_data(
             np.einsum("ij,c->cij", m12, det))
         self.keps_data = self.pattern.assemble_data(e @ r)
-        self.int_phi6 = det[:, None] * np.einsum("q,qi->i", w, n6)
         # dof parity is the component: drop entries whose row and column
         # differ, on a copy (eliminate_zeros is structural)
         mass = self.pattern.matrix(self.mass_data).copy()
@@ -328,15 +332,13 @@ class VelocityQP:
 
 
 def _load_vector(space, f_qp):
-    """b[(i,a)] = int f_a phi_i dx from qp samples f_qp of shape (nc, nq, 2)."""
+    """b[(i,a)] = int f_a phi_i dx over the VectorP2 `space`, from samples
+    f_qp of f at the quadrature points, (nc, nq, 2), or constant on each
+    cell, (nc, 1, 2), which broadcast over the points."""
     wn6 = QUAD_WEIGHTS[:, None] * space.n6                # (q, i)
+    f_qp = np.broadcast_to(f_qp, (f_qp.shape[0], QUAD_WEIGHTS.size, 2))
     return space.scatter(np.matmul(wn6.T[None, :, :], f_qp)
                          * space.mesh.det[:, None, None])
-
-
-def _const_grad_load(space, vec_cell):
-    """b[(i,a)] = int g_a phi_i dx for a per-cell-constant vector g."""
-    return space.scatter(np.einsum("ci,ca->cia", space.int_phi6, vec_cell))
 
 
 def supg_tau(space, v_field):
@@ -403,7 +405,8 @@ def closure_inputs(state, groups, alpha_ln_floor):
         coef = (det_inv * g[:, None, None, :]).reshape(-1, 8)
         viscous[phase] = space.pattern.matrix(0.5 / re * (
             space.keps_data - space.pattern.assemble_data(coef @ space.g_ref)))
-        constant_load[phase] = _const_grad_load(space, gravity - eu * grad_p)
+        constant_load[phase] = _load_vector(
+            space, (gravity - eu * grad_p)[:, None, :])
     alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
     alpha_l_qp = p1.p1_at_qp(state.alpha_l.coefficients)
     return ClosureInputs(
@@ -501,7 +504,7 @@ def assemble_velocity_update(phase, space, delta_p, dt, groups):
     boundary constraints; M is the space's `mass_matrix`."""
     eu = groups.eu_l if phase == "liquid" else groups.eu_g
     dp_cell = delta_p.space.p1_cell_gradient(delta_p.coefficients)
-    return -dt * eu * _const_grad_load(space, dp_cell)
+    return -dt * eu * _load_vector(space, dp_cell[:, None, :])
 
 
 def assemble_alpha_system(alpha_old, v_g_new, dt):
@@ -553,15 +556,10 @@ def _locate(mesh, points):
         bad = points[np.argmax(outside)]
         raise OutOfDomainError(f"point {tuple(bad)} is outside the domain")
 
-    def bary(cells_idx, pts):
-        # (xi, eta) = J^{-1} (p - v0)
-        v0 = mesh.vertices[mesh.cells[cells_idx, 0]]
-        d = pts - v0
-        xi = (mesh.inv[cells_idx, 0, 0] * d[:, 0]
-              + mesh.inv[cells_idx, 0, 1] * d[:, 1])
-        eta = (mesh.inv[cells_idx, 1, 0] * d[:, 0]
-               + mesh.inv[cells_idx, 1, 1] * d[:, 1])
-        return np.stack([1.0 - xi - eta, xi, eta], axis=1)
+    def bary(cells_idx):
+        # the P1 basis at the reference point (xi, eta) = J^{-1} (p - v0)
+        d = points - mesh.vertices[mesh.cells[cells_idx, 0]]
+        return _p1_basis(np.einsum("pka,pa->pk", mesh.inv[cells_idx], d))[0]
 
     g = mesh.grid
     nx, ny = g["nx"], g["ny"]
@@ -570,8 +568,7 @@ def _locate(mesh, points):
     i = np.clip(((points[:, 0] - lo[0]) / dx).astype(int), 0, nx - 1)
     j = np.clip(((points[:, 1] - lo[1]) / dy).astype(int), 0, ny - 1)
     base = 2 * (j * nx + i)
-    lam0 = bary(base, points)
-    lam1 = bary(base + 1, points)
+    lam0, lam1 = bary(base), bary(base + 1)
     use1 = lam1.min(axis=1) > lam0.min(axis=1)
     cells_idx = np.where(use1, base + 1, base)
     lam = np.where(use1[:, None], lam1, lam0)
@@ -581,15 +578,12 @@ def _locate(mesh, points):
 
 
 def evaluate_many(field, points):
-    """Evaluate a field at an (n, 2) array of points; (n,) or (n, 2) values."""
+    """Values (n,) of a ScalarP1 field at an (n, 2) array of points; a
+    field of any other space raises ValueError."""
     space = field.space
+    if space.kind != "ScalarP1":
+        raise ValueError(f"point evaluation needs a ScalarP1 field, "
+                         f"not {space.kind}")
     cells_idx, lam = _locate(space.mesh, points)
-    if space.kind == "ScalarP1":
-        vals = field.coefficients[space.mesh.cells[cells_idx]]
-        return np.einsum("pi,pi->p", lam, vals)
-    n6 = _p2_basis(lam[:, 1:])[0]
-    nd = space.node_cell_dofs[cells_idx]
-    out = np.empty((cells_idx.size, 2))
-    out[:, 0] = np.einsum("pi,pi->p", n6, field.coefficients[2 * nd])
-    out[:, 1] = np.einsum("pi,pi->p", n6, field.coefficients[2 * nd + 1])
-    return out
+    vals = field.coefficients[space.mesh.cells[cells_idx]]
+    return np.einsum("pi,pi->p", lam, vals)

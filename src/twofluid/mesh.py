@@ -87,9 +87,6 @@ class Mesh:
     def n_cells(self):
         return self.cells.shape[0]
 
-    def cell_areas(self):
-        return 0.5 * self.det
-
     def bounds(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 

@@ -12,11 +12,12 @@ PSD_BINS = 30
 PSD_FLOOR = 1e-30
 
 
-def gas_holdup(alpha_g, mesh):
-    """Domain average of the gas fraction by exact P1 integration."""
-    areas = mesh.cell_areas()
-    cell_means = alpha_g.coefficients[mesh.cells].mean(axis=1)
-    return float((areas * cell_means).sum() / areas.sum())
+def gas_holdup(alpha_g):
+    """Domain average of the ScalarP1 gas fraction, int(alpha) / area,
+    integrated exactly through the space's weights w = `int_phi`:
+    w . alpha / sum(w)."""
+    w = alpha_g.space.int_phi
+    return float(w @ alpha_g.coefficients / w.sum())
 
 
 def slip_and_reynolds(state, props, scales, alpha_floor):
@@ -36,9 +37,10 @@ def slip_and_reynolds(state, props, scales, alpha_floor):
 
 
 def sample_to_grid(field, nx, ny):
-    """Sample a field at nx-by-ny cell-centered points covering the mesh
-    bounding box.  Returns the (ny, nx) array whose row j holds the
-    points at one y."""
+    """Sample a ScalarP1 field at nx-by-ny cell-centered points covering
+    the mesh bounding box (`evaluate_many`; any other field raises
+    ValueError).  Returns the (ny, nx) array whose row j holds the points
+    at one y."""
     if nx < 2 or ny < 2:
         raise ValueError("need nx, ny >= 2")
     lo, hi = field.space.mesh.bounds()

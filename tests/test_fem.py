@@ -278,14 +278,18 @@ def test_tentative_velocity_matrix_is_mass_plus_viscous(symbolic_ops):
     assert A.toarray() == pytest.approx(expect, abs=1e-13)
 
 
-def test_p1_mass_row_sums_are_lumped_areas():
-    mesh = generate_rect_mesh(2.0, 3.0, 4, 5, "alternating")
+@pytest.mark.parametrize("diagonal", ["right", "left", "alternating"])
+def test_p1_mass_row_sums_are_lumped_areas(diagonal):
+    mesh = generate_rect_mesh(2.0, 3.0, 4, 5, diagonal)
     p1 = FunctionSpace.scalar_p1(mesh)
     M = mass(p1)
     row_sums = M @ np.ones(p1.dof_count)
     # row sums = int phi_i; their total is the domain area
     assert row_sums.sum() == pytest.approx(6.0, rel=1e-12)
     assert np.all(row_sums > 0)
+    # the space's weights are those row sums
+    assert p1.int_phi.shape == (p1.dof_count,)
+    assert p1.int_phi == pytest.approx(row_sums, rel=1e-13)
 
 
 def test_stiffness_annihilates_constants():
@@ -626,22 +630,6 @@ def test_evaluate_p1_linear():
     assert evaluate_many(f, [(-0.2, 0.7)]) == pytest.approx([0.3], abs=1e-14)
 
 
-def test_evaluate_p2_quadratic_exact():
-    mesh = generate_rect_mesh(2.0, 2.0, 3, 3, "alternating")
-    vec = FunctionSpace.vector_p2(mesh)
-    f = vec.interpolate(lambda x, y: (x * x, x * y))
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        x = rng.uniform(-1.0, 1.0)
-        y = rng.uniform(0.0, 2.0)
-        assert evaluate_many(f, [(x, y)])[0] == pytest.approx(
-            [x * x, x * y], abs=1e-13)
-    # edge midpoints reproduce exactly too
-    xm = -1.0 + 2.0 / 6.0
-    assert evaluate_many(f, [(xm, 0.0)])[0] == pytest.approx([xm * xm, 0.0],
-                                                           abs=1e-14)
-
-
 def test_evaluate_outside_domain():
     mesh = generate_rect_mesh(1.0, 1.0, 2, 2, "right")
     p1 = FunctionSpace.scalar_p1(mesh)
@@ -657,12 +645,22 @@ def test_evaluate_needs_the_grid_of_a_structured_mesh():
         evaluate_many(p1.field(), [(0.0, 0.5)])
 
 
-def test_vector_evaluate():
+def test_evaluate_fails_where_the_grid_quad_holds_other_cells():
+    # the grid metadata promises quad (i, j) holds cells 2(j nx + i) and
+    # the next; with the cell order reversed, the quad of (0.1, 0.3)
+    # holds two cells far from it, and neither contains the point
+    m = generate_rect_mesh(1.0, 2.0, 2, 4, "right")
+    p1 = FunctionSpace.scalar_p1(Mesh(m.vertices, m.cells[::-1], m.grid))
+    with pytest.raises(OutOfDomainError, match="point location failed"):
+        evaluate_many(p1.field(), [(0.1, 0.3)])
+
+
+def test_evaluate_takes_only_scalar_p1_fields():
     mesh = generate_rect_mesh(1.0, 1.0, 3, 3, "alternating")
     vec = FunctionSpace.vector_p2(mesh)
     f = vec.interpolate(lambda x, y: (y, -x))
-    out = evaluate_many(f, [(0.25, 0.5)])[0]
-    assert out == pytest.approx([0.5, -0.25], abs=1e-13)
+    with pytest.raises(ValueError, match="ScalarP1"):
+        evaluate_many(f, [(0.25, 0.5)])
 
 
 # ---------------------------------------------------------------------------

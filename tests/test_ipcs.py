@@ -556,6 +556,29 @@ def test_run_writes_series_and_snapshots_on_cadence(tmp_path):
     assert len(indices) == 3
 
 
+def test_a_step_across_several_output_times_writes_one_snapshot(
+        tmp_path, monkeypatch):
+    # scripted accepted steps: one of 2.5 ms across the output times 1 and
+    # 2 ms, then 0.4 ms steps to 6.1 ms; a snapshot lands on the first
+    # step at or past each output time, and on no step that crosses none
+    cfg = caseio.CaseConfig(nx=2, ny=4, t_end=0.0061, output_every=0.001,
+                            output_dir=str(tmp_path))
+    t_s = cfg.scales().t_s
+    times = [2.5e-3 + 0.4e-3 * k for k in range(10)]
+
+    def scripted_step(state, dt, cfg, warm=None):
+        new = dataclasses.replace(state, t_tilde=times.pop(0) / t_s)
+        return new, ipcs.StepReport(dt, 0.0, True, dt)
+
+    monkeypatch.setattr(ipcs, "step", scripted_step)
+    result = ipcs.run(cfg)
+    assert not times
+    assert [_snapshot_index(p) for p in result.snapshots] == [0, 1, 3, 5, 8,
+                                                             10]
+    assert sorted(result.snapshots) == sorted(
+        str(p) for p in tmp_path.glob("snap_*.vtk"))
+
+
 def test_run_prints_a_progress_line_every_100_accepted_steps(tmp_path,
                                                              capsys):
     cfg = caseio.CaseConfig(nx=2, ny=4, t_end=0.002,

@@ -11,14 +11,14 @@ def test_unit_square_single_quad():
     m = generate_rect_mesh(1.0, 1.0, 1, 1, "right")
     assert m.n_vertices == 4
     assert m.n_cells == 2
-    assert m.cell_areas().sum() == pytest.approx(1.0, rel=1e-13)
+    assert (0.5 * m.det).sum() == pytest.approx(1.0, rel=1e-13)
 
 
 def test_column_mesh_counts():
     m = generate_rect_mesh(0.05, 0.1, 50, 100, "alternating")
     assert m.n_vertices == 51 * 101
     assert m.n_cells == 2 * 50 * 100
-    assert m.cell_areas().sum() == pytest.approx(0.05 * 0.1, rel=1e-12)
+    assert (0.5 * m.det).sum() == pytest.approx(0.05 * 0.1, rel=1e-12)
 
 
 @pytest.mark.parametrize("nx,ny", [(0, 1), (1, 0)])
@@ -72,7 +72,7 @@ def test_cells_match_the_quad_loop_oracle(rule, nx, ny):
 def test_all_cells_counterclockwise():
     for rule in ("right", "left", "alternating"):
         m = generate_rect_mesh(2.0, 3.0, 4, 5, rule)
-        assert np.all(m.cell_areas() > 0)
+        assert np.all(0.5 * m.det > 0)
 
 
 def test_boundary_tags_partition_and_lengths():
@@ -115,7 +115,7 @@ def test_cell_diameters_are_longest_edges():
 def test_mesh_from_raw_arrays_reference_triangle():
     m = Mesh(*REFERENCE_TRIANGLE)
     assert m.n_cells == 1
-    assert m.cell_areas().sum() == pytest.approx(0.5)
+    assert (0.5 * m.det).sum() == pytest.approx(0.5)
     assert len(m.edges) == 3
 
 

@@ -128,6 +128,12 @@ def test_terminal_velocity_no_buoyancy():
         terminal_velocity_balance(CaseConfig(rho_g=1000.0).props())
 
 
+def test_terminal_velocity_outside_the_bracket():
+    # a 10 m bubble rises faster than the bracket's 10 m/s upper end
+    with pytest.raises(BracketError, match="no sign change"):
+        terminal_velocity_balance(CaseConfig(d_b=10.0).props())
+
+
 def test_clift_correlation(props):
     re_t, v_t = clift_terminal_reynolds(props)
     assert re_t == pytest.approx(11.441, abs=5e-3)

@@ -17,23 +17,23 @@ def column():
 
 def test_holdup_constants(column):
     mesh, p1 = column
-    assert gas_holdup(p1.field(np.zeros(p1.dof_count)), mesh) == 0.0
+    assert gas_holdup(p1.field(np.zeros(p1.dof_count))) == 0.0
     half = p1.field(np.full(p1.dof_count, 0.5))
-    assert gas_holdup(half, mesh) == pytest.approx(0.5, rel=1e-14)
+    assert gas_holdup(half) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_holdup_linear_profile(column):
     mesh, p1 = column
     alpha = p1.field(p1.node_coords[:, 1] / 2.0)  # y/H
-    assert gas_holdup(alpha, mesh) == pytest.approx(0.5, rel=1e-12)
+    assert gas_holdup(alpha) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_holdup_complement(column):
     mesh, p1 = column
     rng = np.random.default_rng(3)
     beta = rng.uniform(0.0, 1.0, p1.dof_count)
-    a = gas_holdup(p1.field(beta), mesh)
-    b = gas_holdup(p1.field(1.0 - beta), mesh)
+    a = gas_holdup(p1.field(beta))
+    b = gas_holdup(p1.field(1.0 - beta))
     assert a + b == pytest.approx(1.0, rel=1e-12)
 
 
@@ -93,7 +93,7 @@ def test_grid_mean_approximates_holdup(column):
     rng = np.random.default_rng(5)
     alpha = p1.field(rng.uniform(0.0, 0.05, p1.dof_count))
     grid = sample_to_grid(alpha, 32, 64)
-    assert grid.mean() == pytest.approx(gas_holdup(alpha, mesh),
+    assert grid.mean() == pytest.approx(gas_holdup(alpha),
                                                abs=0.05 * 0.05)
 
 
