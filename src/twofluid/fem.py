@@ -10,10 +10,12 @@ on the same points.
 
 A `FunctionSpace` builds everything static in its constructor: the dof
 map (P2 midpoint nodes follow the mesh's edge table), its
-`linalg.Pattern`, the reference bases at the quadrature points, the
-vector mass and strain-stiffness data, and the P1 weights `int_phi`
-(int phi_i over the domain, the P1 mass matrix's row sums), through which
-every reader of int(alpha) integrates.  The VectorP2 pattern is built over
+`linalg.Pattern` (with its diagonal slots), the reference bases at the
+quadrature points, the vector mass and strain-stiffness data, the P1
+weights `int_phi` (int phi_i over the domain, the P1 mass matrix's row
+sums), through which every reader of int(alpha) integrates, and the P1
+pattern's block-tridiagonal map, through which the pressure matrix is
+factored.  The VectorP2 pattern is built over
 nodes and widened to the interleaved 2x2-block dof pattern.  On affine
 cells every element quantity is a fixed reference tensor contracted with
 a few per-cell geometry coefficients (the tensor representation of
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import physics
 from .errors import OutOfDomainError
-from .linalg import Pattern
+from .linalg import BlockTridiagonal, Pattern, diagonal_slots
 from .mesh import BoundaryTag
 
 PHASES = ("liquid", "gas")   # the order of every per-phase loop and solve
@@ -121,16 +123,23 @@ class FunctionSpace:
     is tagged all round.
     ScalarP1 adds the reference basis at the quadrature points `n3`, the
     physical basis gradients `grad_p1` (nc, 3, 2), the measure-free
-    gradient products `gg` and the global weight vector `int_phi`
+    gradient products `gg`, the global weight vector `int_phi`
     (dof_count,): int phi_i over the domain, the row sums of the P1 mass
-    matrix, so that int(alpha) = int_phi . alpha.
+    matrix, so that int(alpha) = int_phi . alpha, and `blocks`, the
+    `linalg.BlockTridiagonal` map of its pattern, from which the
+    pressure step factors each pressure matrix exactly.
     VectorP2 adds the reference basis at the quadrature points `n6` and
     at the centroid `n6_centroid`; `qp_basis` (12, 6 nq), which takes a
     cell's 12 dofs to the values (q, a) and reference gradients
     (q, a, k) of the field at the quadrature points; `g_ref` (8, 144),
     the reference tensor of the grad(ln alpha) coupling; the
-    mass and strain-stiffness data `mass_data` and `keps_data`; and the
-    assembled `mass_matrix`.
+    mass and strain-stiffness data `mass_data` and `keps_data`; the
+    assembled `mass_matrix`; and `mass_diag_slots`, the slots of its
+    diagonal, from which the velocity update reads its Jacobi inverse.
+    Every pattern records its own `diag_slots`, from which the tentative
+    and Heun solves read theirs.
+    No array built here is written after the constructor: every step's
+    data go into fresh arrays.
 
     The vector mass matrix couples only equal components (m6 (x) I2), so
     half the entries of the space's pattern are exact zeros there.
@@ -191,6 +200,7 @@ class FunctionSpace:
         # coefficient when assembling variable-coefficient stiffness
         self.gg = np.einsum("cia,cja->cij", self.grad_p1, self.grad_p1)
         self.int_phi = self.scatter(det[:, None] * np.einsum("q,qi->i", w, n3))
+        self.blocks = BlockTridiagonal(self.pattern)
 
     def _build_p2_operators(self):
         w, det, inv = QUAD_WEIGHTS, self.mesh.det, self.mesh.inv
@@ -233,6 +243,7 @@ class FunctionSpace:
         mass.data[row_odd != (mass.indices % 2 == 1)] = 0.0
         mass.eliminate_zeros()
         self.mass_matrix = mass
+        self.mass_diag_slots = diagonal_slots(mass.indptr, mass.indices)
 
     @classmethod
     def scalar_p1(cls, mesh):
@@ -300,12 +311,9 @@ def _vec_at_qp(space, coeffs):
     the reference basis, then each cell's inverse Jacobian."""
     nc, nq = space.cell_dofs.shape[0], QUAD_WEIGHTS.size
     ref = coeffs[space.cell_dofs] @ space.qp_basis
-    dref = ref[:, 2 * nq:].reshape(nc, nq, 2, 2)
-    inv = space.mesh.inv[:, None, None]
-    # 2x2 products as explicit two-term sums (see velocity_dependent_load)
-    dv = (dref[..., 0, None] * inv[..., 0, :]
-          + dref[..., 1, None] * inv[..., 1, :])
-    return ref[:, :2 * nq].reshape(nc, nq, 2).copy(), dv
+    # rows (q, a) of d v_a / d xi_k times the cell's J^-1, one batched GEMM
+    dv = np.matmul(ref[:, 2 * nq:].reshape(nc, 2 * nq, 2), space.mesh.inv)
+    return ref[:, :2 * nq].reshape(nc, nq, 2).copy(), dv.reshape(nc, nq, 2, 2)
 
 
 class VelocityQP:
@@ -403,8 +411,11 @@ def closure_inputs(state, groups, alpha_ln_floor):
         grad_ln[phase] = g
         # the 8 coefficients det inv[k,e] g_f of the reference tensor g_ref
         coef = (det_inv * g[:, None, None, :]).reshape(-1, 8)
-        viscous[phase] = space.pattern.matrix(0.5 / re * (
-            space.keps_data - space.pattern.assemble_data(coef @ space.g_ref)))
+        # (Keps - G) / (2 Re_q), in place in the fresh G data
+        data = space.pattern.assemble_data(coef @ space.g_ref)
+        np.subtract(space.keps_data, data, out=data)
+        data *= 0.5 / re
+        viscous[phase] = space.pattern.matrix(data)
         constant_load[phase] = _load_vector(
             space, (gravity - eu * grad_p)[:, None, :])
     alpha_g_qp = p1.p1_at_qp(state.alpha_g.coefficients)
@@ -459,8 +470,9 @@ def tentative_velocity_system(phase, dt, groups, closures):
     separately."""
     qp = closures.qp
     space = qp.space
-    A = space.pattern.matrix(
-        space.mass_data / dt + closures.viscous[phase].data)
+    data = np.divide(space.mass_data, dt)
+    data += closures.viscous[phase].data
+    A = space.pattern.matrix(data)
     history = space.mass_matrix @ qp.coefficients[phase] / dt
     load = velocity_dependent_load(phase, qp, groups, closures)
     return A, history, load

@@ -30,17 +30,33 @@ the tentative solve as its predictor, so the extra cost per phase is one
 more velocity-dependent load evaluation and one warm-started BiCGStab
 solve of the same tentative system.
 
-This module picks each sub-step's solver, tolerance, iteration cap and
-warm start; `linalg` takes them.  The box VI keeps its inner policy in
-`vi`: the active-set iteration cap (`_MAX_ITER`), the dense-LU cutoff
-(`_DENSE_CUTOFF`) for reduced systems, and the iteration cap
+This module picks each sub-step's solver, preconditioner, tolerance,
+iteration cap and start; `linalg` takes them.  The box VI keeps its inner
+policy in `vi`: the active-set iteration cap (`_MAX_ITER`), the dense-LU
+cutoff (`_DENSE_CUTOFF`) for reduced systems, and the iteration cap
 (`_reduced_solve`) and tolerance rule (from tol_vi) of the reduced
-BiCGStab.
-The one warm start that carries across steps, that of the tentative
-velocities, is cached as a rate of change per unit dt, so that the guess
-scales with the step it starts (cf. Fischer, CMAME 163, 1998, on reusing
-previous solutions as initial guesses).  The pressure CG starts from
-zeros.
+BiCGStab, which keeps the solvers' default Jacobi preconditioner.
+
+  solve             preconditioner               start
+  tentative_*       Jacobi, from the pattern's   v(n) + dt (2 r1 - r0)
+  (BiCGStab)        `diag_slots`
+  heun_*            the same Jacobi              v* + dt^2 c
+  (BiCGStab)
+  pressure (CG)     exact block Cholesky factor  zeros
+                    of its matrix, refactored
+                    on every accepted step
+  update_* (CG)     Jacobi of the mass matrix,   zeros
+                    from its `mass_diag_slots`
+
+The starts reuse earlier solutions (Fischer, CMAME 163, 1998), cached in
+`warm` across attempts (rejected ones included) as quantities that scale
+with the step they start: r1 and r0 are the rates (v* - v(n))/dt of the
+last two tentative solves, extrapolated linearly, and c is the last Heun
+correction (v_heun - v*)/dt^2, the O(dt^2) difference, so the step's own
+dt scales it.  With the block factor the pressure CG takes one iteration
+per step, so its start does not matter; the update CG's start was
+measured and not kept (a cached correction rate saved 5-12% of its
+iterations).
 """
 
 from __future__ import annotations
@@ -55,7 +71,7 @@ from . import caseio, fem, post
 from .caseio import State
 from .errors import (SolverFailureError, StagnationError, StepFailureError,
                      TwoFluidError)
-from .linalg import solve_bicgstab, solve_cg
+from .linalg import jacobi, solve_bicgstab, solve_cg
 from .mesh import BoundaryTag
 from .physics import make_groups
 from .vi import solve_box_vi
@@ -163,6 +179,13 @@ def _krylov(solver, stats, key, A, b, **options):
 # ---------------------------------------------------------------------------
 # tentative velocities and the Heun error estimate
 
+def _cached(warm, key, size):
+    """warm[key], or None without an array of `size` there (a first step,
+    another mesh)."""
+    value = warm.get(key)
+    return value if value is not None and value.size == size else None
+
+
 def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
                           warm):
     """Solve both tentative velocities and estimate the local error.
@@ -173,10 +196,11 @@ def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
     warm-started), so boundary handling is identical on both paths and
     the difference is O(dt^2).
     `dirichlet` maps each phase to its velocity (dofs, values) at t + dt.
-    Each tentative solve starts from v(n) + dt * rate, with the rate
-    (v* - v(n))/dt of the last attempt cached in `warm` (rejected attempts
-    included), or from v(n) without one of v's size (a first step,
-    another mesh), and the data written over the held dofs.
+    Each tentative solve starts from v(n) + dt (2 r1 - r0), the rates of
+    the last two attempts in `warm`, or from v(n) + dt r1 with only one of
+    v's size, or from v(n) with none (a first step, another mesh); each
+    Heun re-solve from v* + dt^2 c, or from v* without a cached c.  Every
+    start has the data over the held dofs (v* holds them already).
     Returns (error, v* sampled at the quadrature points)."""
     vec = closures.qp.space
 
@@ -185,31 +209,40 @@ def _tentative_with_error(dt, tol, groups, closures, dirichlet, stats,
     for phase in fem.PHASES:
         A, history, load = fem.tentative_velocity_system(phase, dt, groups,
                                                          closures)
+        precond = jacobi(A.data[vec.pattern.diag_slots])
         dofs, values = dirichlet[phase]
         vn = closures.qp.coefficients[phase]
-        key = f"tentative_rate_{phase}"
-        rate = warm.get(key)
+        rate = _cached(warm, f"tentative_rate_{phase}", vn.size)
+        prev = _cached(warm, f"tentative_rate_prev_{phase}", vn.size)
         x0 = vn.copy()
-        if rate is not None and rate.size == vn.size:
-            x0 += rate * dt
+        if rate is not None:
+            x0 += dt * (rate if prev is None else 2.0 * rate - prev)
+            warm[f"tentative_rate_prev_{phase}"] = rate
+        else:
+            warm.pop(f"tentative_rate_prev_{phase}", None)
         x0[dofs] = values
         v_star[phase] = _krylov(
             solve_bicgstab, stats, f"tentative_{phase}", A, history + load,
-            tol=tol, max_iter=5000, x0=x0, fixed=dofs)
-        warm[key] = (v_star[phase] - vn) / dt
-        systems[phase] = (A, history, load)
+            tol=tol, max_iter=5000, x0=x0, fixed=dofs, precond=precond)
+        warm[f"tentative_rate_{phase}"] = (v_star[phase] - vn) / dt
+        systems[phase] = (A, history, load, precond)
 
     qp_star = fem.VelocityQP(vec.field(v_star["liquid"]),
                              vec.field(v_star["gas"]), groups)
 
     error = 0.0
     for phase in fem.PHASES:
-        A, history, load_n = systems[phase]
+        A, history, load_n, precond = systems[phase]
         load_p = fem.velocity_dependent_load(phase, qp_star, groups, closures)
+        correction = _cached(warm, f"heun_correction_{phase}", A.shape[0])
+        x0 = v_star[phase]
+        if correction is not None:
+            x0 = x0 + dt ** 2 * correction
         v_heun = _krylov(solve_bicgstab, stats, f"heun_{phase}", A,
                          history + 0.5 * (load_n + load_p), tol=tol,
-                         max_iter=5000, x0=v_star[phase],
-                         fixed=dirichlet[phase][0])
+                         max_iter=5000, x0=x0, fixed=dirichlet[phase][0],
+                         precond=precond)
+        warm[f"heun_correction_{phase}"] = (v_heun - v_star[phase]) / dt ** 2
         norm = max(float(np.linalg.norm(v_heun)), 1.0)
         error = max(error,
                     float(np.linalg.norm(v_heun - v_star[phase])) / norm)
@@ -224,13 +257,15 @@ def step(state, dt, cfg, warm=None):
     rejection the returned state is the input state and only dt_next in
     the report is meaningful.
 
-    `warm` is the cross-step cache of the tentative solves' starting
-    guesses, stored as rates so that they scale with the next dt: each
-    phase's rate (v* - v(n))/dt under "tentative_rate_liquid" and
-    "tentative_rate_gas", written on every attempt.  Without one the step
-    starts a fresh cache, so it cold-starts and its rates are dropped.  A
-    cached rate of another size (another mesh) is ignored and
-    overwritten.  An invalid cfg raises ConfigError."""
+    `warm` is the cross-step cache of the velocity solves' starts (see
+    the module docstring), written on every attempt, per phase q:
+    "tentative_rate_q", the last tentative rate (v* - v(n))/dt;
+    "tentative_rate_prev_q", the one before it (absent after the first
+    attempt on a mesh); and "heun_correction_q", the last Heun correction
+    (v_heun - v*)/dt^2.  Without one the step starts a fresh cache, so it
+    cold-starts and its history is dropped.  A cached array of another
+    size (another mesh) is ignored and overwritten.  An invalid cfg raises
+    ConfigError."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     cfg.validate()
@@ -261,19 +296,22 @@ def step(state, dt, cfg, warm=None):
 
     with _substep("pressure-poisson"):
         A_p, b_p = fem.assemble_pressure_poisson(state, qp_star, dt, groups)
+        outlet = p1.boundary_nodes(BoundaryTag.Outlet)
         delta_p = _krylov(solve_cg, stats, "pressure", A_p, b_p, tol=tol,
-                          max_iter=10000,
-                          fixed=p1.boundary_nodes(BoundaryTag.Outlet))
+                          max_iter=10000, fixed=outlet,
+                          precond=p1.blocks.factor(A_p.data, fixed=outlet))
     dp_field = p1.field(delta_p)
 
     new_v = {}
+    mass_precond = jacobi(vec.mass_matrix.data[vec.mass_diag_slots])
     for phase in fem.PHASES:
         with _substep(f"velocity-update-{phase}"):
             load = fem.assemble_velocity_update(phase, vec, dp_field, dt,
                                                 groups)
             correction = _krylov(solve_cg, stats, f"update_{phase}",
                                  vec.mass_matrix, load, tol=tol,
-                                 max_iter=2000, fixed=dirichlet[phase][0])
+                                 max_iter=2000, fixed=dirichlet[phase][0],
+                                 precond=mass_precond)
             new_v[phase] = qp_star.coefficients[phase] + correction
     v_l_new = vec.field(new_v["liquid"])
     v_g_new = vec.field(new_v["gas"])

@@ -198,7 +198,9 @@ def test_warm_starts_move_a_step_only_within_solver_tolerance():
     cfg = _config()
     warm = {}
     state, dt = _chain(cfg, 12, warm)
-    assert set(warm) == {"tentative_rate_liquid", "tentative_rate_gas"}
+    assert set(warm) == {f"{key}_{phase}" for phase in fem.PHASES
+                         for key in ("tentative_rate", "tentative_rate_prev",
+                                     "heun_correction")}
     new_warm, warm_report = ipcs.step(state, dt, cfg, warm=warm)
     new_cold, cold_report = ipcs.step(state, dt, cfg, warm=None)
     assert warm_report.accepted and cold_report.accepted
@@ -228,9 +230,13 @@ def test_warm_cache_from_another_mesh_is_ignored_and_replaced():
     assert set(warm) == set(fresh)
     for key, rate in fresh.items():
         assert np.array_equal(warm[key], rate)
+    # one attempt on the new mesh: the old mesh's previous rates are
+    # dropped, not shifted, so nothing of the 4x8 history is left
     vec = state.v_l.space
-    assert warm["tentative_rate_liquid"].size == vec.dof_count
-    assert warm["tentative_rate_gas"].size == vec.dof_count
+    assert set(warm) == {f"{key}_{phase}" for phase in fem.PHASES
+                         for key in ("tentative_rate", "heun_correction")}
+    for value in warm.values():
+        assert value.size == vec.dof_count
 
 
 def test_adapt_dt_clamps_and_stagnates():
@@ -496,6 +502,52 @@ def test_solves_hold_the_dirichlet_data_and_write_no_matrix(started,
             assert solved is A
             assert np.array_equal(fixed, dofs)
             assert np.array_equal(x0[dofs], values)
+
+
+def _static_arrays(space):
+    """Copies of every array a space keeps: its own, its pattern's, its
+    block map's and its mass matrix's, keyed by owner and name."""
+    owners = {"space": space, "pattern": space.pattern}
+    if space.kind == "ScalarP1":
+        owners["blocks"] = space.blocks
+    else:
+        owners["mass_matrix"] = {name: getattr(space.mass_matrix, name)
+                                 for name in ("data", "indices", "indptr")}
+    return {(owner, name): value.copy()
+            for owner, obj in owners.items()
+            for name, value in (obj if isinstance(obj, dict)
+                                else vars(obj)).items()
+            if isinstance(value, np.ndarray)}
+
+
+def test_steps_write_no_static_array_of_either_space():
+    # the viscous and tentative data are summed in place into fresh
+    # arrays, never into keps_data, mass_data or the mass matrix; the
+    # index arrays every matrix shares, the slot maps and the diagonal
+    # slots stay as built
+    cfg = _config()
+    state = caseio.initial_state(cfg.build_mesh(), cfg)
+    spaces = (state.alpha_g.space, state.v_l.space)
+    before = [_static_arrays(space) for space in spaces]
+    for name in ("keps_data", "mass_data", "mass_diag_slots"):
+        assert ("space", name) in before[1]
+    for name in ("slots", "indices", "indptr", "diag_slots"):
+        assert ("pattern", name) in before[0]
+        assert ("pattern", name) in before[1]
+    assert ("mass_matrix", "data") in before[1]
+    assert ("blocks", "at") in before[0]
+    dt, warm, accepted = cfg.dt_init, {}, 0
+    for _ in range(8):              # four rejected, then four accepted
+        new, report = ipcs.step(state, dt, cfg, warm=warm)
+        if report.accepted:
+            state, accepted = new, accepted + 1
+        dt = report.dt_next
+    assert accepted == 4
+    for space, kept in zip(spaces, before):
+        now = _static_arrays(space)
+        assert now.keys() == kept.keys()
+        for key, value in kept.items():
+            assert np.array_equal(now[key], value), key
 
 
 def test_the_vi_matrix_shares_the_p1_pattern(started, monkeypatch):

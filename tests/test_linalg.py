@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from twofluid import fem
 from twofluid.errors import NonconvergenceError, SingularMatrixError
-from twofluid.linalg import Pattern, lu_solve_dense, solve_bicgstab, solve_cg
+from twofluid.linalg import (BlockTridiagonal, Pattern, diagonal_slots,
+                             jacobi, lu_solve_dense, solve_bicgstab, solve_cg)
+from twofluid.mesh import DIAGONALS, BoundaryTag, generate_rect_mesh
 
 
 def _random_sparse(rng, n, density=0.2):
@@ -25,9 +28,24 @@ def _identity(n):
 
 
 def test_pattern_sums_duplicates():
-    A = Pattern([0, 0, 1], [1, 1, 0], 2).assemble([2.0, 3.0, 4.0])
+    pattern = Pattern([0, 0, 1], [1, 1, 0], 2)
+    A = pattern.assemble([2.0, 3.0, 4.0])
     assert A.toarray() == pytest.approx(np.array([[0.0, 5.0], [4.0, 0.0]]))
     assert np.array_equal(A.diagonal(), [0.0, 0.0])
+    assert np.array_equal(pattern.diag_slots, [-1, -1])   # no diagonal
+
+
+def test_diagonal_slots_read_the_diagonal():
+    rng = np.random.default_rng(4)
+    A, dense = _random_sparse(rng, 20)
+    A.data[A.indptr[3]:A.indptr[4]] = 0.0      # zero values stay slots
+    dense[3] = 0.0
+    slots = diagonal_slots(A.indptr, A.indices)
+    assert np.array_equal(A.data[slots], np.diag(dense))
+    r = rng.standard_normal(20)
+    d = np.diag(dense).copy()
+    d[d == 0.0] = 1.0
+    assert np.array_equal(jacobi(A.data[slots])(r), (1.0 / d) * r)
 
 
 def test_interleaved_pattern_equals_the_coo_build():
@@ -42,7 +60,7 @@ def test_interleaved_pattern_equals_the_coo_build():
     ref = Pattern(np.repeat(dofs, 2 * nl, axis=1), np.tile(dofs, 2 * nl), 50)
     out = node.interleaved(nl)
     assert out.nnz == ref.nnz
-    for name in ("indptr", "indices", "slots"):
+    for name in ("indptr", "indices", "slots", "diag_slots"):
         got, want = getattr(out, name), getattr(ref, name)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -327,3 +345,75 @@ def test_lu_raises_on_a_solution_that_overflows():
     with pytest.raises(SingularMatrixError, match="not finite"):
         lu_solve_dense(np.diag([1e-300, 1.0]), np.array([1e300, 1.0]))
 
+
+
+def _pressure_like(diagonal, nx=4, ny=7, seed=0):
+    """A variable-coefficient P1 stiffness matrix, the outlet nodes and
+    the matrix with the outlet rows and columns made identity."""
+    mesh = generate_rect_mesh(1.0, 2.0, nx, ny, diagonal)
+    p1 = fem.FunctionSpace.scalar_p1(mesh)
+    coef = 1.0 + 10.0 * np.random.default_rng(seed).random(mesh.n_cells)
+    A = p1.pattern.assemble(p1.gg * (mesh.det * coef)[:, None, None])
+    outlet = p1.boundary_nodes(BoundaryTag.Outlet)
+    dense = A.toarray()
+    dense[outlet, :] = 0.0
+    dense[:, outlet] = 0.0
+    dense[outlet, outlet] = 1.0
+    return p1, A, outlet, dense
+
+
+@pytest.mark.parametrize("diagonal", DIAGONALS)
+def test_block_factor_solves_as_dense_lu_with_the_outlet_held(diagonal):
+    p1, A, outlet, dense = _pressure_like(diagonal)
+    blocks = p1.blocks
+    # blocks the size of the bandwidth: nx + 1 when every diagonal runs
+    # from lower right to upper left, else nx + 2; the last one padded
+    assert blocks.m == (5 if diagonal == "left" else 6)
+    assert blocks.nb == -(-p1.dof_count // blocks.m)
+    solve = blocks.factor(A.data, fixed=outlet)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        b = rng.standard_normal(p1.dof_count)
+        b[outlet] = 0.0
+        x = solve(b)
+        expect = lu_solve_dense(dense, b)
+        assert (np.linalg.norm(x - expect)
+                <= 1e-12 * np.linalg.norm(expect))
+        assert np.all(x[outlet] == 0.0)
+
+
+def test_block_factor_makes_cg_converge_in_one_or_two_iterations():
+    p1, A, outlet, dense = _pressure_like("alternating", nx=10, ny=20)
+    b = np.random.default_rng(2).standard_normal(p1.dof_count)
+    stats = {}
+    x = solve_cg(A, b, 1e-10, 50, stats=stats, fixed=outlet,
+                 precond=p1.blocks.factor(A.data, fixed=outlet))
+    assert 1 <= stats["iterations"] <= 2
+    b[outlet] = 0.0
+    expect = lu_solve_dense(dense, b)
+    assert np.linalg.norm(x - expect) <= 1e-10 * np.linalg.norm(expect)
+    assert np.all(x[outlet] == 0.0)
+
+
+def test_block_factor_of_a_tridiagonal_matrix_across_blocks():
+    # bandwidth 1: blocks of one row, so every Schur complement is a
+    # scalar; the factor is the exact inverse of the 1D Laplacian
+    n = 9
+    rows = np.concatenate([np.arange(n), np.arange(n - 1), np.arange(1, n)])
+    cols = np.concatenate([np.arange(n), np.arange(1, n), np.arange(n - 1)])
+    vals = np.concatenate([np.full(n, 2.0), np.full(2 * (n - 1), -1.0)])
+    pattern = Pattern(rows, cols, n)
+    A = pattern.assemble(vals)
+    blocks = BlockTridiagonal(pattern)
+    assert (blocks.m, blocks.nb) == (1, n)
+    b = np.arange(1.0, n + 1.0)
+    x = blocks.factor(A.data)(b)
+    assert x == pytest.approx(np.linalg.solve(A.toarray(), b), rel=1e-13)
+
+
+def test_block_factor_rejects_a_block_that_is_not_positive_definite():
+    p1, A, outlet, _ = _pressure_like("right")
+    data = A.data.copy()
+    data[p1.pattern.diag_slots[7]] *= -1.0     # one negative pivot
+    with pytest.raises(SingularMatrixError, match="block Cholesky"):
+        p1.blocks.factor(data, fixed=outlet)
